@@ -163,9 +163,10 @@ class PbwAlgebra:
         self._cutoff = trunc.cutoff
         self._cstr: list[list[int]] = [[0] * n for _ in range(n)]
         self._merge: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+        images = [lattice.boundary_of(ch) for ch in self.order.charges]
         for i, a in enumerate(self.order.charges):
             for j, b in enumerate(self.order.charges):
-                p = lattice.pairing(a, b)
+                p = lattice.surface.pairing_h1(images[i], images[j])
                 if self.mode is BracketMode.TWISTED and p % 2 != 0:
                     p = -p
                 self._cstr[i][j] = p

@@ -14,7 +14,13 @@ import sys
 from fractions import Fraction
 
 from .algebra import BracketMode, PbwAlgebra, Spectrum
-from .engine import StabilityStructure, VariationPath, check_variation, detect_walls
+from .engine import (
+    StabilityStructure,
+    VariationPath,
+    _spectrum_lines,
+    check_variation,
+    detect_walls,
+)
 from .errors import (
     FirstTypeWallError,
     ReconstructionError,
@@ -42,12 +48,6 @@ def _structure(sc: Scenario) -> StabilityStructure:
 
 def _coords(charge) -> str:
     return str(charge.coords)
-
-
-def _spectrum_lines(spectrum: Spectrum) -> list[str]:
-    if not spectrum.items():
-        return ["(empty)"]
-    return [f"{_coords(ch)} -> {c}" for ch, c in spectrum.items()]
 
 
 def _path(sc: Scenario) -> VariationPath:
@@ -131,7 +131,7 @@ def cmd_selftest(sc: Scenario) -> list[str]:
     out.append(f"ok cone ({len(members)} members)")
 
     if members:
-        alg = PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc, mode=sc.mode)
+        alg = PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc, sc.mode, members)
         for _ in range(3):
             spectrum = Spectrum({ch: Fraction(rng.randrange(-2, 3)) for ch in members})
             assert alg.factorize(alg.ray_product(spectrum)) == spectrum

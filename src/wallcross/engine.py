@@ -50,6 +50,7 @@ class StabilityStructure:
     mode: BracketMode = BracketMode.PLAIN
     refinement: Optional[QuadraticRefinement] = None
     members: tuple[Charge, ...] = field(init=False, repr=False)
+    _algebra: Optional[PbwAlgebra] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "mode", BracketMode.coerce(self.mode))
@@ -73,10 +74,13 @@ class StabilityStructure:
             raise ValidationError("refinement surface does not match the lattice")
 
     def algebra(self) -> PbwAlgebra:
-        return PbwAlgebra(
-            self.lattice, self.z, self.q, self.sector, self.trunc,
-            self.mode, self.members,
-        )
+        """The algebra over this structure's cone, built on first use."""
+        if self._algebra is None:
+            object.__setattr__(self, "_algebra", PbwAlgebra(
+                self.lattice, self.z, self.q, self.sector, self.trunc,
+                self.mode, self.members,
+            ))
+        return self._algebra
 
 
 @dataclass(frozen=True)
@@ -259,17 +263,19 @@ def detect_walls(
 
 
 def _confirmed(events, path, sector):
-    """Drop exact events where the crossing function only grazes zero.
+    """Drop junction events where the crossing function only grazes zero.
 
-    Interval events come from simple irrational roots inside one segment
-    and always change sign; an exact root can sit at a keyframe junction
-    where the path touches a wall and bounces back."""
+    Only exact roots at an interior keyframe junction are sampled on both
+    sides: there the path can touch a wall and bounce back.  Every other
+    event is a simple root inside one segment (irrational, linear, or one
+    of two distinct rational roots of a quadratic) and changes sign."""
+    m = path.segment_count
     times = sorted({ev.t_lo for ev in events} | {Fraction(0), Fraction(1)})
     for ev in events:
-        if ev.t_lo != ev.t_hi or ev.t_lo in (0, 1):
+        t = ev.t_lo
+        if t != ev.t_hi or t in (0, 1) or (t * m).denominator != 1:
             yield ev
             continue
-        t = ev.t_lo
         idx = times.index(t)
         left = (times[idx - 1] + t) / 2
         right = (t + times[idx + 1]) / 2
@@ -355,7 +361,7 @@ class VariationReport:
 
     def lines(self) -> list[str]:
         out = ["spectrum at t=0:"]
-        out.extend(_spectrum_lines(self.initial))
+        out.extend("  " + line for line in _spectrum_lines(self.initial))
         if not self.events:
             out.append("no events, spectrum constant")
             return out
@@ -367,18 +373,18 @@ class VariationReport:
         for jump in self.jumps:
             out.append(f"jump on [{jump.t_lo}, {jump.t_hi}]:")
             out.append("  before:")
-            out.extend("  " + line for line in _spectrum_lines(jump.before))
+            out.extend("    " + line for line in _spectrum_lines(jump.before))
             out.append("  after:")
-            out.extend("  " + line for line in _spectrum_lines(jump.after))
+            out.extend("    " + line for line in _spectrum_lines(jump.after))
         out.append("spectrum at t=1:")
-        out.extend(_spectrum_lines(self.final))
+        out.extend("  " + line for line in _spectrum_lines(self.final))
         return out
 
 
 def _spectrum_lines(spectrum: Spectrum) -> list[str]:
     if not len(spectrum):
-        return ["  (empty)"]
-    return [f"  {ch.coords} -> {c}" for ch, c in spectrum.items()]
+        return ["(empty)"]
+    return [f"{ch.coords} -> {c}" for ch, c in spectrum.items()]
 
 
 @dataclass
@@ -406,9 +412,12 @@ def check_variation(
 ) -> VariationReport:
     """Walk the path, asserting constancy between walls and recording jumps.
 
-    Events are clustered into disjoint intervals; rational sample points
-    between clusters carry the spectrum forward by transport.  A cluster
-    containing a second-type event aborts the walk."""
+    Events are clustered into disjoint intervals, and a cluster containing
+    a second-type event aborts the walk.  Every rational sample point
+    between clusters, and t = 1, is transported straight from the starting
+    structure: the sector product is one element along the whole path and
+    only its ordered factorization changes, so no intermediate structure
+    is needed."""
     if path.keyframes[0] != struct.z:
         raise ValidationError(
             "structure central charge must match the start of the path"
@@ -435,19 +444,11 @@ def check_variation(
                 "wall events touch an end of the path; cannot sample around them"
             )
 
-    def structure_at(t: Fraction, spectrum: Spectrum) -> StabilityStructure:
-        return StabilityStructure(
-            struct.lattice, path.z_at(t), struct.q, struct.sector,
-            struct.trunc, spectrum, struct.mode, struct.refinement,
-        )
-
     current = struct.spectrum
-    state = struct
     jumps: list[SpectrumJump] = []
     for k, (lo, hi) in enumerate(spans):
         gap = (hi - lo) / 3
-        p, q = lo + gap, hi - gap
-        stepped = transport_spectrum(state, path.z_at(p))
+        stepped = transport_spectrum(struct, path.z_at(lo + gap))
         if k == 0:
             if stepped != current:
                 raise ValidationError("spectrum changed between detected walls")
@@ -458,10 +459,8 @@ def check_variation(
             )
             jumps.append(SpectrumJump(cl.lo, cl.hi, current, stepped, witnesses))
             current = stepped
-        state = structure_at(p, current)
-        if transport_spectrum(state, path.z_at(q)) != current:
+        if transport_spectrum(struct, path.z_at(hi - gap)) != current:
             raise ValidationError("spectrum changed between detected walls")
-        state = structure_at(q, current)
-    if transport_spectrum(state, path.z_at(Fraction(1))) != current:
+    if transport_spectrum(struct, path.z_at(Fraction(1))) != current:
         raise ValidationError("spectrum changed between detected walls")
     return VariationReport(struct.spectrum, current, tuple(events), tuple(jumps))

@@ -474,10 +474,10 @@ def wall_first_type(
     """First pair of non-proportional charges with parallel central charges,
     or None.  Deterministic: charges are scanned in lexicographic order."""
     cs = sorted(set(charges), key=lambda b: b.coords)
+    zs = [z.evaluate(b) for b in cs]
     for i in range(len(cs)):
-        zi = z.evaluate(cs[i])
         for j in range(i + 1, len(cs)):
-            if cross(zi, z.evaluate(cs[j])) == 0 and not charges_parallel(cs[i], cs[j]):
+            if cross(zs[i], zs[j]) == 0 and not charges_parallel(cs[i], cs[j]):
                 return (cs[i], cs[j])
     return None
 

@@ -63,19 +63,8 @@ class DecoratedForest:
         for v in self.attach:
             if not 0 <= v < n:
                 raise ValidationError("half-edge attached to a missing vertex")
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for h1, h2 in self.edges():
-            u, w = find(self.attach[h1]), find(self.attach[h2])
-            if u == w:
-                raise ValidationError("graph has a cycle; only forests are allowed")
-            parent[u] = w
+        if not _acyclic(n, self.edge_vertices()):
+            raise ValidationError("graph has a cycle; only forests are allowed")
 
     @classmethod
     def from_edge_list(

@@ -235,7 +235,7 @@ def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "wallcross.cli",
          "--scenario", PRIMITIVE, "--command", "cone"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, cwd=SCENARIOS.parent / "src",
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "(0, 1) height 1"

@@ -239,6 +239,31 @@ def test_transport_commuting_rays():
     assert moved == Spectrum(primitive_spectrum())
 
 
+@pytest.mark.parametrize("mode", ["plain", "twisted"])
+@pytest.mark.parametrize(
+    "b_rows, c_rows",
+    [
+        (((-2, -1), (1, 1)), ((1, -1), (1, 1))),  # A, B | C
+        (((1, -1), (1, 1)), ((-2, -1), (1, 1))),  # A | B, C back on A's side
+    ],
+)
+def test_transport_composes_across_a_wall(mode, b_rows, c_rows):
+    # the wall is z_rows ((-1, -1), (1, 1)); B and C sit on opposite sides
+    s = crossing_setup()
+    rng = random.Random(11)
+    probe = make_structure(s, {})
+    spectrum = {ch: Fraction(rng.randrange(-2, 3)) for ch in probe.members}
+    struct = make_structure(s, spectrum, mode=mode)
+    z_b, z_c = zmat(b_rows), zmat(c_rows)
+    at_b = transport_spectrum(struct, z_b)
+    from_b = StabilityStructure(
+        s.lattice, z_b, s.q, s.sector, s.trunc, at_b, mode
+    )
+    direct = transport_spectrum(struct, z_c)
+    assert transport_spectrum(from_b, z_c) == direct
+    assert direct != at_b
+
+
 def test_transport_membership_change_rejected():
     s = crossing_setup()
     struct = make_structure(s, primitive_spectrum())
@@ -308,6 +333,23 @@ def test_check_variation_crossing_jump():
         "  (1, 0) -> 1",
         "  (1, 1) -> 1",
     ]
+
+
+def test_check_variation_crossing_at_junction():
+    # the wall root sits exactly on the middle keyframe and the path crosses
+    s = crossing_setup()
+    struct = make_structure(s, primitive_spectrum())
+    z_end = zmat(((1, -1), (1, 1)))
+    path = VariationPath((s.z, zmat(((-1, -1), (1, 1))), z_end))
+    report = check_variation(path, struct)
+    assert len(report.events) == 8
+    assert all(ev.t_lo == ev.t_hi == Fraction(1, 2) for ev in report.events)
+    assert len(report.jumps) == 1
+    jump = report.jumps[0]
+    assert (jump.t_lo, jump.t_hi) == (Fraction(1, 2), Fraction(1, 2))
+    assert jump.before == struct.spectrum
+    assert jump.after == transport_spectrum(struct, z_end)
+    assert jump.after.coefficient(Charge((1, 1))) == 1
 
 
 def test_check_variation_second_type_abort():
