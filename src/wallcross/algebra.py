@@ -32,6 +32,7 @@ from .lattice import (
     QuadraticForm,
     Sector,
     TruncationSet,
+    _exact,
     charges_parallel,
     cone_enumerate,
     cross,
@@ -105,7 +106,7 @@ class Spectrum:
         for ch, c in m.items():
             if not isinstance(ch, Charge):
                 raise ValidationError(f"spectrum keys must be charges, got {ch!r}")
-            c = Fraction(c)
+            c = _exact(c)
             if c != 0:
                 self._map[ch] = c
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .algebra import BracketMode, PbwAlgebra, Spectrum
+from .algebra import AlgebraElement, BracketMode, PbwAlgebra, Spectrum
 from .errors import FirstTypeWallError, SecondTypeWallError, ValidationError
 from .lattice import (
     CentralCharge,
@@ -24,17 +24,14 @@ from .lattice import (
     QuadraticForm,
     Sector,
     TruncationSet,
-    Vec2,
+    _dot,
+    _integer_rows,
     charges_parallel,
     cone_enumerate,
     cross,
     wall_first_type,
 )
 from .refinement import QuadraticRefinement
-
-
-def _dot(u: Vec2, v: Vec2) -> Fraction:
-    return u[0] * v[0] + u[1] * v[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +48,7 @@ class StabilityStructure:
     refinement: Optional[QuadraticRefinement] = None
     members: tuple[Charge, ...] = field(init=False, repr=False)
     _algebra: Optional[PbwAlgebra] = field(init=False, repr=False, default=None)
+    _product: Optional[AlgebraElement] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "mode", BracketMode.coerce(self.mode))
@@ -81,6 +79,12 @@ class StabilityStructure:
                 self.mode, self.members,
             ))
         return self._algebra
+
+    def _sector_product(self) -> AlgebraElement:
+        """The spectrum's ray product, which every transport refactorizes."""
+        if self._product is None:
+            object.__setattr__(self, "_product", self.algebra().ray_product(self.spectrum))
+        return self._product
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,7 @@ def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
 
 
 def _quadratic_events(
-    a: Fraction, b: Fraction, c: Fraction, tol: Fraction
+    a: int | Fraction, b: int | Fraction, c: int | Fraction, tol: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
     """Sign-changing roots of a + b s + c s^2 on [0, 1] as rational intervals.
 
@@ -151,7 +155,7 @@ def _quadratic_events(
     if c == 0:
         if b == 0:
             return []
-        s = -a / b
+        s = Fraction(-a, b)
         return [(s, s)] if 0 <= s <= 1 else []
     disc = b * b - 4 * a * c
     if disc <= 0:
@@ -165,7 +169,7 @@ def _quadratic_events(
         return a + s * (b + s * c)
 
     vertex = Fraction(-b, 2 * c)
-    bound = 1 + max(abs(a), abs(b)) / abs(c)  # Cauchy bound on root size
+    bound = 1 + Fraction(max(abs(a), abs(b)), abs(c))  # Cauchy bound on root size
     out = []
     for lo, hi in ((min(-bound, vertex - 1), vertex), (vertex, max(bound, vertex + 1))):
         flo = value(lo)
@@ -195,25 +199,25 @@ def detect_walls(
     First-type events pair two non-parallel tracked charges; second-type
     events pair a charge whose phase meets a sector boundary ray with each
     partner completing a tracked total.  A pair whose phases agree along a
-    whole segment, or a charge riding a boundary ray, is rejected."""
+    whole segment, or a charge riding a boundary ray, is rejected.
+
+    Both keyframes of a segment are scaled by one positive integer D, so
+    each crossing polynomial has int coefficients and is D^2 times the
+    rational one, with the same roots and signs; the rays scale alike."""
     charge_list = sorted(set(charges), key=lambda ch: ch.coords)
     mset = set(charge_list)
     m = path.segment_count
     tol = Fraction(tolerance)
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
+    rays = _integer_rows((sector.start, sector.end))
     events: set[WallEvent] = set()
     for i in range(m):
-        z0, z1 = path.keyframes[i], path.keyframes[i + 1]
-        vals = {ch: z0.evaluate(ch) for ch in charge_list}
-        delta = {}
+        rows = _integer_rows(path.keyframes[i].matrix + path.keyframes[i + 1].matrix)
+        vals, delta = {}, {}
         for ch in charge_list:
-            v1 = z1.evaluate(ch)
-            delta[ch] = (v1[0] - vals[ch][0], v1[1] - vals[ch][1])
-
-        def to_global(s: Fraction) -> Fraction:
-            return Fraction(i + s, m) if isinstance(s, int) else (i + s) / m
-
+            x0, y0, x1, y1 = (_dot(row, ch.coords) for row in rows)
+            vals[ch], delta[ch] = (x0, y0), (x1 - x0, y1 - y0)
         for ai in range(len(charge_list)):
             b1 = charge_list[ai]
             u0, du = vals[b1], delta[b1]
@@ -231,11 +235,11 @@ def detect_walls(
                     )
                 for lo, hi in _quadratic_events(qa, qb, qc, tol):
                     events.add(
-                        WallEvent(to_global(lo), to_global(hi), "first_type", b1, b2)
+                        WallEvent(Fraction(i + lo, m), Fraction(i + hi, m), "first_type", b1, b2)
                     )
         for b1 in charge_list:
             u0, du = vals[b1], delta[b1]
-            for ray in (sector.start, sector.end):
+            for ray in rays:
                 la = cross(u0, ray)
                 lb = cross(du, ray)
                 if la == 0 and lb == 0:
@@ -248,13 +252,13 @@ def detect_walls(
                     continue
                 if lb == 0:
                     continue
-                s = -la / lb
+                s = Fraction(-la, lb)
                 if not 0 <= s <= 1:
                     continue
                 hit = (u0[0] + s * du[0], u0[1] + s * du[1])
                 if _dot(hit, ray) <= 0:
                     continue  # aligned with the opposite ray
-                t = to_global(s)
+                t = Fraction(i + s, m)
                 for b2 in charge_list:
                     if (b1 + b2) in mset:
                         events.add(WallEvent(t, t, "second_type", b1, b2))
@@ -339,8 +343,7 @@ def transport_spectrum(
         struct.lattice, z_new, struct.q, struct.sector, struct.trunc,
         struct.mode, members_new,
     )
-    total = struct.algebra().ray_product(struct.spectrum)
-    return alg_new.factorize(alg_new.convert(total))
+    return alg_new.factorize(alg_new.convert(struct._sector_product()))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ determinant; no angles, no floating point.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -38,7 +40,7 @@ class Charge:
     def __init__(self, coords: Iterable[int]):
         cs = tuple(coords)
         for c in cs:
-            if not isinstance(c, int):
+            if not isinstance(c, int) or isinstance(c, bool):
                 raise ValidationError(f"charge coordinates must be integers, got {c!r}")
         object.__setattr__(self, "coords", cs)
         object.__setattr__(self, "_hash", hash(cs))
@@ -98,8 +100,25 @@ def _freeze_int_matrix(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _exact(x) -> Fraction:
+    if isinstance(x, float):  # a binary fraction, not the rational meant
+        raise ValidationError(f"exact rational expected, got float {x!r}")
+    return Fraction(x)
+
+
 def _freeze_fraction_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(_exact(x) for x in row) for row in rows)
+
+
+def _integer_rows(rows) -> list[list[int]]:
+    """The rational rows times the lcm of all their denominators: a
+    positive scale, which changes no sign, phase order or height order."""
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def _dot(u, v):
+    return sum(map(operator.mul, u, v))
 
 
 @dataclass(frozen=True)
@@ -266,8 +285,8 @@ class Sector:
     end: Vec2
 
     def __post_init__(self):
-        start = (Fraction(self.start[0]), Fraction(self.start[1]))
-        end = (Fraction(self.end[0]), Fraction(self.end[1]))
+        start = (_exact(self.start[0]), _exact(self.start[1]))
+        end = (_exact(self.end[0]), _exact(self.end[1]))
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
         if start == (0, 0) or end == (0, 0):
@@ -308,9 +327,9 @@ class TruncationSet:
     scan_box: int
 
     def __post_init__(self):
-        cov = (Fraction(self.covector[0]), Fraction(self.covector[1]))
+        cov = (_exact(self.covector[0]), _exact(self.covector[1]))
         object.__setattr__(self, "covector", cov)
-        object.__setattr__(self, "cutoff", Fraction(self.cutoff))
+        object.__setattr__(self, "cutoff", _exact(self.cutoff))
         if self.cutoff < 0:
             raise ValidationError("truncation cutoff must be non-negative")
         if not isinstance(self.scan_box, int) or self.scan_box < 1:
@@ -429,43 +448,48 @@ def cone_enumerate(
     Generators are the charges with central charge inside the sector and
     non-negative quadratic form, found by scanning the integer box given
     by trunc.scan_box.  Heights of generators are strictly positive, so
-    the additive closure below the cutoff is finite.
+    the additive closure below the cutoff is finite.  Z, Q, the sector
+    rays and the height functional with its cutoff are each scaled by a
+    positive integer, which keeps every test and the height order.
     """
     if z.rank != lattice.rank or q.rank != lattice.rank:
         raise ValidationError("central charge / quadratic form rank must match the lattice")
     trunc.validate_for(sector)
     check_kernel_definiteness(z, q)
     box = trunc.scan_box
-    gens: list[Charge] = []
+    zx, zy = _integer_rows(z.matrix)
+    (sx, sy), (ex, ey) = _integer_rows((sector.start, sector.end))
+    qm = _integer_rows(q.matrix)
+    heights = [trunc.height(col) for col in zip(*z.matrix)] + [trunc.cutoff]
+    *hrow, cut = _integer_rows([heights])[0]
+    gens: list[tuple[tuple[int, ...], int]] = []
     for point in itertools.product(range(-box, box + 1), repeat=lattice.rank):
-        if all(c == 0 for c in point):
+        h = _dot(hrow, point)
+        if h > cut:
             continue
-        zv = z.evaluate(point)
-        if zv[0] == 0 and zv[1] == 0:
+        x, y = _dot(zx, point), _dot(zy, point)
+        # the zero vector (and the zero point) lies in no sector
+        if (x == 0 and y == 0) or sx * y - sy * x > 0 or x * ey - y * ex > 0:
             continue
-        if not sector.contains(zv):
+        if _dot(point, [_dot(row, point) for row in qm]) < 0:
             continue
-        if q.evaluate(point) < 0:
-            continue
-        if trunc.height(zv) > trunc.cutoff:
-            continue
-        gens.append(Charge(point))
-    members = set(gens)
-    frontier = list(gens)
+        gens.append((point, h))
+    gens.sort(key=operator.itemgetter(1))  # heights add up along the closure
+    members = dict(gens)
+    frontier = gens
     while frontier:
-        fresh: list[Charge] = []
-        for m in frontier:
-            for g in gens:
-                s = m + g
-                if s in members:
-                    continue
-                if trunc.height(z.evaluate(s)) <= trunc.cutoff:
-                    members.add(s)
-                    fresh.append(s)
+        fresh = []
+        for m, hm in frontier:
+            for g, hg in gens:
+                h = hm + hg
+                if h > cut:
+                    break
+                s = tuple(map(operator.add, m, g))
+                if s not in members:
+                    members[s] = h
+                    fresh.append((s, h))
         frontier = fresh
-    return tuple(
-        sorted(members, key=lambda b: (trunc.height(z.evaluate(b)), b.coords))
-    )
+    return tuple(Charge(c) for _, c in sorted((h, c) for c, h in members.items()))
 
 
 def wall_first_type(
@@ -474,7 +498,8 @@ def wall_first_type(
     """First pair of non-proportional charges with parallel central charges,
     or None.  Deterministic: charges are scanned in lexicographic order."""
     cs = sorted(set(charges), key=lambda b: b.coords)
-    zs = [z.evaluate(b) for b in cs]
+    zx, zy = _integer_rows(z.matrix)
+    zs = [(_dot(zx, b.coords), _dot(zy, b.coords)) for b in cs]
     for i in range(len(cs)):
         for j in range(i + 1, len(cs)):
             if cross(zs[i], zs[j]) == 0 and not charges_parallel(cs[i], cs[j]):

@@ -284,6 +284,12 @@ def test_exponential_inverse():
 # ray products and factorization
 # ----------------------------------------------------------------------
 
+def test_spectrum_rejects_float_weights():
+    with pytest.raises(ValidationError, match="float"):
+        Spectrum({_ch(1, 0): 0.1})
+    assert Spectrum({_ch(1, 0): 1}).coefficient(_ch(1, 0)) == Fraction(1)
+
+
 def test_ray_product_two_rays():
     alg = make_algebra()
     spectrum = Spectrum({_ch(1, 0): Fraction(1), _ch(0, 1): Fraction(1)})

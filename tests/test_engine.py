@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import wallcross.engine as engine
 from conftest import build_setup
-from wallcross.algebra import Spectrum
+from wallcross.algebra import PbwAlgebra, Spectrum
 from wallcross.engine import (
     StabilityStructure,
     VariationPath,
     WallEvent,
+    _quadratic_events,
     check_variation,
     detect_walls,
     transport_spectrum,
@@ -30,6 +36,7 @@ from wallcross.lattice import (
     TruncationSet,
     cross,
 )
+from wallcross.scenario import parse_scenario
 
 G1 = Charge((1, 0))
 G2 = Charge((0, 1))
@@ -203,6 +210,47 @@ def test_detect_walls_junction_bounce_dropped():
     assert len(detect_walls(half, (G1, G2), wide_sector())) == 1
 
 
+def test_detect_walls_invariant_under_positive_scaling():
+    # the integer scaling inside detect_walls must not depend on how the
+    # keyframes happen to be written
+    rng = random.Random(29)
+    charges = [Charge((a, b)) for a in range(3) for b in range(3) if a or b]
+    sector = Sector((Fraction(-2), Fraction(1)), (Fraction(2), Fraction(1)))
+
+    def frame():
+        return zmat([[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(2)]
+                     for _ in range(2)])
+
+    def outcome(frames):
+        try:
+            return detect_walls(VariationPath(frames), charges, sector)
+        except ValidationError as exc:
+            return str(exc)
+
+    kinds = set()
+    for _ in range(40):
+        frames = [frame() for _ in range(rng.randint(2, 3))]
+        scaled = [zmat([[Fraction(3, 7) * x for x in row] for row in f.matrix]) for f in frames]
+        events = outcome(frames)
+        assert outcome(scaled) == events
+        if not isinstance(events, str):
+            kinds.update((ev.kind, ev.t_lo == ev.t_hi) for ev in events)
+    assert kinds == {("first_type", True), ("first_type", False), ("second_type", True)}
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
+    st.integers(1, 9), st.integers(1, 9),
+)
+def test_quadratic_events_same_for_ints_fractions_and_scaling(a, b, c, d, k):
+    tol = Fraction(1, 64)
+    events = _quadratic_events(a, b, c, tol)
+    assert all(type(x) is Fraction for pair in events for x in pair)
+    assert _quadratic_events(Fraction(a, d), Fraction(b, d), Fraction(c, d), tol) == events
+    assert _quadratic_events(a * k * k, b * k * k, c * k * k, tol) == events
+
+
 # -- transport -----------------------------------------------------------------
 
 
@@ -350,6 +398,31 @@ def test_check_variation_crossing_at_junction():
     assert jump.before == struct.spectrum
     assert jump.after == transport_spectrum(struct, z_end)
     assert jump.after.coefficient(Charge((1, 1))) == 1
+
+
+def test_check_variation_builds_the_source_product_once(monkeypatch):
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text()
+    sc = parse_scenario(text)
+    trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(6))
+    struct = StabilityStructure(sc.lattice, sc.z, sc.q, sc.sector, trunc, sc.spectrum)
+    products, transports = [], []
+    ray_product, transport = PbwAlgebra.ray_product, engine.transport_spectrum
+
+    def counted_product(alg, spectrum):
+        products.append(alg)
+        return ray_product(alg, spectrum)
+
+    def counted_transport(*args):
+        transports.append(args)
+        return transport(*args)
+
+    monkeypatch.setattr(PbwAlgebra, "ray_product", counted_product)
+    monkeypatch.setattr(engine, "transport_spectrum", counted_transport)
+    report = check_variation(VariationPath(sc.path_keyframes()), struct)
+    assert len(transports) == 5
+    assert sum(alg is struct.algebra() for alg in products) == 1
+    digest = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
+    assert digest == "fc0e5239340f8b901e31fc1b829e7069820cec6069eef1ec412a6e3a0d0e9f83"
 
 
 def test_check_variation_second_type_abort():

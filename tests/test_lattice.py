@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,11 +11,13 @@ from wallcross.errors import ValidationError
 from wallcross.lattice import (
     CentralCharge,
     Charge,
+    ChargeLattice,
     QuadraticForm,
     Sector,
     SurfaceModel,
     TruncationSet,
     charges_parallel,
+    check_kernel_definiteness,
     cone_enumerate,
     cross,
     phase_precedes,
@@ -154,6 +157,81 @@ def test_cone_scan_box_stability():
     ) == cone_enumerate(large.lattice, large.z, large.q, large.sector, large.trunc)
 
 
+def _oracle_scan(lattice, z, q, sector, trunc):
+    """(charge, height) of every scan-box point passing the generator
+    tests, in Fraction arithmetic, with the height cutoff not applied."""
+    out = []
+    box = trunc.scan_box
+    for point in itertools.product(range(-box, box + 1), repeat=lattice.rank):
+        zv = z.evaluate(point)
+        if zv != (0, 0) and sector.contains(zv) and q.evaluate(point) >= 0:
+            out.append((Charge(point), trunc.height(zv)))
+    return out
+
+
+def _oracle_cone(gens, z, trunc):
+    """Additive closure of the generators below the cutoff, every height
+    evaluated from Z in Fractions, sorted by (height, coordinates)."""
+    gens = [g for g, h in gens if h <= trunc.cutoff]
+    members, frontier = set(gens), list(gens)
+    while frontier:
+        fresh = []
+        for m in frontier:
+            for g in gens:
+                s = m + g
+                if s not in members and trunc.height(z.evaluate(s)) <= trunc.cutoff:
+                    members.add(s)
+                    fresh.append(s)
+        frontier = fresh
+    return tuple(sorted(members, key=lambda b: (trunc.height(z.evaluate(b)), b.coords)))
+
+
+@pytest.mark.parametrize("rank, box", [(2, 4), (3, 2)])
+def test_cone_enumerate_matches_fraction_oracle(rank, box):
+    rng = random.Random(1000 + rank)
+    lattice = ChargeLattice(rank, (), SurfaceModel(()))
+
+    def frac():
+        return Fraction(rng.randint(-7, 7), rng.randint(1, 6))
+
+    nonempty = 0
+    for _ in range(60):
+        z_rows = [[frac() for _ in range(rank)] for _ in range(2)]
+        q_rows = [[frac() for _ in range(rank)] for _ in range(rank)]
+        q_rows = [[q_rows[min(i, j)][max(i, j)] for j in range(rank)] for i in range(rank)]
+        if rank == 3:
+            # ker Z = span of k; lower Q[2][2] until Q(k) < 0
+            k = (rng.randint(-2, 2), rng.randint(-2, 2), 1)
+            for row in z_rows:
+                row[2] = -(k[0] * row[0] + k[1] * row[1])
+            qk = sum(k[i] * q_rows[i][j] * k[j] for i in range(3) for j in range(3))
+            q_rows[2][2] -= max(qk, 0) + Fraction(1, rng.randint(1, 6))
+        z, q = CentralCharge(z_rows), QuadraticForm(q_rows)
+        try:  # a degenerate Z can still have a kernel Q is not negative on
+            check_kernel_definiteness(z, q)
+        except ValidationError:
+            continue
+        start, end = (frac(), frac()), (frac(), frac())
+        if cross(start, end) == 0:
+            continue
+        if cross(start, end) > 0:
+            start, end = end, start
+        sector = Sector(start, end)
+        for _ in range(50):
+            probe = TruncationSet((frac(), frac()), 0, box)
+            if probe.height(start) > 0 and probe.height(end) > 0:
+                break
+        else:
+            continue
+        gens = _oracle_scan(lattice, z, q, sector, probe)
+        lowest = min((h for _, h in gens), default=Fraction(1))
+        trunc = TruncationSet(probe.covector, lowest * Fraction(rng.randint(2, 9), 2), box)
+        expected = _oracle_cone(gens, z, trunc)
+        assert cone_enumerate(lattice, z, q, sector, trunc) == expected
+        nonempty += len(expected) > 1
+    assert nonempty >= 20
+
+
 def test_cone_closure_under_addition(setup):
     members = cone_enumerate(setup.lattice, setup.z, setup.q, setup.sector, setup.trunc)
     mset = set(members)
@@ -251,6 +329,27 @@ def test_charge_arithmetic():
     assert len({a, _ch(1, 2)}) == 1
     with pytest.raises(ValidationError):
         Charge((Fraction(1, 2), 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CentralCharge(((0.5, 1), (1, 1))),
+        lambda: QuadraticForm(((1, 0.1), (0.1, 1))),
+        lambda: Sector((-1, 1), (1.0, 1)),
+        lambda: TruncationSet((0.25, 1), 2, 4),
+        lambda: TruncationSet((0, 1), 2.5, 4),
+    ],
+    ids=["central_charge", "quadratic_form", "sector", "covector", "cutoff"],
+)
+def test_floats_rejected(build):
+    with pytest.raises(ValidationError, match="float"):
+        build()
+
+
+def test_bool_charge_coordinate_rejected():
+    with pytest.raises(ValidationError, match="integers"):
+        Charge((True, 0))
 
 
 def test_cross_sign_convention():
