@@ -197,7 +197,7 @@ class PbwAlgebra:
         out: dict[tuple[int, ...], Fraction] = {}
         for word, coeff in terms.items():
             idxs = tuple(self.order.position(ch) for ch in word)
-            self._normalize_into(out, idxs, Fraction(coeff))
+            self._normalize_into(out, idxs, _exact(coeff))
         return AlgebraElement(self, out)
 
     def normal_form(
@@ -205,7 +205,7 @@ class PbwAlgebra:
     ) -> "AlgebraElement":
         idxs = tuple(self.order.position(ch) for ch in word)
         out: dict[tuple[int, ...], Fraction] = {}
-        self._normalize_into(out, idxs, Fraction(coeff), strategy)
+        self._normalize_into(out, idxs, _exact(coeff), strategy)
         return AlgebraElement(self, out)
 
     def structure_constant(self, a: Charge, b: Charge) -> int:
@@ -439,7 +439,7 @@ class AlgebraElement:
         return self.__rmul__(other)
 
     def __rmul__(self, scalar) -> "AlgebraElement":
-        c = Fraction(scalar)
+        c = _exact(scalar)
         if c == 0:
             return AlgebraElement(self.algebra, {})
         return AlgebraElement(self.algebra, {w: c * v for w, v in self._terms.items()})

@@ -17,6 +17,7 @@ from .algebra import BracketMode, PbwAlgebra, Spectrum
 from .engine import (
     StabilityStructure,
     VariationPath,
+    _event_line,
     _spectrum_lines,
     check_variation,
     detect_walls,
@@ -95,11 +96,7 @@ def cmd_walls(sc: Scenario) -> list[str]:
     events = detect_walls(_path(sc), struct.members, sc.sector)
     if not events:
         return ["no wall events"]
-    return [
-        f"t in [{ev.t_lo}, {ev.t_hi}] {ev.kind} "
-        f"{_coords(ev.beta1)} x {_coords(ev.beta2)}"
-        for ev in events
-    ]
+    return [_event_line(ev) for ev in events]
 
 
 def cmd_multilink(sc: Scenario) -> list[str]:
@@ -243,10 +240,7 @@ def main(argv=None) -> int:
     except FirstTypeWallError as exc:
         print(f"error: first-type-wall: {exc}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"error: validation: {exc}", file=sys.stderr)
-        return 2
-    except WallcrossError as exc:  # future subclasses default to validation
+    except WallcrossError as exc:  # ValidationError and any other subclass
         print(f"error: validation: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -25,6 +25,7 @@ from .lattice import (
     Sector,
     TruncationSet,
     _dot,
+    _exact,
     _integer_rows,
     charges_parallel,
     cone_enumerate,
@@ -108,7 +109,7 @@ class VariationPath:
         return len(self.keyframes) - 1
 
     def z_at(self, t) -> CentralCharge:
-        t = Fraction(t)
+        t = _exact(t)
         if not 0 <= t <= 1:
             raise ValidationError("path parameter outside [0, 1]")
         m = self.segment_count
@@ -149,9 +150,10 @@ def _quadratic_events(
 ) -> list[tuple[Fraction, Fraction]]:
     """Sign-changing roots of a + b s + c s^2 on [0, 1] as rational intervals.
 
-    A double root grazes zero without changing sign and is not an event.
-    Irrational roots are bracketed to width <= tol, shrinking further until
-    the bracket is clear of 0 and 1 so clipping cannot lose the root."""
+    A double root grazes zero without changing sign, so inside a segment it
+    is not an event.  Irrational roots are bracketed to width <= tol,
+    shrinking further until the bracket is clear of 0 and 1 so clipping
+    cannot lose the root."""
     if c == 0:
         if b == 0:
             return []
@@ -188,6 +190,33 @@ def _quadratic_events(
     return sorted(out)
 
 
+def _crossing(u0, du, v0, dv) -> tuple[int, int, int]:
+    """(a, b, c) with cross(u0 + s du, v0 + s dv) = a + b s + c s^2."""
+    return cross(u0, v0), cross(u0, dv) + cross(du, v0), cross(du, dv)
+
+
+def _segment_events(
+    i: int, m: int, poly: tuple[int, int, int], before, tol: Fraction
+) -> list[tuple[Fraction, Fraction]]:
+    """Event intervals in t of one crossing polynomial on segment i of m.
+
+    A root on an interior keyframe is decided once, on the segment that
+    starts there; before is the previous segment's polynomial.  Next to a
+    root s0 the sign is that of b + 2 c s0 just above and the opposite just
+    below, or sign(c) on both sides at a double root."""
+    a, b, c = poly
+    out = []
+    if i and a == 0:
+        _, pb, pc = before
+        if (-(pb + 2 * pc) or pc) * (b or c) < 0:
+            out.append((Fraction(i, m), Fraction(i, m)))
+    for lo, hi in _quadratic_events(a, b, c, tol):
+        if (i and lo == 0 or i < m - 1 and lo == 1) and lo == hi:
+            continue  # an interior keyframe root, decided above
+        out.append((Fraction(i + lo, m), Fraction(i + hi, m)))
+    return out
+
+
 def detect_walls(
     path: VariationPath,
     charges: Iterable[Charge],
@@ -201,47 +230,50 @@ def detect_walls(
     partner completing a tracked total.  A pair whose phases agree along a
     whole segment, or a charge riding a boundary ray, is rejected.
 
+    An event is a sign change of a crossing polynomial: a simple root inside
+    a segment, or a root on an interior keyframe where the previous
+    segment's polynomial just below it and the next one's just above it
+    have opposite signs.  A path that touches a wall on a keyframe and
+    bounces back has no event there; one whose phases meet tangentially
+    there and swap has one.
+
     Both keyframes of a segment are scaled by one positive integer D, so
     each crossing polynomial has int coefficients and is D^2 times the
     rational one, with the same roots and signs; the rays scale alike."""
     charge_list = sorted(set(charges), key=lambda ch: ch.coords)
     mset = set(charge_list)
     m = path.segment_count
-    tol = Fraction(tolerance)
+    tol = _exact(tolerance)
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     rays = _integer_rows((sector.start, sector.end))
+    still = (0, 0)
     events: set[WallEvent] = set()
+    last: dict[Charge, tuple] = {}  # the previous segment's (value, step)
     for i in range(m):
         rows = _integer_rows(path.keyframes[i].matrix + path.keyframes[i + 1].matrix)
-        vals, delta = {}, {}
+        seg = {}
         for ch in charge_list:
             x0, y0, x1, y1 = (_dot(row, ch.coords) for row in rows)
-            vals[ch], delta[ch] = (x0, y0), (x1 - x0, y1 - y0)
+            seg[ch] = ((x0, y0), (x1 - x0, y1 - y0))
         for ai in range(len(charge_list)):
             b1 = charge_list[ai]
-            u0, du = vals[b1], delta[b1]
             for b2 in charge_list[ai + 1:]:
                 if charges_parallel(b1, b2):
                     continue
-                v0, dv = vals[b2], delta[b2]
-                qa = cross(u0, v0)
-                qb = cross(u0, dv) + cross(du, v0)
-                qc = cross(du, dv)
-                if qa == 0 and qb == 0 and qc == 0:
+                poly = _crossing(*seg[b1], *seg[b2])
+                if poly == (0, 0, 0):
                     raise ValidationError(
                         "variation path runs along a first-type wall for "
                         f"{b1.coords} ~ {b2.coords}"
                     )
-                for lo, hi in _quadratic_events(qa, qb, qc, tol):
-                    events.add(
-                        WallEvent(Fraction(i + lo, m), Fraction(i + hi, m), "first_type", b1, b2)
-                    )
+                before = _crossing(*last[b1], *last[b2]) if i and poly[0] == 0 else None
+                for lo, hi in _segment_events(i, m, poly, before, tol):
+                    events.add(WallEvent(lo, hi, "first_type", b1, b2))
         for b1 in charge_list:
-            u0, du = vals[b1], delta[b1]
+            u0, du = seg[b1]
             for ray in rays:
-                la = cross(u0, ray)
-                lb = cross(du, ray)
+                poly = la, lb, _ = _crossing(u0, du, ray, still)
                 if la == 0 and lb == 0:
                     end = (u0[0] + du[0], u0[1] + du[1])
                     if _dot(u0, ray) > 0 or _dot(end, ray) > 0:
@@ -250,54 +282,18 @@ def detect_walls(
                             "along the path"
                         )
                     continue
-                if lb == 0:
+                # lb^2 times (u0 + s du) . ray at the root s = -la/lb: not
+                # positive means no root (lb = 0), or a value that is 0 or on
+                # the opposite ray there
+                if (lb * _dot(u0, ray) - la * _dot(du, ray)) * lb <= 0:
                     continue
-                s = Fraction(-la, lb)
-                if not 0 <= s <= 1:
-                    continue
-                hit = (u0[0] + s * du[0], u0[1] + s * du[1])
-                if _dot(hit, ray) <= 0:
-                    continue  # aligned with the opposite ray
-                t = Fraction(i + s, m)
-                for b2 in charge_list:
-                    if (b1 + b2) in mset:
-                        events.add(WallEvent(t, t, "second_type", b1, b2))
-    ordered = sorted(events, key=WallEvent.sort_key)
-    return tuple(ev for ev in _confirmed(ordered, path, sector))
-
-
-def _confirmed(events, path, sector):
-    """Drop junction events where the crossing function only grazes zero.
-
-    Only exact roots at an interior keyframe junction are sampled on both
-    sides: there the path can touch a wall and bounce back.  Every other
-    event is a simple root inside one segment (irrational, linear, or one
-    of two distinct rational roots of a quadratic) and changes sign."""
-    m = path.segment_count
-    times = sorted({ev.t_lo for ev in events} | {Fraction(0), Fraction(1)})
-    for ev in events:
-        t = ev.t_lo
-        if t != ev.t_hi or t in (0, 1) or (t * m).denominator != 1:
-            yield ev
-            continue
-        idx = times.index(t)
-        left = (times[idx - 1] + t) / 2
-        right = (t + times[idx + 1]) / 2
-        if ev.kind == "first_type":
-            def sign_at(u: Fraction) -> Fraction:
-                zu = path.z_at(u)
-                return cross(zu.evaluate(ev.beta1), zu.evaluate(ev.beta2))
-        else:
-            zt = path.z_at(t)
-            ray = sector.start
-            if cross(zt.evaluate(ev.beta1), ray) != 0:
-                ray = sector.end
-
-            def sign_at(u: Fraction) -> Fraction:
-                return cross(path.z_at(u).evaluate(ev.beta1), ray)
-
-        if sign_at(left) * sign_at(right) < 0:
-            yield ev
+                before = _crossing(*last[b1], ray, still) if i and la == 0 else None
+                for t, _ in _segment_events(i, m, poly, before, tol):
+                    for b2 in charge_list:
+                        if (b1 + b2) in mset:
+                            events.add(WallEvent(t, t, "second_type", b1, b2))
+        last = seg
+    return tuple(sorted(events, key=WallEvent.sort_key))
 
 
 def _guard_second_type(z: CentralCharge, sector: Sector, members) -> None:
@@ -368,11 +364,7 @@ class VariationReport:
         if not self.events:
             out.append("no events, spectrum constant")
             return out
-        for ev in self.events:
-            out.append(
-                f"event t in [{ev.t_lo}, {ev.t_hi}] {ev.kind} "
-                f"{ev.beta1.coords} x {ev.beta2.coords}"
-            )
+        out.extend("event " + _event_line(ev) for ev in self.events)
         for jump in self.jumps:
             out.append(f"jump on [{jump.t_lo}, {jump.t_hi}]:")
             out.append("  before:")
@@ -388,6 +380,10 @@ def _spectrum_lines(spectrum: Spectrum) -> list[str]:
     if not len(spectrum):
         return ["(empty)"]
     return [f"{ch.coords} -> {c}" for ch, c in spectrum.items()]
+
+
+def _event_line(ev: WallEvent) -> str:
+    return f"t in [{ev.t_lo}, {ev.t_hi}] {ev.kind} {ev.beta1.coords} x {ev.beta2.coords}"
 
 
 @dataclass

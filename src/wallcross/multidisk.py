@@ -22,6 +22,7 @@ from .lattice import (
     Charge,
     ChargeLattice,
     SurfaceModel,
+    _exact,
     cross,
     phase_precedes,
 )
@@ -170,7 +171,7 @@ class ChainVertex:
     boundary: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", Fraction(self.theta))
+        object.__setattr__(self, "theta", _exact(self.theta))
         object.__setattr__(self, "boundary", tuple(int(x) for x in self.boundary))
         if not 0 < self.theta < 1:
             raise ValidationError("chain heights live strictly between 0 and 1")
@@ -207,7 +208,7 @@ def make_chain(
     verts = []
     for theta, ch in items:
         charge = ch if isinstance(ch, Charge) else lattice.charge(ch)
-        verts.append(ChainVertex(Fraction(theta), charge, lattice.boundary_of(charge)))
+        verts.append(ChainVertex(theta, charge, lattice.boundary_of(charge)))
     return NiceChain(tuple(verts))
 
 
@@ -219,13 +220,13 @@ class ChainCombination:
     def __init__(self, terms: Mapping[NiceChain, Fraction] = ()):
         self._terms = {}
         for chain, c in dict(terms).items():
-            c = Fraction(c)
+            c = _exact(c)
             if c != 0:
                 self._terms[chain] = c
 
     @classmethod
     def from_chain(cls, chain: NiceChain, coeff=1) -> "ChainCombination":
-        return cls({chain: Fraction(coeff)})
+        return cls({chain: coeff})
 
     def terms(self) -> list[tuple[NiceChain, Fraction]]:
         def key(chain: NiceChain):
@@ -240,7 +241,7 @@ class ChainCombination:
         return ChainCombination(out)
 
     def __rmul__(self, scalar) -> "ChainCombination":
-        s = Fraction(scalar)
+        s = _exact(scalar)
         return ChainCombination({chain: s * c for chain, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -277,10 +278,11 @@ def link(
                 "first-type wall: parallel central charges with nonzero pairing"
             )
         return 0
-    lo, hi = (v1, v2) if v1.theta < v2.theta else (v2, v1)
-    if phase_precedes(z.evaluate(lo.charge), z.evaluate(hi.charge)):
+    if v1.theta > v2.theta:  # make v1 the lower curve
+        v1, v2, z1, z2 = v2, v1, z2, z1
+    if phase_precedes(z1, z2):
         return 0
-    return surface.pairing_h1(lo.boundary, hi.boundary)
+    return surface.pairing_h1(v1.boundary, v2.boundary)
 
 
 def multilink_forest(

@@ -130,11 +130,6 @@ class _Section:
         self.single: dict[str, tuple[int, str]] = {}
         self.repeated: list[tuple[int, str, str]] = []
 
-    def get(self, key: str) -> tuple[int, str]:
-        if key not in self.single:
-            raise ValidationError(f"section is missing key {key!r}")
-        return self.single[key]
-
     def maybe(self, key: str) -> Optional[tuple[int, str]]:
         return self.single.get(key)
 
@@ -180,12 +175,10 @@ def parse_scenario(text: str) -> Scenario:
     sections = _collect(text)
 
     def need(section: str, key: str) -> tuple[int, str]:
-        try:
-            return sections[section].get(key)
-        except ValidationError:
-            raise ValidationError(
-                f"section [{section}] is missing key {key!r}"
-            ) from None
+        entry = sections[section].maybe(key)
+        if entry is None:
+            raise ValidationError(f"section [{section}] is missing key {key!r}")
+        return entry
 
     ln, val = need("lattice", "rank")
     rank = _int(val, ln)

@@ -231,6 +231,68 @@ def test_first_type_wall_exits_2(tmp_path, capsys):
     assert err.startswith("error: first-type-wall: ")
 
 
+# det Z is (1-s)^2 on the first segment and -s^2 on the second, so the
+# phases of (1, 0) and (0, 1) meet tangentially on the middle keyframe and
+# swap; the cutoff keeps their sum out of the 2-member cone
+TANGENTIAL = """
+[lattice]
+rank = 2
+boundary = 1 0 ; 0 1
+
+[surface]
+genus = 1
+
+[central_charge]
+matrix = 1 1 ; 2 3
+keyframe = 0 0 ; 2 2
+keyframe = 1 1 ; 3 2
+
+[quadratic_form]
+matrix = 1 2 ; 2 1
+
+[sector]
+start = -5 1
+end = 5 1
+
+[truncation]
+covector = 0 1
+cutoff = 3
+scan_box = 4
+
+[mode]
+value = plain
+
+[spectrum]
+entry = 1 0 : 1
+entry = 0 1 : 1
+"""
+
+
+def test_tangential_keyframe_crossing(tmp_path, capsys):
+    path = tmp_path / "tangential.scn"
+    path.write_text(TANGENTIAL)
+    code, out, err = run_cli(capsys, "--scenario", str(path), "--command", "walls")
+    assert (code, out, err) == (0, "t in [1/2, 1/2] first_type (0, 1) x (1, 0)\n", "")
+    code, out, err = run_cli(capsys, "--scenario", str(path), "--command", "cross")
+    assert (code, err) == (0, "")
+    assert out == (
+        "spectrum at t=0:\n"
+        "  (0, 1) -> 1\n"
+        "  (1, 0) -> 1\n"
+        "event t in [1/2, 1/2] first_type (0, 1) x (1, 0)\n"
+        "jump on [1/2, 1/2]:\n"
+        "  before:\n"
+        "    (0, 1) -> 1\n"
+        "    (1, 0) -> 1\n"
+        "  after:\n"
+        "    (0, 1) -> 1\n"
+        "    (1, 0) -> 1\n"
+        "spectrum at t=1:\n"
+        "  (0, 1) -> 1\n"
+        "  (1, 0) -> 1\n"
+    )
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "wallcross.cli",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -208,6 +209,146 @@ def test_detect_walls_junction_bounce_dropped():
     # and the one-way half does report it
     half = VariationPath((k0, kmid))
     assert len(detect_walls(half, (G1, G2), wide_sector())) == 1
+
+
+# (1-s)^2 on the first segment and -s^2 on the second: the phases of G1 and
+# G2 meet tangentially on the middle keyframe and swap there
+TANGENTIAL = (((1, 1), (2, 3)), ((0, 0), (2, 2)), ((1, 1), (3, 2)))
+
+
+def test_detect_walls_tangential_keyframe_crossing():
+    path = VariationPath(tuple(zmat(rows) for rows in TANGENTIAL))
+    assert detect_walls(path, (G1, G2), wide_sector()) == (
+        WallEvent(Fraction(1, 2), Fraction(1, 2), "first_type", G2, G1),
+    )
+    # back the way it came: (1-s)^2 then s^2, no swap
+    mirrored = VariationPath(tuple(zmat(rows) for rows in TANGENTIAL[:2] + TANGENTIAL[:1]))
+    assert detect_walls(mirrored, (G1, G2), wide_sector()) == ()
+
+
+@pytest.mark.parametrize("x_end, crosses", [(3, True), (1, False)])
+def test_detect_walls_second_type_at_keyframe(x_end, crosses):
+    # Z(G1) = (x, 1) reaches the end ray (2, 1) exactly on the middle keyframe
+    s = build_setup(
+        z_rows=((1, -1), (1, 1)),
+        sector_dirs=((-2, 1), (2, 1)),
+        q_rows=((1, 2), (2, 1)),
+    )
+    members = make_structure(s, primitive_spectrum()).members
+    path = VariationPath(
+        (zmat(((1, -1), (1, 1))), zmat(((2, -1), (1, 1))), zmat(((x_end, -1), (1, 1))))
+    )
+    half = Fraction(1, 2)
+    expected = (
+        WallEvent(half, half, "second_type", G1, G2),
+        WallEvent(half, half, "second_type", G1, G1),
+    )
+    events = detect_walls(path, members, s.sector)
+    assert set(events) == (set(expected) if crosses else set())
+
+
+def test_detect_walls_zero_value_meets_no_ray():
+    # Z(G1) = (1-2t)(1, 1) passes through 0 at t = 1/2, where its cross
+    # product with either ray vanishes; a zero value lies on no ray
+    g12 = G1 + G2
+    sector = Sector((Fraction(-2), Fraction(1)), (Fraction(2), Fraction(1)))
+    path = VariationPath((zmat(((1, -1), (1, 1))), zmat(((-1, -1), (-1, 1)))))
+    half = Fraction(1, 2)
+    assert detect_walls(path, (G1, G2, g12), sector) == (
+        WallEvent(half, half, "first_type", G2, G1),
+        WallEvent(half, half, "first_type", G2, g12),
+        WallEvent(half, half, "first_type", G1, g12),
+    )
+
+
+def test_detect_walls_crossing_then_tangential_bounce():
+    # det Z runs s - 1, s, (1-s)^2, s^2, then stays positive: the phases of
+    # G1 and G2 swap on keyframe 1 and touch again, tangentially and without
+    # swapping back, on keyframe 3, halfway from keyframe 1 to the end
+    path = VariationPath(tuple(zmat(rows) for rows in (
+        ((1, 1), (1, 0)), ((1, 1), (1, 1)), ((1, 1), (2, 3)),
+        ((0, 0), (2, 2)), ((1, 1), (2, 3)), ((1, 0), (0, 1)),
+    )))
+    fifth = Fraction(1, 5)
+    assert detect_walls(path, (G1, G2), wide_sector()) == (
+        WallEvent(fifth, fifth, "first_type", G2, G1),
+    )
+
+
+def _sign_changes_at(t, sign_at, events, m):
+    """Sampling oracle: the sign of sign_at at the midpoints between t and
+    the neighbouring event times (interval ends included) or keyframes.
+    With the keyframes among the times no sample lands on a keyframe where
+    the function touches 0 without changing sign."""
+    times = sorted(
+        {ev.t_lo for ev in events} | {ev.t_hi for ev in events}
+        | {Fraction(j, m) for j in range(m + 1)}
+    )
+    k = times.index(t)
+    left, right = (times[k - 1] + t) / 2, (t + times[k + 1]) / 2
+    return sign_at(left) * sign_at(right) < 0
+
+
+_half = st.integers(-4, 4).map(lambda n: Fraction(n, 2))
+_frame = st.one_of(
+    st.tuples(st.tuples(_half, _half), st.tuples(_half, _half)),
+    # a singular keyframe puts every tracked pair on a first-type wall at once
+    st.tuples(_half, _half, _half).map(lambda v: ((v[0], v[1]), (v[2] * v[0], v[2] * v[1]))),
+)
+
+
+@st.composite
+def _keyframe_paths(draw):
+    frames = draw(st.lists(_frame, min_size=2, max_size=4))
+    if len(frames) > 2 and draw(st.booleans()):
+        # Z_j = ((0, 0), (p, q)) with neighbour first rows along (p, q): det Z
+        # has a double root on both sides of keyframe j, as in TANGENTIAL
+        j = draw(st.integers(1, len(frames) - 2))
+        p, q = draw(_half), draw(_half)
+        frames[j] = ((0, 0), (p, q))
+        for k in (j - 1, j + 1):
+            scale = draw(_half)
+            frames[k] = ((scale * p, scale * q), frames[k][1])
+    return frames
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_keyframe_paths())
+def test_keyframe_events_match_sampling(frames):
+    charges = [Charge((a, b)) for a in range(3) for b in range(3) if a or b]
+    mset = set(charges)
+    sector = Sector((Fraction(-1), Fraction(1)), (Fraction(1), Fraction(1)))
+    path = VariationPath(tuple(zmat(rows) for rows in frames))
+    try:
+        events = detect_walls(path, charges, sector)
+    except ValidationError:
+        return  # the path runs along a wall or rides a boundary ray
+    reported = set(events)
+    m = path.segment_count
+    for j in range(1, m):
+        t = Fraction(j, m)
+        zt = path.z_at(t)
+        for b1, b2 in itertools.combinations(charges, 2):
+            if cross(b1.coords, b2.coords) == 0 or cross(zt.evaluate(b1), zt.evaluate(b2)) != 0:
+                continue
+
+            def first(u, b1=b1, b2=b2):
+                zu = path.z_at(u)
+                return cross(zu.evaluate(b1), zu.evaluate(b2))
+
+            event = WallEvent(t, t, "first_type", b1, b2)
+            assert (event in reported) == _sign_changes_at(t, first, events, m)
+        for b1, ray in itertools.product(charges, (sector.start, sector.end)):
+            value = zt.evaluate(b1)
+            partners = [b2 for b2 in charges if b1 + b2 in mset]
+            if not partners or cross(value, ray) != 0 or value[0] * ray[0] + value[1] * ray[1] <= 0:
+                continue
+
+            def second(u, b1=b1, ray=ray):
+                return cross(path.z_at(u).evaluate(b1), ray)
+
+            hits = {WallEvent(t, t, "second_type", b1, b2) in reported for b2 in partners}
+            assert hits == {_sign_changes_at(t, second, events, m)}
 
 
 def test_detect_walls_invariant_under_positive_scaling():

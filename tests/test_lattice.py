@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import build_setup
+from wallcross.algebra import PbwAlgebra, Spectrum
+from wallcross.engine import StabilityStructure, VariationPath, check_variation, detect_walls
 from wallcross.errors import ValidationError
 from wallcross.lattice import (
     CentralCharge,
@@ -24,6 +26,7 @@ from wallcross.lattice import (
     wall_first_type,
     wall_second_type,
 )
+from wallcross.multidisk import ChainCombination, ChainVertex, make_chain
 
 
 def _ch(*coords: int) -> Charge:
@@ -331,6 +334,21 @@ def test_charge_arithmetic():
         Charge((Fraction(1, 2), 1))
 
 
+def _algebra() -> PbwAlgebra:
+    s = build_setup()
+    return PbwAlgebra(s.lattice, s.z, s.q, s.sector, s.trunc)
+
+
+def _constant_walk(run):
+    s = build_setup(z_rows=((-3, -1), (1, 1)), sector_dirs=((-5, 1), (5, 1)), q_rows=((1, 2), (2, 1)))
+    struct = StabilityStructure(s.lattice, s.z, s.q, s.sector, s.trunc, Spectrum({}))
+    return run(VariationPath((s.z, s.z)), struct)
+
+
+def _chain():
+    return make_chain(build_setup().lattice, [(Fraction(1, 3), (1, 0))])
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -339,8 +357,26 @@ def test_charge_arithmetic():
         lambda: Sector((-1, 1), (1.0, 1)),
         lambda: TruncationSet((0.25, 1), 2, 4),
         lambda: TruncationSet((0, 1), 2.5, 4),
+        lambda: _algebra().one() * 0.1,
+        lambda: _algebra().normal_form((_ch(1, 0),), 0.5),
+        lambda: _algebra().from_terms({(_ch(1, 0),): 0.5}),
+        lambda: _constant_walk(lambda path, struct: path.z_at(0.5)),
+        lambda: _constant_walk(
+            lambda path, struct: detect_walls(path, struct.members, struct.sector, 0.01)
+        ),
+        lambda: _constant_walk(lambda path, struct: check_variation(path, struct, 0.01)),
+        lambda: ChainVertex(0.5, _ch(1, 0), (1, 0)),
+        lambda: make_chain(build_setup().lattice, [(0.5, (1, 0))]),
+        lambda: ChainCombination({_chain(): 0.5}),
+        lambda: ChainCombination.from_chain(_chain(), 0.5),
+        lambda: 0.5 * ChainCombination.from_chain(_chain()),
     ],
-    ids=["central_charge", "quadratic_form", "sector", "covector", "cutoff"],
+    ids=[
+        "central_charge", "quadratic_form", "sector", "covector", "cutoff",
+        "algebra_scalar", "normal_form", "from_terms", "z_at",
+        "detect_walls_tolerance", "check_variation_tolerance", "chain_theta",
+        "make_chain", "combination", "from_chain", "combination_scalar",
+    ],
 )
 def test_floats_rejected(build):
     with pytest.raises(ValidationError, match="float"):
