@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -32,7 +33,9 @@ from .lattice import (
     QuadraticForm,
     Sector,
     TruncationSet,
+    _dot,
     _exact,
+    _integer_rows,
     charges_parallel,
     cone_enumerate,
     cross,
@@ -164,14 +167,24 @@ class PbwAlgebra:
         self._cutoff = trunc.cutoff
         self._cstr: list[list[int]] = [[0] * n for _ in range(n)]
         self._merge: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+        # c(a, b) = image(a)^T I image(b) is skew, and so is its twisted
+        # sign flip (p is odd iff -p is): fill each unordered pair once
         images = [lattice.boundary_of(ch) for ch in self.order.charges]
+        columns = tuple(zip(*lattice.surface.intersection))
+        rows = [[_dot(x, col) for col in columns] for x in images]
+        twisted = self.mode is BracketMode.TWISTED
+        position = {ch.coords: i for i, ch in enumerate(self.order.charges)}
         for i, a in enumerate(self.order.charges):
-            for j, b in enumerate(self.order.charges):
-                p = lattice.surface.pairing_h1(images[i], images[j])
-                if self.mode is BracketMode.TWISTED and p % 2 != 0:
+            self._merge[i][i] = position.get(tuple(2 * x for x in a.coords))
+            for j in range(i + 1, n):
+                p = _dot(rows[i], images[j])
+                if twisted and p % 2 != 0:
                     p = -p
-                self._cstr[i][j] = p
-                self._merge[i][j] = self.order.index.get(a + b)
+                self._cstr[i][j], self._cstr[j][i] = p, -p
+                b = self.order.charges[j]
+                self._merge[i][j] = self._merge[j][i] = position.get(
+                    tuple(map(operator.add, a.coords, b.coords))
+                )
         self.signature = (
             lattice.boundary,
             lattice.surface.intersection,
@@ -297,13 +310,8 @@ class PbwAlgebra:
             result = result + term
         return result
 
-    def ray_product(self, spectrum: Spectrum) -> "AlgebraElement":
-        """Clockwise-ordered product of ray exponentials.
-
-        Support charges are grouped by parallel central charge; groups are
-        multiplied first ray first.  Non-proportional charges sharing a ray
-        are a first-type wall and rejected.
-        """
+    def _ray_groups(self, spectrum: Spectrum) -> list[list[Charge]]:
+        """The spectrum's support in generator order, one list per ray."""
         support = spectrum.support()
         for ch in support:
             if ch not in self.order.index:
@@ -322,8 +330,17 @@ class PbwAlgebra:
                 groups[-1].append(ch)
             else:
                 groups.append([ch])
+        return groups
+
+    def ray_product(self, spectrum: Spectrum) -> "AlgebraElement":
+        """Clockwise-ordered product of ray exponentials.
+
+        Support charges are grouped by parallel central charge; groups are
+        multiplied first ray first.  Non-proportional charges sharing a ray
+        are a first-type wall and rejected.
+        """
         result = self.one()
-        for group in groups:
+        for group in self._ray_groups(spectrum):
             x = self.zero()
             for ch in group:
                 x = x + spectrum.coefficient(ch) * self.generator(ch)
@@ -335,10 +352,12 @@ class PbwAlgebra:
 
         In a clockwise-ordered product every concatenation is already
         sorted, so no rewriting occurs and the coefficient of each
-        single-letter word is exactly that charge's ray weight.  Walking
-        heights bottom-up with discrepancy peeling reduces to reading the
-        single-letter coefficients off directly; re-multiplication then
-        certifies the factorization.
+        single-letter word is exactly that charge's ray weight.  Letters on
+        one ray commute, so the product has a closed form: one weakly
+        increasing word per multiset of support letters within the cutoff,
+        with coefficient the product of a^k / k! over its letters (a the
+        letter's weight, k its multiplicity).  The element is certified
+        against that form word by word, without building the product.
         """
         self._require_same(element)
         if element.coefficient(()) != 1:
@@ -349,11 +368,52 @@ class PbwAlgebra:
             if c:
                 values[ch] = c
         spectrum = Spectrum(values)
-        if self.ray_product(spectrum) != element:
+        self._ray_groups(spectrum)  # ray_product's support and wall checks
+        if not self._is_ray_product(element._terms, spectrum):
             raise ReconstructionError(
                 "element is not a clockwise sector product over the truncated cone"
             )
         return spectrum
+
+    def _is_ray_product(self, terms: dict, spectrum: Spectrum) -> bool:
+        """True when terms are exactly the closed-form ray product of the
+        spectrum.  Every word must be weakly increasing, use support letters
+        only, stay within the cutoff and carry its multiset coefficient; as
+        distinct words are distinct multisets, there must then be as many
+        words as multisets."""
+        weights = {self.order.index[ch]: a for ch, a in spectrum.items()}
+        *scaled, cap = _integer_rows([[self._heights[i] for i in weights] + [self._cutoff]])[0]
+        if len(terms) != _multiset_count(scaled, cap):
+            return False
+        heights = dict(zip(weights, scaled))
+        powers = {}  # letter -> [a^k / k! for k up to the cutoff]
+        for i, a in weights.items():
+            table = [Fraction(1)]
+            for k in range(1, cap // heights[i] + 1):
+                table.append(table[-1] * a / k)
+            powers[i] = table
+        for word, coeff in terms.items():
+            if not isinstance(word, tuple):
+                return False
+            expected, total, prev, run = Fraction(1), 0, -1, 0
+            for i in word:
+                h = heights.get(i)
+                if h is None or i < prev:
+                    return False
+                total += h
+                if total > cap:
+                    return False
+                if i == prev:
+                    run += 1
+                    continue
+                if run:
+                    expected *= powers[prev][run]
+                prev, run = i, 1
+            if run:
+                expected *= powers[prev][run]
+            if coeff != expected:
+                return False
+        return True
 
     def convert(self, element: "AlgebraElement") -> "AlgebraElement":
         """Re-express an element of a compatible algebra in this basis.
@@ -385,6 +445,21 @@ class PbwAlgebra:
     def _require_same(self, element: "AlgebraElement") -> None:
         if element.algebra.signature != self.signature:
             raise ValidationError("element belongs to a different algebra")
+
+
+def _multiset_count(heights: list[int], cap: int) -> int:
+    """Number of multisets of letters with these positive integer heights
+    whose total height is at most cap, the empty multiset included."""
+    ways = {0: 1}  # total height -> multisets of the letters so far
+    for h in heights:
+        step = dict(ways)
+        for total, n in ways.items():
+            total += h
+            while total <= cap:
+                step[total] = step.get(total, 0) + n
+                total += h
+        ways = step
+    return sum(ways.values())
 
 
 class AlgebraElement:

@@ -248,7 +248,9 @@ def detect_walls(
         raise ValidationError("tolerance must be positive")
     rays = _integer_rows((sector.start, sector.end))
     still = (0, 0)
-    events: set[WallEvent] = set()
+    # interval -> its (kind, beta1, beta2) set, so that Fractions are hashed
+    # per interval found and compared only between distinct intervals
+    events: dict[tuple[Fraction, Fraction], set] = {}
     last: dict[Charge, tuple] = {}  # the previous segment's (value, step)
     for i in range(m):
         rows = _integer_rows(path.keyframes[i].matrix + path.keyframes[i + 1].matrix)
@@ -268,8 +270,8 @@ def detect_walls(
                         f"{b1.coords} ~ {b2.coords}"
                     )
                 before = _crossing(*last[b1], *last[b2]) if i and poly[0] == 0 else None
-                for lo, hi in _segment_events(i, m, poly, before, tol):
-                    events.add(WallEvent(lo, hi, "first_type", b1, b2))
+                for interval in _segment_events(i, m, poly, before, tol):
+                    events.setdefault(interval, set()).add(("first_type", b1, b2))
         for b1 in charge_list:
             u0, du = seg[b1]
             for ray in rays:
@@ -289,11 +291,19 @@ def detect_walls(
                     continue
                 before = _crossing(*last[b1], ray, still) if i and la == 0 else None
                 for t, _ in _segment_events(i, m, poly, before, tol):
+                    found = events.setdefault((t, t), set())
                     for b2 in charge_list:
                         if (b1 + b2) in mset:
-                            events.add(WallEvent(t, t, "second_type", b1, b2))
+                            found.add(("second_type", b1, b2))
         last = seg
-    return tuple(sorted(events, key=WallEvent.sort_key))
+    # the order of WallEvent.sort_key: interval first, then kind and charges
+    return tuple(
+        WallEvent(lo, hi, kind, b1, b2)
+        for lo, hi in sorted(events)
+        for kind, b1, b2 in sorted(
+            events[lo, hi], key=lambda e: (e[0], e[1].coords, e[2].coords)
+        )
+    )
 
 
 def _guard_second_type(z: CentralCharge, sector: Sector, members) -> None:

@@ -28,5 +28,5 @@ class SecondTypeWallError(WallcrossError):
 
 
 class ReconstructionError(WallcrossError):
-    """Re-multiplying a factorized spectrum failed to reproduce the input
-    element; the input was not a clockwise sector product."""
+    """The element is not the clockwise ray product of the spectrum read
+    off its single-letter words, so it is not a clockwise sector product."""

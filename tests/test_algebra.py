@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_setup
 from wallcross.algebra import AlgebraElement, BracketMode, PbwAlgebra, Spectrum
@@ -14,8 +18,19 @@ from wallcross.errors import (
     FirstTypeWallError,
     ReconstructionError,
     ValidationError,
+    WallcrossError,
 )
-from wallcross.lattice import Charge, cross
+from wallcross.lattice import (
+    CentralCharge,
+    Charge,
+    ChargeLattice,
+    QuadraticForm,
+    Sector,
+    SurfaceModel,
+    TruncationSet,
+    cross,
+)
+from wallcross.scenario import parse_scenario
 
 
 def _ch(*coords: int) -> Charge:
@@ -368,6 +383,147 @@ def test_factorize_round_trip_random():
         assert alg.factorize(alg.ray_product(spectrum)) == spectrum
 
 
+@functools.cache
+def certificate_algebra(cone: str, mode: str) -> PbwAlgebra:
+    if cone == "small":
+        return make_algebra(cutoff=3, mode=mode)
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text()
+    sc = parse_scenario(text)
+    trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(6))
+    return PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, trunc, mode)
+
+
+def remultiplied_factorize(alg: PbwAlgebra, element: AlgebraElement) -> Spectrum:
+    """Reference rule: read the weights off the single-letter words,
+    rebuild their ray product and compare."""
+    alg._require_same(element)
+    if element.coefficient(()) != 1:
+        raise ValidationError("factorization requires constant term 1")
+    spectrum = Spectrum({
+        ch: element._terms[(i,)]
+        for i, ch in enumerate(alg.order.charges)
+        if element._terms.get((i,))
+    })
+    if alg.ray_product(spectrum) != element:
+        raise ReconstructionError(
+            "element is not a clockwise sector product over the truncated cone"
+        )
+    return spectrum
+
+
+def outcome(fn, alg, element):
+    try:
+        return "returned", fn(alg, element)
+    except WallcrossError as exc:
+        return type(exc), str(exc)
+
+
+def multiset_coefficient(alg: PbwAlgebra, spectrum: Spectrum, word) -> Fraction:
+    out = Fraction(1)
+    for i, k in Counter(word).items():
+        out *= spectrum.coefficient(alg.order.charges[i]) ** k / math.factorial(k)
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_factorize_certificate_matches_remultiplication(data):
+    alg = certificate_algebra(
+        data.draw(st.sampled_from(("small", "crossing"))),
+        data.draw(st.sampled_from(("plain", "twisted"))),
+    )
+    change = data.draw(st.sampled_from(
+        ("none", "coefficient", "drop", "add", "unsorted", "over_cutoff")
+    ))
+    n = len(alg.order.charges)
+    letters = data.draw(st.lists(
+        st.integers(0, n - 1), unique=True, max_size=4,
+        min_size=2 if change in ("unsorted", "over_cutoff") else 0,
+    ))
+    spectrum = Spectrum({
+        alg.order.charges[i]: Fraction(data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3))),
+                                       data.draw(st.integers(1, 3)))
+        for i in letters
+    })
+    terms = dict(alg.ray_product(spectrum)._terms)
+    words = sorted(terms, key=lambda w: (len(w), w))
+    if change == "coefficient":
+        w = data.draw(st.sampled_from(words))
+        terms[w] += data.draw(st.sampled_from((Fraction(1), Fraction(-1, 2), -terms[w])))
+    elif change == "drop":
+        del terms[data.draw(st.sampled_from(words))]
+    elif change == "add":
+        w = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))))
+        terms[w] = terms.get(w, 0) + Fraction(data.draw(st.sampled_from((-1, 1, 2))))
+    elif change != "none":
+        # swap a word of two letters or more for a bad one with the multiset
+        # coefficient, so that only the sortedness or the height test tells
+        # the element from a product (without such a word, add the bad one)
+        pool = [w for w in words if len(set(w)) > 1]
+        base = data.draw(st.sampled_from(pool)) if pool else (0, n - 1)
+        terms.pop(base, None)
+        if change == "unsorted":
+            bad = base[::-1]
+        else:
+            h = alg.trunc.height(alg.z.evaluate(alg.order.charges[base[-1]]))
+            bad = base + (base[-1],) * int(alg.trunc.cutoff / h)
+        terms[bad] = multiset_coefficient(alg, spectrum, bad)
+    element = AlgebraElement(alg, terms)
+    assert outcome(PbwAlgebra.factorize, alg, element) == outcome(
+        remultiplied_factorize, alg, element
+    )
+
+
+def test_factorize_certificate_reports_first_type_walls():
+    alg = make_algebra(z_rows=((1, 1), (1, 1)), q_rows=((1, 2), (2, 1)))
+    g1, g2 = alg.order.position(_ch(1, 0)), alg.order.position(_ch(0, 1))
+    element = AlgebraElement(alg, {(): Fraction(1), (g1,): Fraction(1), (g2,): Fraction(2)})
+    got = outcome(PbwAlgebra.factorize, alg, element)
+    assert got[0] is FirstTypeWallError
+    assert got == outcome(remultiplied_factorize, alg, element)
+
+
+@pytest.mark.parametrize("mode", ["plain", "twisted"])
+def test_factorize_builds_no_product(monkeypatch, mode):
+    alg = certificate_algebra("crossing", mode)
+    rng = random.Random(41)
+    products = [alg.ray_product(random_spectrum(rng, alg.members[:12])) for _ in range(3)]
+    calls = []
+    for name in ("ray_product", "multiply", "exponential"):
+        original = getattr(PbwAlgebra, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(PbwAlgebra, name, counted)
+    for product in products:
+        alg.factorize(product)
+    assert calls == []
+
+
+def test_tables_follow_pairing_and_charge_sums():
+    rng = random.Random(43)
+    for mode in ("plain", "twisted"):
+        for _ in range(5):
+            boundary = tuple(tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(4))
+            lattice = ChargeLattice(2, boundary, SurfaceModel.standard(2))
+            alg = PbwAlgebra(
+                lattice,
+                CentralCharge(((1, -1), (1, 1))),
+                QuadraticForm(((1, 0), (0, 1))),
+                Sector((-1, 1), (1, 1)),
+                TruncationSet((0, 1), 4, 8),
+                mode,
+            )
+            for (i, a), (j, b) in itertools.product(enumerate(alg.order.charges), repeat=2):
+                p = lattice.pairing(a, b)
+                if mode == "twisted" and p % 2:
+                    p = -p
+                assert alg._cstr[i][j] == p
+                assert alg._merge[i][j] == alg.order.index.get(a + b)
+
+
 def test_ray_product_coefficients_follow_multiset_rule():
     # coefficient of a normal word equals prod of weights / |Aut(multiset)|
     alg = make_algebra(cutoff=3)
@@ -384,10 +540,7 @@ def test_ray_product_coefficients_follow_multiset_rule():
         spectrum = random_spectrum(rng, alg.members)
         prod = alg.ray_product(spectrum)
         for w in words:
-            expected = Fraction(1)
-            for i, m in Counter(w).items():
-                expected *= spectrum.coefficient(alg.order.charges[i]) ** m
-                expected /= math.factorial(m)
+            expected = multiset_coefficient(alg, spectrum, w)
             assert prod.coefficient(tuple(alg.order.charges[i] for i in w)) == expected
 
 

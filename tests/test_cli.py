@@ -1,14 +1,17 @@
+import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from wallcross.cli import main
+from wallcross.cli import COMMANDS, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PRIMITIVE = str(SCENARIOS / "primitive.scn")
 CROSSING = str(SCENARIOS / "crossing.scn")
+BENCH_GOLDEN = SCENARIOS.parent / "bench" / "golden.json"
 
 
 def run_cli(capsys, *argv):
@@ -291,6 +294,29 @@ def test_tangential_keyframe_crossing(tmp_path, capsys):
         "  (0, 1) -> 1\n"
         "  (1, 0) -> 1\n"
     )
+
+
+@pytest.mark.parametrize("lam", [2, 4, 6])
+def test_command_grid_matches_bench_golden(capsys, lam):
+    """Every command on both scenarios in both modes gives the exit code,
+    stdout digest and stderr recorded in the benchmark's golden file
+    (lambda 8 is left to the benchmark, which runs it too)."""
+    golden = json.loads(BENCH_GOLDEN.read_text())
+    mismatched = []
+    for scenario, digest in golden["scenario_sha256"].items():
+        path = SCENARIOS / f"{scenario}.scn"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        for command in COMMANDS:
+            for mode in ("plain", "twisted"):
+                code, out, err = run_cli(
+                    capsys, "--scenario", str(path), "--command", command,
+                    "--lambda", str(lam), "--mode", mode,
+                )
+                name = f"{command}:{scenario}:lambda={lam}:{mode}"
+                got = [code, hashlib.sha256(out.encode()).hexdigest(), err.strip()]
+                if got != golden["cli"][name]:
+                    mismatched.append(name)
+    assert mismatched == []
 
 
 def test_console_entry_point_runs():
