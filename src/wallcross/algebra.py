@@ -11,15 +11,19 @@ when its total height stays within the cutoff.
 
 Clockwise-ordered ray products concatenate words that are already sorted,
 which is what makes factorization of a sector product exact and unique.
+
+The central charge sets only the generator order: the tables of c(a, b)
+and a + b depend on the lattice, the members and (for the sign) the mode.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
-import functools
+import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     FirstTypeWallError,
@@ -36,6 +40,7 @@ from .lattice import (
     _dot,
     _exact,
     _integer_rows,
+    _truncated_sector,
     charges_parallel,
     cone_enumerate,
     cross,
@@ -69,27 +74,6 @@ class GeneratorOrder:
     def __init__(self, charges: tuple[Charge, ...]):
         self.charges = charges
         self.index = {ch: i for i, ch in enumerate(charges)}
-
-    @classmethod
-    def build(
-        cls, members: Iterable[Charge], z: CentralCharge, trunc: TruncationSet
-    ) -> "GeneratorOrder":
-        zmap = {ch: z.evaluate(ch) for ch in members}
-
-        def compare(a: Charge, b: Charge) -> int:
-            c = cross(zmap[a], zmap[b])
-            if c < 0:
-                return -1
-            if c > 0:
-                return 1
-            ha, hb = trunc.height(zmap[a]), trunc.height(zmap[b])
-            if ha != hb:
-                return -1 if ha < hb else 1
-            if a.coords == b.coords:
-                return 0
-            return -1 if a.coords < b.coords else 1
-
-        return cls(tuple(sorted(zmap, key=functools.cmp_to_key(compare))))
 
     def position(self, charge: Charge) -> int:
         try:
@@ -139,7 +123,11 @@ class Spectrum:
 
 
 class PbwAlgebra:
-    """Enveloping algebra truncated to words with total height <= cutoff."""
+    """Enveloping algebra truncated to words with total height <= cutoff.
+
+    Z sets only the generator order: the pairings and sums of the members
+    (the chamber) do not depend on it, so `with_mode` and transports
+    re-sort a copy that shares the chamber."""
 
     def __init__(
         self,
@@ -152,45 +140,65 @@ class PbwAlgebra:
         members: Optional[tuple[Charge, ...]] = None,
     ):
         self.lattice = lattice
-        self.z = z
         self.q = q
         self.sector = sector
         self.trunc = trunc
-        self.mode = BracketMode.coerce(mode)
         if members is None:
             members = cone_enumerate(lattice, z, q, sector, trunc)
+        else:
+            _check_members(lattice, z, sector, trunc, members)
         self.members = tuple(members)
-        self.order = GeneratorOrder.build(self.members, z, trunc)
-        n = len(self.order.charges)
-        self._zvals = [z.evaluate(ch) for ch in self.order.charges]
-        self._heights = [trunc.height(v) for v in self._zvals]
         self._cutoff = trunc.cutoff
-        self._cstr: list[list[int]] = [[0] * n for _ in range(n)]
-        self._merge: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-        # c(a, b) = image(a)^T I image(b) is skew, and so is its twisted
-        # sign flip (p is odd iff -p is): fill each unordered pair once
-        images = [lattice.boundary_of(ch) for ch in self.order.charges]
+        # the chamber: plain pairing image(a)^T I image(b) and sum index of
+        # each member pair in coordinate order, each unordered pair filled
+        # once (the pairing is skew); n marks a sum outside the members
+        charges = sorted(set(self.members), key=lambda ch: ch.coords)
+        n = len(charges)
+        images = [lattice.boundary_of(ch) for ch in charges]
         columns = tuple(zip(*lattice.surface.intersection))
         rows = [[_dot(x, col) for col in columns] for x in images]
-        twisted = self.mode is BracketMode.TWISTED
-        position = {ch.coords: i for i, ch in enumerate(self.order.charges)}
-        for i, a in enumerate(self.order.charges):
-            self._merge[i][i] = position.get(tuple(2 * x for x in a.coords))
+        index = {ch.coords: i for i, ch in enumerate(charges)}
+        pairing = [[0] * n for _ in range(n)]
+        merge = [[n] * n for _ in range(n)]
+        for i, a in enumerate(charges):
+            merge[i][i] = index.get(tuple(2 * x for x in a.coords), n)
             for j in range(i + 1, n):
                 p = _dot(rows[i], images[j])
-                if twisted and p % 2 != 0:
-                    p = -p
-                self._cstr[i][j], self._cstr[j][i] = p, -p
-                b = self.order.charges[j]
-                self._merge[i][j] = self._merge[j][i] = position.get(
-                    tuple(map(operator.add, a.coords, b.coords))
+                pairing[i][j], pairing[j][i] = p, -p
+                merge[i][j] = merge[j][i] = index.get(
+                    tuple(map(operator.add, a.coords, charges[j].coords)), n
                 )
-        self.signature = (
-            lattice.boundary,
-            lattice.surface.intersection,
-            self.mode,
-            self.order.charges,
-        )
+        self._chamber = (charges, pairing, merge)
+        self._ordered_by(z, mode)
+
+    def _ordered_by(self, z: CentralCharge, mode: BracketMode | str) -> "PbwAlgebra":
+        """Sort the chamber's members by z and permute its tables into that
+        order, flipping odd pairings in twisted mode; returns self."""
+        self.z, self.mode = z, BracketMode.coerce(mode)
+        charges, pairing, merge = self._chamber
+        zx, zy = _integer_rows(z.matrix)
+        (c0, c1), = _integer_rows([self.trunc.covector])
+        zvals = [(_dot(zx, ch.coords), _dot(zy, ch.coords)) for ch in charges]
+        heights = [c0 * x + c1 * y for x, y in zvals]
+        # cross(Z, covector) / height (> 0 on the sector) grows clockwise,
+        # and times the lcm of the heights it is an int.  Parallel members
+        # follow by height, then by coordinates, the sort being stable
+        lcm = math.lcm(*heights)
+        perm = sorted(range(len(charges)), key=lambda i: (
+            (zvals[i][0] * c1 - zvals[i][1] * c0) * (lcm // heights[i]), heights[i]))
+        self.order = GeneratorOrder(tuple(charges[i] for i in perm))
+        self._zvals = [zvals[i] for i in perm]
+        hrow = [self.trunc.height(col) for col in zip(*z.matrix)]
+        self._heights = [_dot(hrow, ch.coords) for ch in self.order.charges]
+        # chamber index -> order position (perm inverted), and n -> None
+        position = sorted(range(len(perm)), key=perm.__getitem__) + [None]
+        odd = int(self.mode is BracketMode.TWISTED)  # p & odd: p is odd, in twisted mode
+        self._cstr = [[-p if p & odd else p for p in map(pairing[i].__getitem__, perm)]
+                      for i in perm]
+        self._merge = [[position[merge[i][j]] for j in perm] for i in perm]
+        self.signature = (self.lattice.boundary, self.lattice.surface.intersection,
+                          self.mode, self.order.charges)
+        return self
 
     # -- element constructors -------------------------------------------
 
@@ -316,13 +324,10 @@ class PbwAlgebra:
         for ch in support:
             if ch not in self.order.index:
                 raise ValidationError(f"spectrum support outside the truncated cone: {ch!r}")
-        by_order = sorted(support, key=self.order.position)
+        zvals, index = self._zvals, self.order.index
         groups: list[list[Charge]] = []
-        for ch in by_order:
-            if groups and cross(
-                self._zvals[self.order.position(groups[-1][-1])],
-                self._zvals[self.order.position(ch)],
-            ) == 0:
+        for ch in sorted(support, key=self.order.position):
+            if groups and cross(zvals[index[groups[-1][-1]]], zvals[index[ch]]) == 0:
                 if not charges_parallel(groups[-1][-1], ch):
                     raise FirstTypeWallError(
                         f"first-type wall in spectrum support: {groups[-1][-1]!r} and {ch!r}"
@@ -422,12 +427,8 @@ class PbwAlgebra:
         the generator order (that is, the central charge) may differ.
         """
         src = element.algebra
-        if (
-            src.lattice.boundary != self.lattice.boundary
-            or src.lattice.surface != self.lattice.surface
-            or src.mode is not self.mode
-            or set(src.members) != set(self.members)
-        ):
+        # (boundary, intersection, mode) and the members in coordinate order
+        if src.signature[:3] != self.signature[:3] or src._chamber[0] != self._chamber[0]:
             raise ValidationError("elements can only be converted between algebras "
                                   "sharing lattice, members and mode")
         out: dict[tuple[int, ...], Fraction] = {}
@@ -437,14 +438,24 @@ class PbwAlgebra:
         return AlgebraElement(self, out)
 
     def with_mode(self, mode: BracketMode | str) -> "PbwAlgebra":
-        return PbwAlgebra(
-            self.lattice, self.z, self.q, self.sector, self.trunc,
-            BracketMode.coerce(mode), self.members,
-        )
+        return copy.copy(self)._ordered_by(self.z, mode)
 
     def _require_same(self, element: "AlgebraElement") -> None:
         if element.algebra.signature != self.signature:
             raise ValidationError("element belongs to a different algebra")
+
+
+def _check_members(lattice, z, sector, trunc, members) -> None:
+    """Hold explicit members to what cone_enumerate gives: charges of the
+    lattice rank with a nonzero Z value in the closed sector and a height
+    (so positive) within the cutoff."""
+    if z.rank != lattice.rank:
+        raise ValidationError("central charge rank must match the lattice")
+    trunc.validate_for(sector)
+    height, _ = _truncated_sector(z, sector, trunc)
+    for ch in members:
+        if not isinstance(ch, Charge) or len(ch) != lattice.rank or height(ch.coords) is None:
+            raise ValidationError(f"member {ch!r} is not a charge in the truncated sector")
 
 
 def _multiset_count(heights: list[int], cap: int) -> int:

@@ -10,6 +10,7 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -306,10 +307,13 @@ def detect_walls(
     )
 
 
-def _guard_second_type(z: CentralCharge, sector: Sector, members) -> None:
+def _guard_second_type(alg: PbwAlgebra, members) -> None:
+    """Reject a member sum with a part on a sector boundary ray under alg's Z."""
+    rays = _integer_rows((alg.sector.start, alg.sector.end))
     mset = set(members)
     for b1 in members:
-        if sector.boundary_ray(z.evaluate(b1)) is None:
+        value = alg._zvals[alg.order.index[b1]]
+        if all(cross(ray, value) for ray in rays):  # members lie in the sector
             continue
         for b2 in members:
             if (b1 + b2) in mset:
@@ -326,8 +330,8 @@ def transport_spectrum(
 ) -> Spectrum:
     """Refactorize the sector product of the spectrum under a new order.
 
-    The product is formed in the source algebra, re-expressed in the basis
-    ordered by the new central charge, and read back off.  The element
+    The product is formed in the source algebra, re-expressed in a copy of
+    it re-sorted by the new central charge, and read back off.  The element
     itself never changes; only the ordered factorization does."""
     members_new = cone_enumerate(
         struct.lattice, z_new, struct.q, struct.sector, struct.trunc
@@ -343,12 +347,9 @@ def transport_spectrum(
             "target central charge lies on a first-type wall: "
             f"{witness[0].coords} ~ {witness[1].coords}"
         )
-    for z in (struct.z, z_new):
-        _guard_second_type(z, struct.sector, members_new)
-    alg_new = PbwAlgebra(
-        struct.lattice, z_new, struct.q, struct.sector, struct.trunc,
-        struct.mode, members_new,
-    )
+    alg_new = copy.copy(struct.algebra())._ordered_by(z_new, struct.mode)
+    for alg in (struct.algebra(), alg_new):
+        _guard_second_type(alg, members_new)
     return alg_new.factorize(alg_new.convert(struct._sector_product()))
 
 

@@ -381,58 +381,49 @@ def _kernel_basis(z: CentralCharge) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def _determinant(mat: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in mat]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
-
-
 def check_kernel_definiteness(z: CentralCharge, q: QuadraticForm) -> None:
     """Reject configurations where Q fails to be negative definite on ker Z.
 
     Without this the set of cone generators below a height cutoff can be
-    infinite and enumeration would silently truncate it.
+    infinite and enumeration would silently truncate it.  Q on ker Z is
+    negative definite exactly when every pivot of its exact LDL^T
+    factorization (elimination without row swaps) is negative.
     """
     basis = _kernel_basis(z)
-    if not basis:
-        return
-    k = len(basis)
     n = z.rank
-    restricted = [
-        [
-            sum(
-                basis[a][i] * q.matrix[i][j] * basis[b][j]
-                for i in range(n)
-                for j in range(n)
-            )
-            for b in range(k)
-        ]
-        for a in range(k)
+    m = [
+        [sum(a[i] * q.matrix[i][j] * b[j] for i in range(n) for j in range(n)) for b in basis]
+        for a in basis
     ]
-    sign = Fraction(1)
-    for size in range(1, k + 1):
-        sign = -sign
-        minor = _determinant([row[:size] for row in restricted[:size]])
-        if sign * minor <= 0:
+    for col, row in enumerate(m):
+        if row[col] >= 0:
             raise ValidationError("quadratic form is not negative definite on ker Z")
+        for below in m[col + 1:]:
+            f = below[col] / row[col]
+            below[col:] = [x - f * y for x, y in zip(below[col:], row[col:])]
+
+
+def _truncated_sector(z: CentralCharge, sector: Sector, trunc: TruncationSet):
+    """The truncated sector as a test on coordinate tuples, and the scaled
+    cutoff: the test gives a point's integer height when its Z value is
+    nonzero, in the closed sector and within the cutoff, else None.  Z, the
+    sector rays and the height functional with its cutoff are each scaled
+    by a positive integer, which keeps every test and the height order."""
+    zx, zy = _integer_rows(z.matrix)
+    (sx, sy), (ex, ey) = _integer_rows((sector.start, sector.end))
+    *hrow, cut = _integer_rows([[trunc.height(col) for col in zip(*z.matrix)] + [trunc.cutoff]])[0]
+
+    def height(point) -> Optional[int]:
+        h = _dot(hrow, point)
+        if h > cut:
+            return None
+        x, y = _dot(zx, point), _dot(zy, point)
+        # the zero vector (and the zero point) lies in no sector
+        if (x == 0 and y == 0) or sx * y - sy * x > 0 or x * ey - y * ex > 0:
+            return None
+        return h
+
+    return height, cut
 
 
 def cone_enumerate(
@@ -448,30 +439,20 @@ def cone_enumerate(
     Generators are the charges with central charge inside the sector and
     non-negative quadratic form, found by scanning the integer box given
     by trunc.scan_box.  Heights of generators are strictly positive, so
-    the additive closure below the cutoff is finite.  Z, Q, the sector
-    rays and the height functional with its cutoff are each scaled by a
-    positive integer, which keeps every test and the height order.
+    the additive closure below the cutoff is finite.  Q is scaled by a
+    positive integer, like the sector test's data, which keeps its sign.
     """
     if z.rank != lattice.rank or q.rank != lattice.rank:
         raise ValidationError("central charge / quadratic form rank must match the lattice")
     trunc.validate_for(sector)
     check_kernel_definiteness(z, q)
     box = trunc.scan_box
-    zx, zy = _integer_rows(z.matrix)
-    (sx, sy), (ex, ey) = _integer_rows((sector.start, sector.end))
+    height, cut = _truncated_sector(z, sector, trunc)
     qm = _integer_rows(q.matrix)
-    heights = [trunc.height(col) for col in zip(*z.matrix)] + [trunc.cutoff]
-    *hrow, cut = _integer_rows([heights])[0]
     gens: list[tuple[tuple[int, ...], int]] = []
     for point in itertools.product(range(-box, box + 1), repeat=lattice.rank):
-        h = _dot(hrow, point)
-        if h > cut:
-            continue
-        x, y = _dot(zx, point), _dot(zy, point)
-        # the zero vector (and the zero point) lies in no sector
-        if (x == 0 and y == 0) or sx * y - sy * x > 0 or x * ey - y * ex > 0:
-            continue
-        if _dot(point, [_dot(row, point) for row in qm]) < 0:
+        h = height(point)
+        if h is None or _dot(point, [_dot(row, point) for row in qm]) < 0:
             continue
         gens.append((point, h))
     gens.sort(key=operator.itemgetter(1))  # heights add up along the closure

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +49,18 @@ def build_setup(
         (Fraction(covector[0]), Fraction(covector[1])), Fraction(cutoff), scan_box
     )
     return LatticeSetup(lattice, z, q, sector, trunc, Charge((1, 0)), Charge((0, 1)))
+
+
+def ray_invariants(spectrum: dict) -> dict:
+    """Omega by Moebius inversion of a(k g) = sum over d | k of
+    Omega(k g / d) * (-1/d^2), g primitive; zero values are dropped."""
+    omega: dict = {}
+    for c in sorted(spectrum, key=lambda c: math.gcd(*c)):
+        k = math.gcd(*c)
+        omega[c] = -spectrum[c] - sum(
+            omega.get(tuple(x // d for x in c), 0) / (d * d) for d in range(2, k + 1) if k % d == 0
+        )
+    return {c: v for c, v in omega.items() if v}
 
 
 @pytest.fixture

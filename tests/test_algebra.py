@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import itertools
 import math
 import random
+import re
+import signal
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -522,6 +525,145 @@ def test_tables_follow_pairing_and_charge_sums():
                     p = -p
                 assert alg._cstr[i][j] == p
                 assert alg._merge[i][j] == alg.order.index.get(a + b)
+
+
+def crossing_scenario():
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text()
+    return parse_scenario(text)
+
+
+def tables(alg: PbwAlgebra) -> tuple:
+    return alg.order.charges, alg._cstr, alg._merge, alg._heights, alg._zvals, alg.signature
+
+
+def test_reordered_copy_matches_a_fresh_algebra():
+    # crossing.scn's cone at cutoff 4 on random genus-2 lattices; the top
+    # row of Z moves, and a Z that changes the member set is passed over
+    sc = crossing_scenario()
+    trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(4))
+    rng = random.Random(53)
+    compared = 0
+    for _ in range(30):
+        boundary = tuple(tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(4))
+        lattice = ChargeLattice(2, boundary, SurfaceModel.standard(2))
+        base = PbwAlgebra(lattice, sc.z, sc.q, sc.sector, trunc, rng.choice(("plain", "twisted")))
+        top = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2))
+        z = CentralCharge((top, (1, 1)))
+        for mode, other in (("plain", "twisted"), ("twisted", "plain")):
+            fresh = PbwAlgebra(lattice, z, sc.q, sc.sector, trunc, mode)
+            if set(fresh.members) != set(base.members):
+                continue
+            compared += 1
+            assert tables(copy.copy(base)._ordered_by(z, mode)) == tables(fresh)
+            assert tables(copy.copy(base)._ordered_by(z, other).with_mode(mode)) == tables(fresh)
+            assert tables(fresh.with_mode(other).with_mode(mode)) == tables(fresh)
+    assert compared >= 30
+
+
+def fraction_order(members, z: CentralCharge, trunc: TruncationSet) -> tuple[Charge, ...]:
+    """The generator order by the Fraction comparator the sort key replaced."""
+    zmap = {ch: z.evaluate(ch) for ch in members}
+
+    def compare(a: Charge, b: Charge) -> int:
+        c = cross(zmap[a], zmap[b])
+        if c != 0:
+            return -1 if c < 0 else 1
+        ha, hb = trunc.height(zmap[a]), trunc.height(zmap[b])
+        if ha != hb:
+            return -1 if ha < hb else 1
+        return (a.coords > b.coords) - (a.coords < b.coords)
+
+    return tuple(sorted(zmap, key=functools.cmp_to_key(compare)))
+
+
+def test_integer_phase_key_matches_fraction_comparator():
+    # rank 3 puts an integer kernel vector under Z, so distinct charges share
+    # a value; the sector runs through two member values, so members sit on
+    # both of its rays
+    rng = random.Random(59)
+    ties = 0
+    for _ in range(60):
+        rank = rng.choice((2, 3))
+
+        def frac():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+        rows = [[frac() for _ in range(rank)] for _ in range(2)]
+        if rank == 3:
+            k0, k1 = rng.randint(-1, 1), rng.randint(-1, 1)
+            for row in rows:
+                row[2] = -(k0 * row[0] + k1 * row[1])
+        z = CentralCharge(rows)
+        points = {Charge(rng.randint(-3, 3) for _ in range(rank)) for _ in range(60)}
+        values = [v for v in map(z.evaluate, points) if v != (0, 0)]
+        if len(values) < 2:
+            continue
+        start, end = rng.sample(values, 2)
+        if cross(start, end) == 0:
+            continue
+        if cross(start, end) > 0:
+            start, end = end, start
+        sector = Sector(start, end)
+        for _ in range(100):
+            trunc = TruncationSet((frac(), frac()), Fraction(20), 1)
+            if trunc.height(sector.start) > 0 and trunc.height(sector.end) > 0:
+                break
+        else:
+            continue
+        members = tuple(
+            p for p in points
+            if z.evaluate(p) != (0, 0) and sector.contains(z.evaluate(p))
+            and trunc.height(z.evaluate(p)) <= trunc.cutoff
+        )
+        identity = QuadraticForm(tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
+        alg = PbwAlgebra(ChargeLattice(rank, (), SurfaceModel(())), z, identity, sector, trunc,
+                         members=members)
+        assert alg.order.charges == fraction_order(members, z, trunc)
+        ties += sum(cross(*map(z.evaluate, pair)) == 0
+                    for pair in zip(alg.order.charges, alg.order.charges[1:]))
+    assert ties >= 100
+
+
+@pytest.fixture
+def alarm():
+    """Fail a call that hangs instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("no answer within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("members, message", [
+    ((_ch(1, -1),), "(1, -1)"),  # Z = (2, 0): outside the sector, height 0
+    ((_ch(1, 0), _ch(0, 0)), "(0, 0)"),  # zero central charge
+    ((_ch(1, 0), _ch(2, 2)), "(2, 2)"),  # height 4 above the cutoff 2
+    ((_ch(1, 0), _ch(1, 0, 0)), "(1, 0, 0)"),  # wrong rank
+    (((1, 0),), "(1, 0)"),  # not a charge
+])
+def test_explicit_members_are_checked(alarm, members, message):
+    s = build_setup()
+    with pytest.raises(ValidationError, match=f"member .*{re.escape(message)}"):
+        alg = PbwAlgebra(s.lattice, s.z, s.q, s.sector, s.trunc, members=members)
+        alg.factorize(alg.ray_product(Spectrum({ch: 1 for ch in members})))
+
+
+def test_explicit_members_need_a_positive_covector():
+    s = build_setup(covector=(0, -1))
+    with pytest.raises(ValidationError, match="positive on the closed sector"):
+        PbwAlgebra(s.lattice, s.z, s.q, s.sector, s.trunc, members=(_ch(1, 0),))
+
+
+def test_explicit_members_in_the_cone_are_kept(alarm):
+    s = build_setup()
+    members = (_ch(1, 0), _ch(0, 1), _ch(1, 1))
+    alg = PbwAlgebra(s.lattice, s.z, s.q, s.sector, s.trunc, members=members)
+    assert alg.members == members
+    spectrum = Spectrum({ch: 1 for ch in members})
+    assert alg.factorize(alg.ray_product(spectrum)) == spectrum
 
 
 def test_ray_product_coefficients_follow_multiset_rule():

@@ -2,15 +2,18 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import ray_invariants
 from wallcross.cli import COMMANDS, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PRIMITIVE = str(SCENARIOS / "primitive.scn")
 CROSSING = str(SCENARIOS / "crossing.scn")
+KRONECKER = str(SCENARIOS / "kronecker.scn")
 BENCH_GOLDEN = SCENARIOS.parent / "bench" / "golden.json"
 
 
@@ -118,6 +121,32 @@ def test_cross_twisted_mode_flips_the_sum(capsys):
     )
     assert (code, err) == (0, "")
     assert out == CROSS_GOLDEN.replace("(1, 1) -> 1", "(1, 1) -> -1")
+
+
+def _spectrum_block(lines: list[str], header: str) -> dict:
+    out = {}
+    for line in lines[lines.index(header) + 1:]:
+        if not line.startswith("  ("):
+            break
+        coords, value = line.strip().split(" -> ")
+        out[tuple(int(x) for x in coords.strip("()").split(", "))] = Fraction(value)
+    return out
+
+
+def test_cross_on_kronecker_quiver(capsys):
+    # <g1, g2> = 2 and a(n g_i) = -1/n^2: one jump, which keeps every
+    # a(n g_i) and gives Omega(1, 1) = -2 and Omega(n, n +- 1) = 1
+    code, out, err = run_cli(capsys, "--scenario", KRONECKER, "--command", "cross")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("jump")] == ["jump on [1/2, 1/2]:"]
+    before = _spectrum_block(lines, "spectrum at t=0:")
+    assert before == {c: Fraction(-1, sum(c) ** 2) for n in range(1, 7) for c in ((n, 0), (0, n))}
+    after = _spectrum_block(lines, "spectrum at t=1:")
+    assert {c: after[c] for c in before} == before
+    expected = {(p, q): 1 for p in range(7) for q in range(7) if abs(p - q) == 1 and p + q <= 6}
+    expected[1, 1] = -2
+    assert ray_invariants(after) == expected
 
 
 def test_lambda_override_shrinks_the_cone(capsys):

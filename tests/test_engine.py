@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wallcross.engine as engine
-from conftest import build_setup
+from conftest import build_setup, ray_invariants
 from wallcross.algebra import PbwAlgebra, Spectrum
 from wallcross.engine import (
     StabilityStructure,
@@ -546,8 +546,13 @@ def test_check_variation_builds_the_source_product_once(monkeypatch):
     sc = parse_scenario(text)
     trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(6))
     struct = StabilityStructure(sc.lattice, sc.z, sc.q, sc.sector, trunc, sc.spectrum)
-    products, transports = [], []
+    products, transports, builds = [], [], []
     ray_product, transport = PbwAlgebra.ray_product, engine.transport_spectrum
+    init = PbwAlgebra.__init__
+
+    def counted_init(alg, *args, **kwargs):
+        builds.append(alg)
+        init(alg, *args, **kwargs)
 
     def counted_product(alg, spectrum):
         products.append(alg)
@@ -557,11 +562,13 @@ def test_check_variation_builds_the_source_product_once(monkeypatch):
         transports.append(args)
         return transport(*args)
 
+    monkeypatch.setattr(PbwAlgebra, "__init__", counted_init)
     monkeypatch.setattr(PbwAlgebra, "ray_product", counted_product)
     monkeypatch.setattr(engine, "transport_spectrum", counted_transport)
     report = check_variation(VariationPath(sc.path_keyframes()), struct)
     assert len(transports) == 5
     assert sum(alg is struct.algebra() for alg in products) == 1
+    assert builds == [struct.algebra()]  # every target algebra re-sorts a copy
     digest = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
     assert digest == "fc0e5239340f8b901e31fc1b829e7069820cec6069eef1ec412a6e3a0d0e9f83"
 
@@ -686,3 +693,55 @@ def test_engine_sector_splitting():
         for ch, c in transport_spectrum(sub_struct, z_new).items():
             pieces[ch] = pieces.get(ch, Fraction(0)) + c
     assert Spectrum(pieces) == moved
+
+
+# -- known answers: pentagon and Kronecker wall crossing -----------------------
+
+
+def kronecker_transport(m: int, mode: str) -> tuple[dict, dict]:
+    """Transport a(n g_i) = -1/n^2 along crossing.scn's path with <g1, g2> = m
+    (cutoff 8, 62 members); returns the input and the output as dicts."""
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text()
+    sc = parse_scenario(text)
+    lattice = ChargeLattice(2, ((m, 0), (0, 1)), sc.lattice.surface)
+    trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(8), scan_box=9)
+    before = {(n, 0): Fraction(-1, n * n) for n in range(1, 9)}
+    before.update({(0, n): Fraction(-1, n * n) for n in range(1, 9)})
+    struct = StabilityStructure(
+        lattice, sc.z, sc.q, sc.sector, trunc, Spectrum({Charge(c): a for c, a in before.items()}),
+        mode,
+    )
+    assert len(struct.members) == 62
+    after = transport_spectrum(struct, sc.path_keyframes()[-1])
+    return before, {ch.coords: a for ch, a in after.items()}
+
+
+@pytest.mark.parametrize("mode", ["twisted", "plain"])
+def test_pentagon_transport(mode):
+    # m = 1: the only new charges are k(1, 1), with -1/k^2 twisted and
+    # (-1)^(k+1)/k^2 plain
+    before, after = kronecker_transport(1, mode)
+    expected = dict(before)
+    for k in range(1, 5):
+        expected[k, k] = Fraction(-1 if mode == "twisted" else (-1) ** (k + 1), k * k)
+    assert after == expected
+
+
+@pytest.mark.parametrize("mode", ["twisted", "plain"])
+def test_kronecker_m2_transport(mode):
+    # Omega(1, 1) = -2 and Omega(n, n +- 1) = 1; every other Omega is 0
+    before, after = kronecker_transport(2, mode)
+    assert {c: after[c] for c in before} == before
+    expected = {(p, q): 1 for p in range(9) for q in range(9) if abs(p - q) == 1 and p + q <= 8}
+    expected[1, 1] = -2
+    assert ray_invariants(after) == expected
+
+
+def test_kronecker_m3_transport():
+    before, after = kronecker_transport(3, "twisted")
+    assert {c: after[c] for c in before} == before
+    omega = ray_invariants(after)
+    assert all(v.denominator == 1 for v in omega.values())
+    assert all(omega.get((q, p)) == v for (p, q), v in omega.items())
+    assert [omega[k, k] for k in range(1, 5)] == [3, -6, 18, -84]
+    assert [omega[k, k + 1] for k in range(1, 4)] == [3, 13, 68]

@@ -235,6 +235,56 @@ def test_cone_enumerate_matches_fraction_oracle(rank, box):
     assert nonempty >= 20
 
 
+def _leibniz_det(m) -> Fraction:
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _negative_definite_by_minors(m) -> bool:
+    """Sylvester's criterion: the k-th leading minor has the sign (-1)^k."""
+    return all(
+        (-1) ** k * _leibniz_det([row[:k] for row in m[:k]]) > 0 for k in range(1, len(m) + 1)
+    )
+
+
+def test_kernel_definiteness_matches_leading_minors():
+    # Z = (e1, e2) kills e3 .. e(k+2), so Q on ker Z is Q's lower right block
+    rng = random.Random(47)
+    verdicts = []
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        if rng.random() < 0.4:
+            upper = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)] for _ in range(k)]
+            block = [[upper[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+        else:  # -A^T A plus a shift: semidefinite, singular when A has low rank
+            a = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(k)]
+                 for _ in range(rng.randint(1, k))]
+            shift = rng.choice((0, 0, Fraction(-1, 3), Fraction(1, 5)))
+            block = [[-sum(r[i] * r[j] for r in a) + (shift if i == j else 0) for j in range(k)]
+                     for i in range(k)]
+        n = k + 2
+        upper = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        q = [[block[i - 2][j - 2] if min(i, j) >= 2 else upper[min(i, j)][max(i, j)]
+              for j in range(n)] for i in range(n)]
+        z = CentralCharge(tuple(tuple(int(c == r) for c in range(n)) for r in range(2)))
+        expected = _negative_definite_by_minors(block)
+        try:
+            check_kernel_definiteness(z, QuadraticForm(q))
+            got = True
+        except ValidationError as exc:
+            assert str(exc) == "quadratic form is not negative definite on ker Z"
+            got = False
+        assert got == expected, block
+        verdicts.append(got)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
 def test_cone_closure_under_addition(setup):
     members = cone_enumerate(setup.lattice, setup.z, setup.q, setup.sector, setup.trunc)
     mset = set(members)
