@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import AlgebraElement, PbwAlgebra
@@ -308,11 +308,19 @@ def multilink_forest(
 def multilink_total(
     chain: NiceChain, z: CentralCharge, surface: SurfaceModel
 ) -> Fraction:
-    """Sum of the forest values over every forest on the chain's vertices."""
-    total = Fraction(0)
+    """Sum of the forest values over every forest on the chain's vertices.
+
+    Each pair's link is read once, as the one-edge forest on that pair would
+    read it; the integer edge products are summed per edge count, and each
+    sum is divided by the factorial of its count at the end."""
+    verts = chain.vertices
+    pairs = itertools.combinations(range(len(verts)), 2)
+    links = {(i, j): link(verts[i], verts[j], z, surface) for i, j in pairs}
+    by_count = [0] * (len(verts) + 1)
     for forest in enumerate_forests(chain.to_monomial()):
-        total += multilink_forest(chain, forest, z, surface)
-    return total
+        edges = forest.edge_vertices()
+        by_count[len(edges)] += prod(links[e] for e in edges)
+    return sum(Fraction(s, factorial(k)) for k, s in enumerate(by_count))
 
 
 # -- the crossing rewrite ---------------------------------------------------

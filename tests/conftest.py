@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from wallcross.lattice import (
     CentralCharge,
@@ -15,6 +16,12 @@ from wallcross.lattice import (
     SurfaceModel,
     TruncationSet,
 )
+
+# Every property test runs the same examples on every run, writes no
+# example database and has no per-example deadline; each test still sets
+# its own max_examples.
+settings.register_profile("wallcross", derandomize=True, database=None, deadline=None)
+settings.load_profile("wallcross")
 
 
 @dataclass

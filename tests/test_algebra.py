@@ -428,7 +428,7 @@ def multiset_coefficient(alg: PbwAlgebra, spectrum: Spectrum, word) -> Fraction:
     return out
 
 
-@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(data=st.data())
 def test_factorize_certificate_matches_remultiplication(data):
     alg = certificate_algebra(

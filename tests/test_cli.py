@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import ray_invariants
 from wallcross.cli import COMMANDS, main
@@ -14,6 +18,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PRIMITIVE = str(SCENARIOS / "primitive.scn")
 CROSSING = str(SCENARIOS / "crossing.scn")
 KRONECKER = str(SCENARIOS / "kronecker.scn")
+PENTAGON = str(SCENARIOS / "pentagon.scn")
 BENCH_GOLDEN = SCENARIOS.parent / "bench" / "golden.json"
 
 
@@ -147,6 +152,19 @@ def test_cross_on_kronecker_quiver(capsys):
     expected = {(p, q): 1 for p in range(7) for q in range(7) if abs(p - q) == 1 and p + q <= 6}
     expected[1, 1] = -2
     assert ray_invariants(after) == expected
+
+
+def test_cross_on_pentagon(capsys):
+    # <g1, g2> = 1 and a(n g_i) = -1/n^2: the pentagon identity keeps every
+    # a(n g_i) and adds exactly a(k(1, 1)) = -1/k^2 up to the cutoff
+    code, out, err = run_cli(capsys, "--scenario", PENTAGON, "--command", "cross")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("jump")] == ["jump on [1/2, 1/2]:"]
+    before = _spectrum_block(lines, "spectrum at t=0:")
+    assert before == {c: Fraction(-1, sum(c) ** 2) for n in range(1, 9) for c in ((n, 0), (0, n))}
+    after = _spectrum_block(lines, "spectrum at t=1:")
+    assert after == {**before, **{(k, k): Fraction(-1, k * k) for k in range(1, 5)}}
 
 
 def test_lambda_override_shrinks_the_cone(capsys):
@@ -387,3 +405,71 @@ def test_bad_lambda_override(capsys):
     )
     assert code == 2
     assert "malformed rational 'x/y'" in err
+
+
+# -- fuzzed scenario text -------------------------------------------------------
+
+# Replacement tokens and inserted characters stay small: a fuzzed cutoff or
+# scan_box can only stay near the shipped ones, so every run is quick.
+_TOKENS = (
+    "0", "1", "-1", "2", "3", "1/2", "1/0", "1.5", "x", "", ";", ":", ",", "=", "#", "[mode]",
+)
+_CHARS = "[]=;:,#-/ \tx\n"
+
+
+@st.composite
+def _fuzzed_texts(draw):
+    base = draw(st.sampled_from(("primitive.scn", "crossing.scn")))
+    lines = (SCENARIOS / base).read_text().splitlines()
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kinds = ("delete", "duplicate", "swap", "insert", "erase") + ("token",) * 5
+        kind = draw(st.sampled_from(kinds))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "token":
+            tokens = lines[i].split(" ")
+            first = 2 if tokens[1:2] == ["="] and len(tokens) > 2 else 0  # mostly values
+            tokens[draw(st.integers(first, len(tokens) - 1))] = draw(st.sampled_from(_TOKENS))
+            lines[i] = " ".join(tokens)
+        else:
+            k = draw(st.integers(0, len(lines[i])))
+            tail = lines[i][k + (kind == "erase"):]
+            mid = draw(st.sampled_from(_CHARS)) if kind == "insert" else ""
+            lines[i] = lines[i][:k] + mid + tail
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+# No explain phase: it traces every line of each CLI run, and after a
+# failure it ran for minutes and grew past a gigabyte.
+@settings(max_examples=200, phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(
+    _fuzzed_texts(),
+    st.sampled_from(COMMANDS),
+    st.sampled_from((None, "0", "1", "2", "3", "-1", "1/0", "x")),
+    st.sampled_from((None, "plain", "twisted")),
+)
+def test_fuzzed_scenarios_exit_cleanly(text, command, cutoff, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.scn"
+        path.write_text(text, encoding="utf-8")
+        argv = ["--scenario", str(path), "--command", command]
+        argv += ["--lambda", cutoff] if cutoff is not None else []
+        argv += ["--mode", mode] if mode is not None else []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")

@@ -49,7 +49,9 @@ def zmat(rows):
 
 def crossing_setup(z_rows=((-3, -1), (1, 1))):
     # wide sector so no member phase touches the boundary; the off-diagonal
-    # quadratic form keeps mixed-sign charges out of the cone
+    # quadratic form keeps mixed-sign charges out of the cone only at the
+    # default cutoff 2: cutoff 3 admits (-1, 4) and (4, -1), and cutoff 6
+    # holds (-1, n) and (n, -1) for n = 4..7 and (-2, 8) and (8, -2)
     return build_setup(
         z_rows=z_rows,
         sector_dirs=((-5, 1), (5, 1)),
@@ -312,7 +314,7 @@ def _keyframe_paths(draw):
     return frames
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_keyframe_paths())
 def test_keyframe_events_match_sampling(frames):
     charges = [Charge((a, b)) for a in range(3) for b in range(3) if a or b]
@@ -379,7 +381,7 @@ def test_detect_walls_invariant_under_positive_scaling():
     assert kinds == {("first_type", True), ("first_type", False), ("second_type", True)}
 
 
-@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
     st.integers(1, 9), st.integers(1, 9),

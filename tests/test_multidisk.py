@@ -3,13 +3,16 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import build_setup
 from wallcross.algebra import PbwAlgebra
-from wallcross.errors import FirstTypeWallError, ValidationError
+from wallcross.errors import FirstTypeWallError, ValidationError, WallcrossError
 from wallcross.lattice import CentralCharge, Charge, ChargeLattice, SurfaceModel
+import wallcross.multidisk as multidisk
 from wallcross.multidisk import (
     ChainCombination,
     ChainVertex,
@@ -343,6 +346,66 @@ def test_multilink_total_phase_ordered_chain():
         [(Fraction(1, 4), G2), (Fraction(1, 2), G1 + G2), (Fraction(3, 4), G1)],
     )
     assert multilink_total(chain, s.z, s.lattice.surface) == 1
+
+
+# The cutoff-2 cone letters of build_setup in clockwise phase order: a chain
+# that carries them in this order up the heights has every link zero.
+PHASE_ORDERED_LETTERS = (G2, 2 * G2, G1 + G2, G1, 2 * G1)
+DEGENERATE_Z = CentralCharge(((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))))
+
+
+@st.composite
+def _chain_specs(draw):
+    """(letter indices, Lehmer code, heights, degenerate Z?): vertex i in
+    height order carries the letter at position perm[i] of the sorted
+    letters, and sum(lehmer) is the number of inverted vertex pairs.  Six
+    vertices come only from an explicit example: the oracle takes about
+    0.5 s there."""
+    n = draw(st.integers(1, 5))
+    letters = sorted(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    lehmer = [draw(st.integers(0, n - 1 - i)) for i in range(n)]
+    heights = draw(
+        st.lists(
+            st.fractions(0, 1, max_denominator=60).filter(lambda t: 0 < t < 1),
+            min_size=n, max_size=n, unique=True,
+        )
+    )
+    return letters, lehmer, heights, draw(st.booleans())
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WallcrossError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=30)
+@given(_chain_specs())
+@example(([0, 1, 2, 2, 3, 4], [5, 4, 3, 2, 1, 0], [Fraction(k, 7) for k in range(1, 7)], False))
+@example(([0, 3], [0, 0], [Fraction(1, 3), Fraction(2, 3)], True))
+def test_multilink_total_matches_forest_oracle(spec):
+    letters, lehmer, heights, degenerate = spec
+    s = build_setup()
+    z = DEGENERATE_Z if degenerate else s.z
+    surface = s.lattice.surface
+    pool = list(letters)
+    word = [PHASE_ORDERED_LETTERS[pool.pop(c)] for c in lehmer]
+    chain = make_chain(s.lattice, zip(sorted(heights), word))
+    n = len(chain)
+    with mock.patch.object(multidisk, "link", wraps=multidisk.link) as counted, \
+            mock.patch.object(multidisk, "multilink_forest") as per_forest:
+        fast = _outcome(multilink_total, chain, z, surface)
+    assert counted.call_count <= n * (n - 1) // 2
+    per_forest.assert_not_called()
+
+    def oracle():
+        return sum(
+            multilink_forest(chain, f, z, surface)
+            for f in enumerate_forests(chain.to_monomial())
+        )
+
+    assert fast == _outcome(oracle)
 
 
 # -- crossing rewrite ----------------------------------------------------------

@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wallcross.algebra import BracketMode
 from wallcross.errors import ValidationError
@@ -189,3 +191,87 @@ def test_comments_and_blank_lines_ignored():
         "[sector]", "# about to open the sector\n[sector]"
     )
     assert parse_scenario(noisy) == parse_scenario(MINIMAL)
+
+
+# -- round trip on generated scenarios ----------------------------------------
+
+_ints = st.integers(-2, 2)
+_rationals = st.fractions(-3, 3, max_denominator=4)
+
+
+def _text_row(values) -> str:
+    return " ".join(str(x) for x in values)
+
+
+def _text_matrix(rows) -> str:
+    return " ; ".join(_text_row(r) for r in rows)
+
+
+@st.composite
+def _scenario_texts(draw):
+    """Scenario text from small random parts; most of it parses."""
+    rank = draw(st.integers(1, 3))
+    genus = draw(st.integers(1, 2))
+    dim = 2 * genus
+
+    def matrix(entries, rows, cols):
+        return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+    out = ["[lattice]", f"rank = {rank}", f"boundary = {_text_matrix(matrix(_ints, dim, rank))}"]
+    out += ["[surface]", f"genus = {genus}"]
+    if draw(st.booleans()):
+        skew = [[0] * dim for _ in range(dim)]
+        for i, j in itertools.combinations(range(dim), 2):
+            skew[i][j] = draw(_ints)
+            skew[j][i] = -skew[i][j]
+        out.append(f"intersection = {_text_matrix(skew)}")
+    out += ["[central_charge]", f"matrix = {_text_matrix(matrix(_rationals, 2, rank))}"]
+    out += [
+        f"keyframe = {_text_matrix(matrix(_rationals, 2, rank))}"
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    # a negative definite form passes the kernel check for every Z
+    scale = draw(st.integers(1, 3))
+    q = [[-scale if i == j else 0 for j in range(rank)] for i in range(rank)]
+    out += ["[quadratic_form]", f"matrix = {_text_matrix(q)}"]
+    a, b, c, d = (draw(st.integers(1, 3)) for _ in range(4))
+    out += ["[sector]", f"start = {-a} {b}", f"end = {c} {d}"]
+    covector = (draw(st.sampled_from((0, 1, -1, Fraction(1, 2)))), draw(st.integers(1, 3)))
+    out += [
+        "[truncation]",
+        f"covector = {_text_row(covector)}",
+        f"cutoff = {draw(st.fractions(0, 5, max_denominator=3))}",
+        f"scan_box = {draw(st.integers(1, 5))}",
+    ]
+    out += ["[mode]", f"value = {draw(st.sampled_from(('plain', 'twisted')))}"]
+    out += ["[spectrum]"]
+    weights = draw(st.dictionaries(st.tuples(*[_ints] * rank), _rationals, max_size=4))
+    out += [f"entry = {_text_row(ch)} : {w}" for ch, w in weights.items()]
+    if draw(st.booleans()):
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
+        out += ["[refinement]", f"signs = {_text_row(signs)}"]
+    chains = []
+    for _ in range(draw(st.integers(0, 2))):
+        heights = draw(
+            st.lists(
+                st.fractions(0, 1, max_denominator=12).filter(lambda t: 0 < t < 1),
+                min_size=1, max_size=3, unique=True,
+            )
+        )
+        items = (f"{t} : {_text_row(draw(st.tuples(*[_ints] * rank)))}" for t in heights)
+        chains.append("chain = " + " , ".join(items))
+    if chains:
+        out += ["[chains]"] + chains
+    return "\n".join(out) + "\n"
+
+
+@settings(max_examples=40)
+@given(_scenario_texts())
+def test_format_round_trips_on_generated_scenarios(text):
+    try:
+        sc = parse_scenario(text)
+    except ValidationError:
+        assume(False)
+    printed = format_scenario(sc)
+    assert parse_scenario(printed) == sc
+    assert format_scenario(parse_scenario(printed)) == printed
