@@ -9,6 +9,10 @@ brings every word to normal form.  Rewriting preserves the total charge of
 a word, so truncation only ever drops whole words: a word survives exactly
 when its total height stays within the cutoff.
 
+The stack rewrite `_normalize_into` drives `normal_form(strategy=...)`,
+`from_terms` and `multiply`, and is the oracle for `convert`, which inserts
+each word's letters right to left into a normal word u, memoizing e_a u.
+
 Clockwise-ordered ray products concatenate words that are already sorted,
 which is what makes factorization of a sector product exact and unique.
 
@@ -424,18 +428,43 @@ class PbwAlgebra:
         """Re-express an element of a compatible algebra in this basis.
 
         The source must share the lattice, member set and bracket mode; only
-        the generator order (that is, the central charge) may differ.
+        the generator order (that is, the central charge) may differ.  A word
+        over the cutoff is dropped up front; the others insert their letters
+        right to left by `_insert`, with int coefficients memoized for this
+        call, and scale by the word's coefficient once.
         """
         src = element.algebra
         # (boundary, intersection, mode) and the members in coordinate order
         if src.signature[:3] != self.signature[:3] or src._chamber[0] != self._chamber[0]:
             raise ValidationError("elements can only be converted between algebras "
                                   "sharing lattice, members and mode")
-        out: dict[tuple[int, ...], Fraction] = {}
+        memo: dict = {}
+        parts = []
         for w, c in element._terms.items():
             idxs = tuple(self.order.index[src.order.charges[i]] for i in w)
-            self._normalize_into(out, idxs, c)
-        return AlgebraElement(self, out)
+            if self._word_height(idxs) > self._cutoff:
+                continue
+            normal = {(): 1}
+            for a in reversed(idxs):
+                normal = _collect((self._insert(a, u, memo), k) for u, k in normal.items())
+            parts.append((normal, c))
+        return AlgebraElement(self, _collect(parts))
+
+    def _insert(self, a: int, u: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], int]:
+        """Normal form of e_a u for a normal word u: (a,) + u when a comes
+        first, else e_a e_b -> e_b e_a + c(a, b) e_{a+b} on b = u[0]."""
+        if not u or a <= u[0]:
+            return {(a,) + u: 1}
+        got = memo.get((a, u))
+        if got is None:
+            b, rest = u[0], u[1:]
+            parts = [(self._insert(b, v, memo), k) for v, k in self._insert(a, rest, memo).items()]
+            if k := self._cstr[a][b]:
+                if self._merge[a][b] is None:
+                    raise ValidationError("merged letter left the truncated cone during rewriting")
+                parts.append((self._insert(self._merge[a][b], rest, memo), k))
+            got = memo[a, u] = _collect(parts)
+        return got
 
     def with_mode(self, mode: BracketMode | str) -> "PbwAlgebra":
         return copy.copy(self)._ordered_by(self.z, mode)
@@ -456,6 +485,15 @@ def _check_members(lattice, z, sector, trunc, members) -> None:
     for ch in members:
         if not isinstance(ch, Charge) or len(ch) != lattice.rank or height(ch.coords) is None:
             raise ValidationError(f"member {ch!r} is not a charge in the truncated sector")
+
+
+def _collect(parts) -> dict:
+    """Sum of k * terms over (terms, k) pairs, zeros dropped."""
+    out: dict = {}
+    for terms, k in parts:
+        for w, c in terms.items():
+            out[w] = out.get(w, 0) + k * c
+    return {w: c for w, c in out.items() if c}
 
 
 def _multiset_count(heights: list[int], cap: int) -> int:

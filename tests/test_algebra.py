@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_setup
 from wallcross.algebra import AlgebraElement, BracketMode, PbwAlgebra, Spectrum
+from wallcross.engine import VariationPath
 from wallcross.errors import (
     FirstTypeWallError,
     ReconstructionError,
@@ -735,6 +736,69 @@ def test_convert_requires_matching_members():
     dst = make_algebra(cutoff=3)
     with pytest.raises(ValidationError, match="convert"):
         dst.convert(src.one())
+
+
+@functools.cache
+def convert_path(kind: str, mode: str) -> tuple[PbwAlgebra, VariationPath]:
+    """An algebra and a path of central charges to re-sort copies of it by:
+    crossing.scn at cutoff 6 along its keyframes; that cone without its
+    diagonal, so some merges leave the members; make_algebra at cutoff 4."""
+    if kind == "small":
+        alg = make_algebra(cutoff=4, mode=mode)
+        return alg, VariationPath((alg.z, CentralCharge(((-1, 1), (1, 1)))))
+    sc = crossing_scenario()
+    alg = certificate_algebra("crossing", mode)
+    if kind == "sparse":
+        members = tuple(ch for ch in alg.members if ch.coords[0] != ch.coords[1])
+        alg = PbwAlgebra(sc.lattice, alg.z, sc.q, sc.sector, alg.trunc, mode, members)
+    return alg, VariationPath(sc.path_keyframes())
+
+
+def normalized_convert(dst: PbwAlgebra, element: AlgebraElement) -> AlgebraElement:
+    """Reference conversion: each source word through the stack rewrite."""
+    src = element.algebra
+    out: dict = {}
+    for w, c in element._terms.items():
+        dst._normalize_into(out, tuple(dst.order.index[src.order.charges[i]] for i in w), c)
+    return AlgebraElement(dst, out)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_convert_matches_stack_rewrite(data):
+    alg, path = convert_path(
+        data.draw(st.sampled_from(("crossing", "sparse", "small"))),
+        data.draw(st.sampled_from(("plain", "twisted"))),
+    )
+    when = st.one_of(st.sampled_from((0, 1)), st.fractions(0, 1, max_denominator=12))
+    src, dst = (copy.copy(alg)._ordered_by(path.z_at(data.draw(when)), alg.mode)
+                for _ in range(2))
+    # letters up to a drawn height, so that not every long word is over the cutoff
+    top = data.draw(st.sampled_from((1, 2, alg.trunc.cutoff)))
+    letters = [i for i, h in enumerate(src._heights) if h <= top]
+    words = data.draw(st.lists(st.lists(st.sampled_from(letters), min_size=1, max_size=5),
+                               min_size=1, max_size=4))
+    element = AlgebraElement(src, {
+        tuple(sorted(w)): Fraction(data.draw(st.sampled_from((-3, -1, 1, 2))),
+                                   data.draw(st.integers(1, 4)))
+        for w in words
+    })
+    assert outcome(PbwAlgebra.convert, dst, element) == outcome(normalized_convert, dst, element)
+
+
+def test_convert_does_not_use_the_stack_rewrite(monkeypatch):
+    alg, path = convert_path("crossing", "twisted")
+    rng = random.Random(59)
+    elements = [alg.ray_product(random_spectrum(rng, alg.members[:12])) for _ in range(3)]
+    calls = []
+    original = PbwAlgebra._normalize_into
+    monkeypatch.setattr(PbwAlgebra, "_normalize_into",
+                        lambda *args: calls.append(1) or original(*args))
+    for t in (Fraction(1, 3), 1):
+        dst = copy.copy(alg)._ordered_by(path.z_at(t), alg.mode)
+        for element in elements:
+            assert not dst.convert(element).is_zero()
+    assert calls == []
 
 
 def test_elements_compare_across_equal_algebras():

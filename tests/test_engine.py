@@ -700,20 +700,21 @@ def test_engine_sector_splitting():
 # -- known answers: pentagon and Kronecker wall crossing -----------------------
 
 
-def kronecker_transport(m: int, mode: str) -> tuple[dict, dict]:
+def kronecker_transport(m: int, mode: str, cutoff: int = 8) -> tuple[dict, dict]:
     """Transport a(n g_i) = -1/n^2 along crossing.scn's path with <g1, g2> = m
-    (cutoff 8, 62 members); returns the input and the output as dicts."""
+    (cutoff 8: 62 members, cutoff 10: 95); returns the input and the output
+    as dicts."""
     text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text()
     sc = parse_scenario(text)
     lattice = ChargeLattice(2, ((m, 0), (0, 1)), sc.lattice.surface)
-    trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(8), scan_box=9)
-    before = {(n, 0): Fraction(-1, n * n) for n in range(1, 9)}
-    before.update({(0, n): Fraction(-1, n * n) for n in range(1, 9)})
+    trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(cutoff), scan_box=cutoff + 1)
+    before = {(n, 0): Fraction(-1, n * n) for n in range(1, cutoff + 1)}
+    before.update({(0, n): Fraction(-1, n * n) for n in range(1, cutoff + 1)})
     struct = StabilityStructure(
         lattice, sc.z, sc.q, sc.sector, trunc, Spectrum({Charge(c): a for c, a in before.items()}),
         mode,
     )
-    assert len(struct.members) == 62
+    assert len(struct.members) == {8: 62, 10: 95}[cutoff]
     after = transport_spectrum(struct, sc.path_keyframes()[-1])
     return before, {ch.coords: a for ch, a in after.items()}
 
@@ -739,11 +740,26 @@ def test_kronecker_m2_transport(mode):
     assert ray_invariants(after) == expected
 
 
-def test_kronecker_m3_transport():
-    before, after = kronecker_transport(3, "twisted")
+def kronecker_m3_invariants(cutoff: int) -> dict:
+    """Omega of the twisted m = 3 transport, checked to keep the input and
+    to be integral and symmetric under (p, q) -> (q, p)."""
+    before, after = kronecker_transport(3, "twisted", cutoff)
     assert {c: after[c] for c in before} == before
     omega = ray_invariants(after)
     assert all(v.denominator == 1 for v in omega.values())
     assert all(omega.get((q, p)) == v for (p, q), v in omega.items())
+    return omega
+
+
+def test_kronecker_m3_transport():
+    omega = kronecker_m3_invariants(8)
     assert [omega[k, k] for k in range(1, 5)] == [3, -6, 18, -84]
     assert [omega[k, k + 1] for k in range(1, 4)] == [3, 13, 68]
+
+
+def test_kronecker_m3_transport_at_cutoff_10():
+    # the height of (p, q) is p + q along the whole path
+    omega = kronecker_m3_invariants(10)
+    assert {c: v for c, v in omega.items() if sum(c) <= 8} == kronecker_m3_invariants(8)
+    assert [omega[k, k] for k in range(1, 6)] == [3, -6, 18, -84, 465]
+    assert [omega[k, k + 1] for k in range(1, 5)] == [3, 13, 68, 399]
