@@ -14,7 +14,8 @@ The stack rewrite `_normalize_into` drives `normal_form(strategy=...)`,
 each word's letters right to left into a normal word u, memoizing e_a u.
 
 Clockwise-ordered ray products concatenate words that are already sorted,
-which is what makes factorization of a sector product exact and unique.
+which is what makes factorization of a sector product exact and unique:
+`factorize` certifies an element by equality with its closed form.
 
 The central charge sets only the generator order: the tables of c(a, b)
 and a + b depend on the lattice, the members and (for the sign) the mode.
@@ -361,12 +362,9 @@ class PbwAlgebra:
 
         In a clockwise-ordered product every concatenation is already
         sorted, so no rewriting occurs and the coefficient of each
-        single-letter word is exactly that charge's ray weight.  Letters on
-        one ray commute, so the product has a closed form: one weakly
-        increasing word per multiset of support letters within the cutoff,
-        with coefficient the product of a^k / k! over its letters (a the
-        letter's weight, k its multiplicity).  The element is certified
-        against that form word by word, without building the product.
+        single-letter word is exactly that charge's ray weight.  The element
+        must then equal the closed form of `_sector_terms` for the weights
+        read off, which is the ray product without building it.
         """
         self._require_same(element)
         if element.coefficient(()) != 1:
@@ -377,52 +375,36 @@ class PbwAlgebra:
             if c:
                 values[ch] = c
         spectrum = Spectrum(values)
-        self._ray_groups(spectrum)  # ray_product's support and wall checks
-        if not self._is_ray_product(element._terms, spectrum):
+        groups = self._ray_groups(spectrum)
+        if element._terms != self._sector_terms(groups, spectrum):
             raise ReconstructionError(
                 "element is not a clockwise sector product over the truncated cone"
             )
         return spectrum
 
-    def _is_ray_product(self, terms: dict, spectrum: Spectrum) -> bool:
-        """True when terms are exactly the closed-form ray product of the
-        spectrum.  Every word must be weakly increasing, use support letters
-        only, stay within the cutoff and carry its multiset coefficient; as
-        distinct words are distinct multisets, there must then be as many
-        words as multisets."""
-        weights = {self.order.index[ch]: a for ch, a in spectrum.items()}
-        *scaled, cap = _integer_rows([[self._heights[i] for i in weights] + [self._cutoff]])[0]
-        if len(terms) != _multiset_count(scaled, cap):
-            return False
-        heights = dict(zip(weights, scaled))
-        powers = {}  # letter -> [a^k / k! for k up to the cutoff]
-        for i, a in weights.items():
-            table = [Fraction(1)]
-            for k in range(1, cap // heights[i] + 1):
-                table.append(table[-1] * a / k)
-            powers[i] = table
-        for word, coeff in terms.items():
-            if not isinstance(word, tuple):
-                return False
-            expected, total, prev, run = Fraction(1), 0, -1, 0
-            for i in word:
-                h = heights.get(i)
-                if h is None or i < prev:
-                    return False
-                total += h
-                if total > cap:
-                    return False
-                if i == prev:
-                    run += 1
-                    continue
-                if run:
-                    expected *= powers[prev][run]
-                prev, run = i, 1
-            if run:
-                expected *= powers[prev][run]
-            if coeff != expected:
-                return False
-        return True
+    def _sector_terms(self, groups: list[list[Charge]], spectrum: Spectrum) -> dict:
+        """The terms of ray_product(spectrum), groups being its ray groups.
+
+        Letters on one ray commute and the rays come in generator order, so
+        the product has one weakly increasing word per multiset of support
+        letters within the cutoff, with coefficient the product of a^k / k!
+        over its letters (a the letter's weight, k its multiplicity).  The
+        words grow letter by letter in generator order, on integer heights.
+        """
+        letters = [self.order.index[ch] for group in groups for ch in group]
+        *heights, cap = _integer_rows([[self._heights[i] for i in letters] + [self._cutoff]])[0]
+        words = [((), Fraction(1), 0)]  # (word, coefficient, height)
+        for i, h in zip(letters, heights):
+            a = spectrum.coefficient(self.order.charges[i])
+            grown = []
+            for word, c, total in words:
+                k = 1
+                while total + k * h <= cap:
+                    c = c * a / k
+                    grown.append((word + (i,) * k, c, total + k * h))
+                    k += 1
+            words += grown
+        return {word: c for word, c, _ in words}
 
     def convert(self, element: "AlgebraElement") -> "AlgebraElement":
         """Re-express an element of a compatible algebra in this basis.
@@ -494,21 +476,6 @@ def _collect(parts) -> dict:
         for w, c in terms.items():
             out[w] = out.get(w, 0) + k * c
     return {w: c for w, c in out.items() if c}
-
-
-def _multiset_count(heights: list[int], cap: int) -> int:
-    """Number of multisets of letters with these positive integer heights
-    whose total height is at most cap, the empty multiset included."""
-    ways = {0: 1}  # total height -> multisets of the letters so far
-    for h in heights:
-        step = dict(ways)
-        for total, n in ways.items():
-            total += h
-            while total <= cap:
-                step[total] = step.get(total, 0) + n
-                total += h
-        ways = step
-    return sum(ways.values())
 
 
 class AlgebraElement:

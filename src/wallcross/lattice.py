@@ -103,7 +103,10 @@ def _freeze_int_matrix(rows) -> tuple[tuple[int, ...], ...]:
 def _exact(x) -> Fraction:
     if isinstance(x, float):  # a binary fraction, not the rational meant
         raise ValidationError(f"exact rational expected, got float {x!r}")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        raise ValidationError(f"exact rational expected, got {x!r}") from None
 
 
 def _freeze_fraction_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:

@@ -478,6 +478,29 @@ def test_factorize_certificate_matches_remultiplication(data):
     )
 
 
+@settings(max_examples=60)
+@given(data=st.data())
+def test_sector_terms_match_ray_product(data):
+    alg = certificate_algebra(
+        data.draw(st.sampled_from(("small", "crossing"))),
+        data.draw(st.sampled_from(("plain", "twisted"))),
+    )
+    kind = data.draw(st.sampled_from(("empty", "parallel", "random")))
+    letters = []
+    if kind != "empty":
+        letters = data.draw(st.lists(st.sampled_from(alg.members), unique=True, max_size=3))
+    if kind == "parallel":
+        # a charge and its double: two letters on one ray
+        doubled = [ch for ch in alg.members if 2 * ch in alg.order.index]
+        base = data.draw(st.sampled_from(doubled))
+        letters += [base, 2 * base]
+    spectrum = Spectrum({
+        ch: Fraction(data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3))), data.draw(st.integers(1, 3)))
+        for ch in letters
+    })
+    assert alg._sector_terms(alg._ray_groups(spectrum), spectrum) == alg.ray_product(spectrum)._terms
+
+
 def test_factorize_certificate_reports_first_type_walls():
     alg = make_algebra(z_rows=((1, 1), (1, 1)), q_rows=((1, 2), (2, 1)))
     g1, g2 = alg.order.position(_ch(1, 0)), alg.order.position(_ch(0, 1))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -399,27 +400,27 @@ def _chain():
     return make_chain(build_setup().lattice, [(Fraction(1, 3), (1, 0))])
 
 
-@pytest.mark.parametrize(
+SCALAR_ENTRY_POINTS = pytest.mark.parametrize(
     "build",
     [
-        lambda: CentralCharge(((0.5, 1), (1, 1))),
-        lambda: QuadraticForm(((1, 0.1), (0.1, 1))),
-        lambda: Sector((-1, 1), (1.0, 1)),
-        lambda: TruncationSet((0.25, 1), 2, 4),
-        lambda: TruncationSet((0, 1), 2.5, 4),
-        lambda: _algebra().one() * 0.1,
-        lambda: _algebra().normal_form((_ch(1, 0),), 0.5),
-        lambda: _algebra().from_terms({(_ch(1, 0),): 0.5}),
-        lambda: _constant_walk(lambda path, struct: path.z_at(0.5)),
-        lambda: _constant_walk(
-            lambda path, struct: detect_walls(path, struct.members, struct.sector, 0.01)
+        lambda x: CentralCharge(((x, 1), (1, 1))),
+        lambda x: QuadraticForm(((1, x), (x, 1))),
+        lambda x: Sector((-1, 1), (x, 1)),
+        lambda x: TruncationSet((x, 1), 2, 4),
+        lambda x: TruncationSet((0, 1), x, 4),
+        lambda x: _algebra().one() * x,
+        lambda x: _algebra().normal_form((_ch(1, 0),), x),
+        lambda x: _algebra().from_terms({(_ch(1, 0),): x}),
+        lambda x: _constant_walk(lambda path, struct: path.z_at(x)),
+        lambda x: _constant_walk(
+            lambda path, struct: detect_walls(path, struct.members, struct.sector, x)
         ),
-        lambda: _constant_walk(lambda path, struct: check_variation(path, struct, 0.01)),
-        lambda: ChainVertex(0.5, _ch(1, 0), (1, 0)),
-        lambda: make_chain(build_setup().lattice, [(0.5, (1, 0))]),
-        lambda: ChainCombination({_chain(): 0.5}),
-        lambda: ChainCombination.from_chain(_chain(), 0.5),
-        lambda: 0.5 * ChainCombination.from_chain(_chain()),
+        lambda x: _constant_walk(lambda path, struct: check_variation(path, struct, x)),
+        lambda x: ChainVertex(x, _ch(1, 0), (1, 0)),
+        lambda x: make_chain(build_setup().lattice, [(x, (1, 0))]),
+        lambda x: ChainCombination({_chain(): x}),
+        lambda x: ChainCombination.from_chain(_chain(), x),
+        lambda x: x * ChainCombination.from_chain(_chain()),
     ],
     ids=[
         "central_charge", "quadratic_form", "sector", "covector", "cutoff",
@@ -428,9 +429,20 @@ def _chain():
         "make_chain", "combination", "from_chain", "combination_scalar",
     ],
 )
+
+
+@SCALAR_ENTRY_POINTS
 def test_floats_rejected(build):
     with pytest.raises(ValidationError, match="float"):
-        build()
+        build(0.5)
+
+
+@SCALAR_ENTRY_POINTS
+@pytest.mark.parametrize("value", ["abc", "1/0", None, Decimal("NaN"), Decimal("Infinity")],
+                         ids=["text", "zero_denominator", "none", "nan", "infinity"])
+def test_non_numeric_scalars_rejected(build, value):
+    with pytest.raises(ValidationError, match="exact rational expected"):
+        build(value)
 
 
 def test_bool_charge_coordinate_rejected():
