@@ -364,34 +364,31 @@ class PbwAlgebra:
         sorted, so no rewriting occurs and the coefficient of each
         single-letter word is exactly that charge's ray weight.  The element
         must then equal the closed form of `_sector_terms` for the weights
-        read off, which is the ray product without building it.
+        read off, which is the ray product without building it; a
+        non-product is rejected once the closed form outgrows its terms.
         """
         self._require_same(element)
         if element.coefficient(()) != 1:
             raise ValidationError("factorization requires constant term 1")
-        values: dict[Charge, Fraction] = {}
-        for i, ch in enumerate(self.order.charges):
-            c = element._terms.get((i,))
-            if c:
-                values[ch] = c
-        spectrum = Spectrum(values)
-        groups = self._ray_groups(spectrum)
-        if element._terms != self._sector_terms(groups, spectrum):
+        letters = enumerate(self.order.charges)
+        spectrum = Spectrum({ch: element._terms.get((i,), 0) for i, ch in letters})
+        if element._terms != self._sector_terms(spectrum, len(element._terms)):
             raise ReconstructionError(
                 "element is not a clockwise sector product over the truncated cone"
             )
         return spectrum
 
-    def _sector_terms(self, groups: list[list[Charge]], spectrum: Spectrum) -> dict:
-        """The terms of ray_product(spectrum), groups being its ray groups.
+    def _sector_terms(self, spectrum: Spectrum, limit: float) -> dict | None:
+        """The terms of ray_product(spectrum), with its support and wall checks.
 
         Letters on one ray commute and the rays come in generator order, so
         the product has one weakly increasing word per multiset of support
         letters within the cutoff, with coefficient the product of a^k / k!
         over its letters (a the letter's weight, k its multiplicity).  The
-        words grow letter by letter in generator order, on integer heights.
+        words grow letter by letter in generator order, on integer heights;
+        None as soon as a letter grows them past limit.
         """
-        letters = [self.order.index[ch] for group in groups for ch in group]
+        letters = [self.order.index[ch] for group in self._ray_groups(spectrum) for ch in group]
         *heights, cap = _integer_rows([[self._heights[i] for i in letters] + [self._cutoff]])[0]
         words = [((), Fraction(1), 0)]  # (word, coefficient, height)
         for i, h in zip(letters, heights):
@@ -404,6 +401,8 @@ class PbwAlgebra:
                     grown.append((word + (i,) * k, c, total + k * h))
                     k += 1
             words += grown
+            if len(words) > limit:
+                return None
         return {word: c for word, c, _ in words}
 
     def convert(self, element: "AlgebraElement") -> "AlgebraElement":

@@ -498,7 +498,12 @@ def test_sector_terms_match_ray_product(data):
         ch: Fraction(data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3))), data.draw(st.integers(1, 3)))
         for ch in letters
     })
-    assert alg._sector_terms(alg._ray_groups(spectrum), spectrum) == alg.ray_product(spectrum)._terms
+    expected = alg.ray_product(spectrum)._terms
+    assert alg._sector_terms(spectrum, math.inf) == expected
+    # the same terms up to the limit, and None once a letter grows them past it
+    assert alg._sector_terms(spectrum, len(expected)) == expected
+    if spectrum:
+        assert alg._sector_terms(spectrum, len(expected) - 1) is None
 
 
 def test_factorize_certificate_reports_first_type_walls():

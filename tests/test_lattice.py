@@ -400,44 +400,47 @@ def _chain():
     return make_chain(build_setup().lattice, [(Fraction(1, 3), (1, 0))])
 
 
-SCALAR_ENTRY_POINTS = pytest.mark.parametrize(
-    "build",
-    [
-        lambda x: CentralCharge(((x, 1), (1, 1))),
-        lambda x: QuadraticForm(((1, x), (x, 1))),
-        lambda x: Sector((-1, 1), (x, 1)),
-        lambda x: TruncationSet((x, 1), 2, 4),
-        lambda x: TruncationSet((0, 1), x, 4),
-        lambda x: _algebra().one() * x,
-        lambda x: _algebra().normal_form((_ch(1, 0),), x),
-        lambda x: _algebra().from_terms({(_ch(1, 0),): x}),
-        lambda x: _constant_walk(lambda path, struct: path.z_at(x)),
+# (test id, the float each builder used to reject, builder taking the scalar)
+SCALAR_ENTRY_POINTS = [
+    ("central_charge", 0.5, lambda x: CentralCharge(((x, 1), (1, 1)))),
+    ("quadratic_form", 0.1, lambda x: QuadraticForm(((1, x), (x, 1)))),
+    ("sector", 1.0, lambda x: Sector((-1, 1), (x, 1))),
+    ("covector", 0.25, lambda x: TruncationSet((x, 1), 2, 4)),
+    ("cutoff", 2.5, lambda x: TruncationSet((0, 1), x, 4)),
+    ("algebra_scalar", 0.1, lambda x: _algebra().one() * x),
+    ("normal_form", 0.5, lambda x: _algebra().normal_form((_ch(1, 0),), x)),
+    ("from_terms", 0.5, lambda x: _algebra().from_terms({(_ch(1, 0),): x})),
+    ("z_at", 0.5, lambda x: _constant_walk(lambda path, struct: path.z_at(x))),
+    (
+        "detect_walls_tolerance",
+        0.01,
         lambda x: _constant_walk(
             lambda path, struct: detect_walls(path, struct.members, struct.sector, x)
         ),
+    ),
+    (
+        "check_variation_tolerance",
+        0.01,
         lambda x: _constant_walk(lambda path, struct: check_variation(path, struct, x)),
-        lambda x: ChainVertex(x, _ch(1, 0), (1, 0)),
-        lambda x: make_chain(build_setup().lattice, [(x, (1, 0))]),
-        lambda x: ChainCombination({_chain(): x}),
-        lambda x: ChainCombination.from_chain(_chain(), x),
-        lambda x: x * ChainCombination.from_chain(_chain()),
-    ],
-    ids=[
-        "central_charge", "quadratic_form", "sector", "covector", "cutoff",
-        "algebra_scalar", "normal_form", "from_terms", "z_at",
-        "detect_walls_tolerance", "check_variation_tolerance", "chain_theta",
-        "make_chain", "combination", "from_chain", "combination_scalar",
-    ],
+    ),
+    ("chain_theta", 0.5, lambda x: ChainVertex(x, _ch(1, 0), (1, 0))),
+    ("make_chain", 0.5, lambda x: make_chain(build_setup().lattice, [(x, (1, 0))])),
+    ("combination", 0.5, lambda x: ChainCombination({_chain(): x})),
+    ("from_chain", 0.5, lambda x: ChainCombination.from_chain(_chain(), x)),
+    ("combination_scalar", 0.5, lambda x: x * ChainCombination.from_chain(_chain())),
+]
+_ENTRY_IDS = [name for name, _, _ in SCALAR_ENTRY_POINTS]
+
+
+@pytest.mark.parametrize(
+    "value, build", [(value, build) for _, value, build in SCALAR_ENTRY_POINTS], ids=_ENTRY_IDS
 )
-
-
-@SCALAR_ENTRY_POINTS
-def test_floats_rejected(build):
+def test_floats_rejected(value, build):
     with pytest.raises(ValidationError, match="float"):
-        build(0.5)
+        build(value)
 
 
-@SCALAR_ENTRY_POINTS
+@pytest.mark.parametrize("build", [build for _, _, build in SCALAR_ENTRY_POINTS], ids=_ENTRY_IDS)
 @pytest.mark.parametrize("value", ["abc", "1/0", None, Decimal("NaN"), Decimal("Infinity")],
                          ids=["text", "zero_denominator", "none", "nan", "infinity"])
 def test_non_numeric_scalars_rejected(build, value):
