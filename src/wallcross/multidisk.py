@@ -31,7 +31,7 @@ from .lattice import (
 # -- decorated forests ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecoratedForest:
     """Labeled forest carrying a charge at every vertex.
 
@@ -46,14 +46,11 @@ class DecoratedForest:
     involution: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertex_charges", tuple(self.vertex_charges))
-        object.__setattr__(self, "attach", tuple(int(v) for v in self.attach))
-        object.__setattr__(self, "involution", tuple(int(h) for h in self.involution))
+        object.__setattr__(self, "vertex_charges", _charges(self.vertex_charges))
+        object.__setattr__(self, "attach", _integers(self.attach, "half-edge attachments"))
+        object.__setattr__(self, "involution", _integers(self.involution, "involution entries"))
         n = len(self.vertex_charges)
         half = len(self.attach)
-        for ch in self.vertex_charges:
-            if not isinstance(ch, Charge):
-                raise ValidationError(f"vertex decoration must be a charge, got {ch!r}")
         if len(self.involution) != half:
             raise ValidationError("every half-edge needs an attachment and a partner")
         for i, j in enumerate(self.involution):
@@ -68,6 +65,20 @@ class DecoratedForest:
             raise ValidationError("graph has a cycle; only forests are allowed")
 
     @classmethod
+    def _unchecked(
+        cls,
+        vertex_charges: tuple[Charge, ...],
+        attach: tuple[int, ...],
+        involution: tuple[int, ...],
+    ) -> "DecoratedForest":
+        """A forest from fields the caller has already validated."""
+        forest = object.__new__(cls)
+        object.__setattr__(forest, "vertex_charges", vertex_charges)
+        object.__setattr__(forest, "attach", attach)
+        object.__setattr__(forest, "involution", involution)
+        return forest
+
+    @classmethod
     def from_edge_list(
         cls,
         vertex_charges: Sequence[Charge],
@@ -77,7 +88,7 @@ class DecoratedForest:
         for u, w in edge_list:
             attach.extend((u, w))
         involution = tuple(h ^ 1 for h in range(2 * len(edge_list)))
-        return cls(tuple(vertex_charges), tuple(attach), involution)
+        return cls(vertex_charges, tuple(attach), involution)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as half-edge pairs (h, involution[h]) with h smallest."""
@@ -129,6 +140,34 @@ class DecoratedForest:
         return DecoratedForest(tuple(charges), attach, involution)
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """The entries as a tuple, each an int that is not a bool (as in Charge)."""
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise ValidationError(
+            f"{what} must be a sequence of integers, got {values!r}"
+        ) from None
+    for x in out:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValidationError(f"{what} must be integers, got {x!r}")
+    return out
+
+
+def _charges(values) -> tuple[Charge, ...]:
+    """The vertex decorations as a tuple, each a Charge."""
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise ValidationError(
+            f"vertex decorations must be a sequence of charges, got {values!r}"
+        ) from None
+    for ch in out:
+        if not isinstance(ch, Charge):
+            raise ValidationError(f"vertex decoration must be a charge, got {ch!r}")
+    return out
+
+
 def _acyclic(vertex_count: int, edge_list: Sequence[tuple[int, int]]) -> bool:
     parent = list(range(vertex_count))
 
@@ -149,15 +188,22 @@ def _acyclic(vertex_count: int, edge_list: Sequence[tuple[int, int]]) -> bool:
 def enumerate_forests(
     vertex_charges: Sequence[Charge],
 ) -> tuple[DecoratedForest, ...]:
-    """All forests on the labeled vertex set, by edge count then edge order."""
-    charges = tuple(vertex_charges)
+    """All forests on the labeled vertex set, by edge count then edge order.
+
+    The decorations are checked once; each edge subset is checked for
+    cycles once, and a subset that passes is a valid forest as it stands,
+    so it is built without the constructor's checks."""
+    charges = _charges(vertex_charges)
     n = len(charges)
     candidates = list(itertools.combinations(range(n), 2))
+    build = DecoratedForest._unchecked
+    flatten = itertools.chain.from_iterable
     out = []
     for k in range(n if n else 1):
+        involution = tuple(h ^ 1 for h in range(2 * k))
         for subset in itertools.combinations(candidates, k):
             if _acyclic(n, subset):
-                out.append(DecoratedForest.from_edge_list(charges, subset))
+                out.append(build(charges, tuple(flatten(subset)), involution))
     return tuple(out)
 
 
@@ -172,7 +218,7 @@ class ChainVertex:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", _exact(self.theta))
-        object.__setattr__(self, "boundary", tuple(int(x) for x in self.boundary))
+        object.__setattr__(self, "boundary", _integers(self.boundary, "boundary entries"))
         if not 0 < self.theta < 1:
             raise ValidationError("chain heights live strictly between 0 and 1")
         if not isinstance(self.charge, Charge):
@@ -318,8 +364,8 @@ def multilink_total(
     links = {(i, j): link(verts[i], verts[j], z, surface) for i, j in pairs}
     by_count = [0] * (len(verts) + 1)
     for forest in enumerate_forests(chain.to_monomial()):
-        edges = forest.edge_vertices()
-        by_count[len(edges)] += prod(links[e] for e in edges)
+        ends = forest.attach  # enumerate_forests glues half-edges 2i and 2i + 1
+        by_count[len(ends) // 2] += prod(links[e] for e in zip(ends[::2], ends[1::2]))
     return sum(Fraction(s, factorial(k)) for k, s in enumerate(by_count))
 
 

@@ -69,9 +69,9 @@ def ref_forest_count(n):
     return total
 
 
-# Frozen counts: labeled forests on n vertices and, for comparison,
-# the closed-form spanning tree count n^(n-2).
-FOREST_COUNTS = {1: 1, 2: 2, 3: 7, 4: 38, 5: 291}
+# Frozen counts of labeled forests on n = 0, 1, ..., 6 vertices (the empty
+# vertex set has the one empty forest).
+FOREST_COUNTS = (1, 1, 2, 7, 38, 291, 2932)
 
 
 # -- forests -----------------------------------------------------------------
@@ -158,10 +158,87 @@ def test_contraction_keeps_stability():
 
 
 def test_enumerate_forest_counts():
-    for n, expected in FOREST_COUNTS.items():
+    for n, expected in enumerate(FOREST_COUNTS[:6]):
         forests = enumerate_forests((G1,) * n)
         assert len(forests) == expected
-        assert ref_forest_count(n) == expected
+        if n:
+            assert ref_forest_count(n) == expected
+
+
+def checked_forests(charges):
+    """Every forest built through the public, fully checked constructor."""
+    n = len(charges)
+    candidates = list(itertools.combinations(range(n), 2))
+    return [
+        DecoratedForest.from_edge_list(charges, subset)
+        for k in range(n if n else 1)
+        for subset in itertools.combinations(candidates, k)
+        if multidisk._acyclic(n, subset)
+    ]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_enumerate_forests_matches_checked_constructor(n):
+    charges = tuple((G1, G2, G2)[i % 3] for i in range(n))
+    forests = enumerate_forests(charges)
+    assert len(forests) == FOREST_COUNTS[n]
+    assert list(forests) == checked_forests(charges)
+    for f in forests:
+        assert f == DecoratedForest(f.vertex_charges, f.attach, f.involution)
+
+
+def test_enumerate_forests_checks_each_subset_once():
+    charges = (G1, G2) * 3
+    built = []
+    checked_init = DecoratedForest.__post_init__
+
+    def counted_init(self):
+        built.append(self)
+        checked_init(self)
+
+    with mock.patch.object(multidisk, "_acyclic", wraps=multidisk._acyclic) as acyclic, \
+            mock.patch.object(DecoratedForest, "__post_init__", counted_init):
+        forests = enumerate_forests(charges)
+        assert acyclic.call_count == 4944  # sum of C(15, k) for k < 6
+        assert built == []
+        DecoratedForest.from_edge_list(charges, [(0, 1)])
+    assert len(forests) == 2932
+    assert len(built) == 1  # the patch does see the public constructor
+
+
+def test_enumerate_forests_rejects_non_charge_up_front():
+    with mock.patch.object(multidisk, "_acyclic", wraps=multidisk._acyclic) as acyclic:
+        with pytest.raises(ValidationError) as err:
+            enumerate_forests((G1, (1, 0), G2))
+    assert str(err.value) == "vertex decoration must be a charge, got (1, 0)"
+    acyclic.assert_not_called()
+
+
+@pytest.mark.parametrize(
+    "bad", [1.7, True, None, Fraction(1), "1"], ids=["float", "bool", "none", "fraction", "text"]
+)
+def test_forest_and_boundary_entries_must_be_ints(bad):
+    with pytest.raises(ValidationError, match="half-edge attachments must be integers"):
+        DecoratedForest((G1, G2), (0, bad), (1, 0))
+    with pytest.raises(ValidationError, match="involution entries must be integers"):
+        DecoratedForest((G1, G2), (0, 1), (bad, 0))
+    with pytest.raises(ValidationError, match="boundary entries must be integers"):
+        ChainVertex(Fraction(1, 2), G1, (bad, 0))
+
+
+def test_forest_and_boundary_fields_must_be_sequences():
+    with pytest.raises(ValidationError, match="vertex decorations must be a sequence"):
+        DecoratedForest(None, (), ())
+    with pytest.raises(ValidationError, match="vertex decorations must be a sequence"):
+        DecoratedForest.from_edge_list(None, [])
+    with pytest.raises(ValidationError, match="vertex decorations must be a sequence"):
+        enumerate_forests(None)
+    with pytest.raises(ValidationError, match="half-edge attachments must be a sequence"):
+        DecoratedForest((G1,), None, ())
+    with pytest.raises(ValidationError, match="involution entries must be a sequence"):
+        DecoratedForest((G1,), (), 3)
+    with pytest.raises(ValidationError, match="boundary entries must be a sequence"):
+        ChainVertex(Fraction(1, 2), G1, None)
 
 
 def test_enumerate_spanning_tree_counts():
