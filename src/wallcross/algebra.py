@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -127,6 +128,33 @@ class Spectrum:
         return f"Spectrum({{{inner}}})"
 
 
+class _Chamber:
+    """Members in coordinate order and, built on the first rewrite, their
+    plain pairing image(a)^T I image(b) and sum index (n: a sum outside them)."""
+
+    def __init__(self, lattice: ChargeLattice, members: tuple[Charge, ...]):
+        self.lattice, self.charges = lattice, sorted(set(members), key=lambda ch: ch.coords)
+
+    @functools.cached_property
+    def tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        charges, n = self.charges, len(self.charges)
+        images = [self.lattice.boundary_of(ch) for ch in charges]
+        columns = tuple(zip(*self.lattice.surface.intersection))
+        rows = [[_dot(x, col) for col in columns] for x in images]
+        index = {ch.coords: i for i, ch in enumerate(charges)}
+        pairing = [[0] * n for _ in range(n)]
+        merge = [[n] * n for _ in range(n)]
+        for i, a in enumerate(charges):  # each unordered pair once: the pairing is skew
+            merge[i][i] = index.get(tuple(2 * x for x in a.coords), n)
+            for j in range(i + 1, n):
+                p = _dot(rows[i], images[j])
+                pairing[i][j], pairing[j][i] = p, -p
+                merge[i][j] = merge[j][i] = index.get(
+                    tuple(map(operator.add, a.coords, charges[j].coords)), n
+                )
+        return pairing, merge
+
+
 class PbwAlgebra:
     """Enveloping algebra truncated to words with total height <= cutoff.
 
@@ -154,33 +182,13 @@ class PbwAlgebra:
             _check_members(lattice, z, sector, trunc, members)
         self.members = tuple(members)
         self._cutoff = trunc.cutoff
-        # the chamber: plain pairing image(a)^T I image(b) and sum index of
-        # each member pair in coordinate order, each unordered pair filled
-        # once (the pairing is skew); n marks a sum outside the members
-        charges = sorted(set(self.members), key=lambda ch: ch.coords)
-        n = len(charges)
-        images = [lattice.boundary_of(ch) for ch in charges]
-        columns = tuple(zip(*lattice.surface.intersection))
-        rows = [[_dot(x, col) for col in columns] for x in images]
-        index = {ch.coords: i for i, ch in enumerate(charges)}
-        pairing = [[0] * n for _ in range(n)]
-        merge = [[n] * n for _ in range(n)]
-        for i, a in enumerate(charges):
-            merge[i][i] = index.get(tuple(2 * x for x in a.coords), n)
-            for j in range(i + 1, n):
-                p = _dot(rows[i], images[j])
-                pairing[i][j], pairing[j][i] = p, -p
-                merge[i][j] = merge[j][i] = index.get(
-                    tuple(map(operator.add, a.coords, charges[j].coords)), n
-                )
-        self._chamber = (charges, pairing, merge)
+        self._chamber = _Chamber(lattice, self.members)
         self._ordered_by(z, mode)
 
     def _ordered_by(self, z: CentralCharge, mode: BracketMode | str) -> "PbwAlgebra":
-        """Sort the chamber's members by z and permute its tables into that
-        order, flipping odd pairings in twisted mode; returns self."""
+        """Sort the chamber's members by z; returns self."""
         self.z, self.mode = z, BracketMode.coerce(mode)
-        charges, pairing, merge = self._chamber
+        charges = self._chamber.charges
         zx, zy = _integer_rows(z.matrix)
         (c0, c1), = _integer_rows([self.trunc.covector])
         zvals = [(_dot(zx, ch.coords), _dot(zy, ch.coords)) for ch in charges]
@@ -195,15 +203,26 @@ class PbwAlgebra:
         self._zvals = [zvals[i] for i in perm]
         hrow = [self.trunc.height(col) for col in zip(*z.matrix)]
         self._heights = [_dot(hrow, ch.coords) for ch in self.order.charges]
-        # chamber index -> order position (perm inverted), and n -> None
-        position = sorted(range(len(perm)), key=perm.__getitem__) + [None]
-        odd = int(self.mode is BracketMode.TWISTED)  # p & odd: p is odd, in twisted mode
-        self._cstr = [[-p if p & odd else p for p in map(pairing[i].__getitem__, perm)]
-                      for i in perm]
-        self._merge = [[position[merge[i][j]] for j in perm] for i in perm]
+        self._perm = perm
+        for table in ("_cstr", "_merge"):  # a copy's tables from its old order
+            vars(self).pop(table, None)
         self.signature = (self.lattice.boundary, self.lattice.surface.intersection,
                           self.mode, self.order.charges)
         return self
+
+    @functools.cached_property
+    def _cstr(self) -> list[list[int]]:
+        """c(a, b) in this order: the pairing, odd ones flipped in twisted mode."""
+        pairing, perm = self._chamber.tables[0], self._perm
+        odd = int(self.mode is BracketMode.TWISTED)  # p & odd: p is odd, in twisted mode
+        return [[-p if p & odd else p for p in map(pairing[i].__getitem__, perm)] for i in perm]
+
+    @functools.cached_property
+    def _merge(self) -> list[list[int | None]]:
+        """Position of a + b in this order, None outside the members."""
+        merge, perm = self._chamber.tables[1], self._perm
+        position = sorted(range(len(perm)), key=perm.__getitem__) + [None]  # perm inverted
+        return [[position[merge[i][j]] for j in perm] for i in perm]
 
     # -- element constructors -------------------------------------------
 
@@ -258,8 +277,7 @@ class PbwAlgebra:
         if strategy not in ("leftmost", "rightmost"):
             raise ValidationError(f"unknown rewrite strategy {strategy!r}")
         left_first = strategy == "leftmost"
-        cstr = self._cstr
-        merge = self._merge
+        cstr = None  # the tables, fetched at the first unsorted pair
         stack = [(word, coeff)]
         while stack:
             w, c = stack.pop()
@@ -280,6 +298,8 @@ class PbwAlgebra:
                 continue
             a, b = w[pos], w[pos + 1]
             stack.append((w[:pos] + (b, a) + w[pos + 2 :], c))
+            if cstr is None:
+                cstr, merge = self._cstr, self._merge
             k = cstr[a][b]
             if k:
                 tgt = merge[a][b]
@@ -416,7 +436,7 @@ class PbwAlgebra:
         """
         src = element.algebra
         # (boundary, intersection, mode) and the members in coordinate order
-        if src.signature[:3] != self.signature[:3] or src._chamber[0] != self._chamber[0]:
+        if src.signature[:3] != self.signature[:3] or src._chamber.charges != self._chamber.charges:
             raise ValidationError("elements can only be converted between algebras "
                                   "sharing lattice, members and mode")
         memo: dict = {}

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
     WallcrossError,
 )
-from .lattice import cone_enumerate
+from .lattice import _dot, cone_enumerate
 from .multidisk import enumerate_forests, multilink_total
 from .refinement import all_refinements, twist_spectrum
 from .scenario import Scenario, parse_scenario
@@ -63,10 +63,9 @@ def cmd_cone(sc: Scenario) -> list[str]:
     members = cone_enumerate(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc)
     if not members:
         return ["(empty)"]
-    return [
-        f"{_coords(ch)} height {sc.trunc.height(sc.z.evaluate(ch))}"
-        for ch in members
-    ]
+    # height(Z(ch)) is linear in ch: one row of exact heights, dotted with ch
+    hrow = [sc.trunc.height(col) for col in zip(*sc.z.matrix)]
+    return [f"{_coords(ch)} height {_dot(hrow, ch.coords)}" for ch in members]
 
 
 def _word_str(word) -> str:
@@ -115,30 +114,36 @@ def cmd_twist(sc: Scenario) -> list[str]:
     return _spectrum_lines(twist_spectrum(sc.refinement, sc.lattice, sc.spectrum))
 
 
+def _check(ok: bool, what: str) -> None:
+    """A selftest check: unlike assert, it holds under python -O and exits 4."""
+    if not ok:
+        raise ReconstructionError(f"selftest check failed: {what}")
+
+
 def cmd_selftest(sc: Scenario) -> list[str]:
     """Small property suites over the scenario's own stability data."""
     rng = random.Random(7)
     out = []
 
     members = cone_enumerate(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc)
-    assert members == cone_enumerate(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc)
+    _check(members == cone_enumerate(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc), "cone")
     for ch in members:
-        assert sc.sector.contains(sc.z.evaluate(ch))
-        assert sc.trunc.height(sc.z.evaluate(ch)) <= sc.trunc.cutoff
+        _check(sc.sector.contains(sc.z.evaluate(ch)), f"member {ch.coords} phase")
+        _check(sc.trunc.height(sc.z.evaluate(ch)) <= sc.trunc.cutoff, f"member {ch.coords} height")
     out.append(f"ok cone ({len(members)} members)")
 
     if members:
         alg = PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc, sc.mode, members)
         for _ in range(3):
             spectrum = Spectrum({ch: Fraction(rng.randrange(-2, 3)) for ch in members})
-            assert alg.factorize(alg.ray_product(spectrum)) == spectrum
+            _check(alg.factorize(alg.ray_product(spectrum)) == spectrum, "factorization")
         out.append("ok factorization round trip")
 
         for _ in range(5):
             word = tuple(rng.choice(members) for _ in range(3))
             left = alg.normal_form(word, strategy="leftmost")
             right = alg.normal_form(word, strategy="rightmost")
-            assert left == right
+            _check(left == right, "rewrite confluence")
         out.append("ok rewrite confluence")
     else:
         out.append("skip algebra checks: the truncated cone is empty")
@@ -153,13 +158,13 @@ def cmd_selftest(sc: Scenario) -> list[str]:
             for x in vectors:
                 for y in vectors:
                     total = tuple(a + b for a, b in zip(x, y))
-                    lhs = sigma.evaluate(x) * sigma.evaluate(y)
-                    assert lhs == (-1) ** surface.pairing_h1(x, y) * sigma.evaluate(total)
+                    rhs = (-1) ** surface.pairing_h1(x, y) * sigma.evaluate(total)
+                    _check(sigma.evaluate(x) * sigma.evaluate(y) == rhs, "refinement relation")
         out.append("ok refinement defining relation")
 
     zero = sc.lattice.charge((0,) * sc.lattice.rank)
     counts = [len(enumerate_forests((zero,) * n)) for n in range(1, 5)]
-    assert counts == [1, 2, 7, 38]
+    _check(counts == [1, 2, 7, 38], "forest enumeration")
     out.append("ok forest enumeration")
 
     riding = any(
@@ -169,7 +174,7 @@ def cmd_selftest(sc: Scenario) -> list[str]:
         out.append("skip wall scan: a member rides the sector boundary")
     else:
         constant = VariationPath((sc.z, sc.z))
-        assert detect_walls(constant, members, sc.sector) == ()
+        _check(detect_walls(constant, members, sc.sector) == (), "constant path")
         out.append("ok constant path has no walls")
 
     out.append("selftest passed")

@@ -94,7 +94,7 @@ def _freeze_int_matrix(rows) -> tuple[tuple[int, ...], ...]:
     for row in rows:
         frozen = tuple(row)
         for x in frozen:
-            if not isinstance(x, int):
+            if not isinstance(x, int) or isinstance(x, bool):  # as in Charge
                 raise ValidationError(f"matrix entries must be integers, got {x!r}")
         out.append(frozen)
     return tuple(out)

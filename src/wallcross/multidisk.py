@@ -84,10 +84,11 @@ class DecoratedForest:
         vertex_charges: Sequence[Charge],
         edge_list: Sequence[tuple[int, int]],
     ) -> "DecoratedForest":
-        attach: list[int] = []
-        for u, w in edge_list:
-            attach.extend((u, w))
-        involution = tuple(h ^ 1 for h in range(2 * len(edge_list)))
+        try:
+            attach = [v for u, w in edge_list for v in (u, w)]
+        except (TypeError, ValueError):
+            raise ValidationError(f"edges must be vertex pairs, got {edge_list!r}") from None
+        involution = tuple(h ^ 1 for h in range(len(attach)))
         return cls(vertex_charges, tuple(attach), involution)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -118,9 +119,10 @@ class DecoratedForest:
 
     def contract_edge(self, edge: tuple[int, int]) -> "DecoratedForest":
         """Collapse one edge, merging its endpoints and adding their charges."""
-        h1, h2 = min(edge), max(edge)
-        if (h1, h2) not in self.edges():
+        pair = tuple(sorted(_integers(edge, "edge half-edges")))
+        if pair not in self.edges():
             raise ValidationError(f"not an edge of this forest: {edge!r}")
+        h1, h2 = pair
         u, w = self.attach[h1], self.attach[h2]
         assert u != w  # a forest has no self-loops
         keep, drop = min(u, w), max(u, w)

@@ -58,15 +58,19 @@ def build_setup(
     return LatticeSetup(lattice, z, q, sector, trunc, Charge((1, 0)), Charge((0, 1)))
 
 
-def ray_invariants(spectrum: dict) -> dict:
+def ray_invariants(spectrum: dict, cutoff: int) -> dict:
     """Omega by Moebius inversion of a(k g) = sum over d | k of
-    Omega(k g / d) * (-1/d^2), g primitive; zero values are dropped."""
+    Omega(k g / d) * (-1/d^2), g primitive, in Fractions over every multiple
+    k g of a support ray with height p + q (the height under every central
+    charge used here) within the cutoff; a charge absent from the spectrum
+    has a = 0.  Zero values are dropped."""
     omega: dict = {}
-    for c in sorted(spectrum, key=lambda c: math.gcd(*c)):
-        k = math.gcd(*c)
-        omega[c] = -spectrum[c] - sum(
-            omega.get(tuple(x // d for x in c), 0) / (d * d) for d in range(2, k + 1) if k % d == 0
-        )
+    for g in {tuple(x // math.gcd(*c) for x in c) for c in spectrum}:
+        for k in range(1, cutoff // sum(g) + 1):
+            c = tuple(k * x for x in g)
+            below = sum((omega[tuple(k // d * x for x in g)] / (d * d)
+                         for d in range(2, k + 1) if k % d == 0), Fraction(0))
+            omega[c] = -spectrum.get(c, Fraction(0)) - below
     return {c: v for c, v in omega.items() if v}
 
 

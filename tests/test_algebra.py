@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_setup
+import wallcross.algebra as algebra_module
 from wallcross.algebra import AlgebraElement, BracketMode, PbwAlgebra, Spectrum
 from wallcross.engine import VariationPath
 from wallcross.errors import (
@@ -587,6 +588,73 @@ def test_reordered_copy_matches_a_fresh_algebra():
             assert tables(copy.copy(base)._ordered_by(z, other).with_mode(mode)) == tables(fresh)
             assert tables(fresh.with_mode(other).with_mode(mode)) == tables(fresh)
     assert compared >= 30
+
+
+@pytest.mark.parametrize("mode", ["plain", "twisted"])
+def test_copies_before_and_after_the_first_rewrite_agree(mode):
+    # crossing.scn at cutoff 6: one copy is taken before any table exists,
+    # one after the first rewrite built them; re-sorted copies of both, by
+    # the path's last keyframe and by the other mode, share one chamber
+    sc = crossing_scenario()
+    trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(6))
+    z_end = sc.path_keyframes()[-1]
+    other = "plain" if mode == "twisted" else "twisted"
+    alg = PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, trunc, mode)
+    early = copy.copy(alg)
+    rng = random.Random(61)
+    words = [tuple(rng.choice(alg.members) for _ in range(3)) for _ in range(20)]
+    forms = [alg.normal_form(word) for word in words]
+    late = copy.copy(alg)
+    for copied in (early, late):
+        assert [copied.normal_form(word) for word in words] == forms
+        assert tables(copied) == tables(alg)
+        for z, m in ((z_end, mode), (sc.z, other)):
+            fresh = PbwAlgebra(sc.lattice, z, sc.q, sc.sector, trunc, m)
+            resorted = copy.copy(copied)._ordered_by(z, m)
+            assert [resorted.normal_form(word) for word in words] == [
+                fresh.normal_form(word) for word in words]
+            assert tables(resorted) == tables(fresh)
+            assert resorted._chamber is alg._chamber
+    assert early._chamber.tables is late._chamber.tables
+
+
+def _count_table_builds(monkeypatch) -> Counter:
+    """Count every build of the chamber's tables and of an order's rewrite
+    tables, by wrapping the function behind each cached property."""
+    builds: Counter = Counter()
+    for owner, name in ((algebra_module._Chamber, "tables"), (PbwAlgebra, "_cstr"),
+                        (PbwAlgebra, "_merge")):
+        prop = vars(owner)[name]
+
+        def counted(instance, _name=name, _build=prop.func):
+            builds[_name] += 1
+            return _build(instance)
+
+        monkeypatch.setattr(prop, "func", counted)
+    return builds
+
+
+@pytest.mark.parametrize("mode", ["plain", "twisted"])
+def test_sorted_products_build_no_table(monkeypatch, mode):
+    # one primitive letter per ray: every product concatenates sorted words,
+    # so ray_product and factorize never rewrite
+    builds = _count_table_builds(monkeypatch)
+    sc = crossing_scenario()
+    trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(8))
+    alg = PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, trunc, mode)
+    primitive = [ch for ch in alg.members if math.gcd(*ch.coords) == 1]
+    spectrum = random_spectrum(random.Random(67), primitive)
+    assert len(spectrum) >= 5
+    assert alg.factorize(alg.ray_product(spectrum)) == spectrum
+    assert builds == Counter()
+    # the wrapped builds are live: one unsorted pair builds each table once,
+    # and a copy in the other mode permutes the chamber's tables it shares
+    unsorted = tuple(sorted(alg.members[:2], key=alg.order.position, reverse=True))
+    alg.normal_form(unsorted)
+    alg.normal_form(unsorted)
+    assert builds == Counter({"tables": 1, "_cstr": 1, "_merge": 1})
+    alg.with_mode("plain" if mode == "twisted" else "twisted").normal_form(unsorted)
+    assert builds == Counter({"tables": 1, "_cstr": 2, "_merge": 2})
 
 
 def fraction_order(members, z: CentralCharge, trunc: TruncationSet) -> tuple[Charge, ...]:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,10 +10,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from conftest import ray_invariants
-from wallcross.cli import COMMANDS, main
+from wallcross.algebra import PbwAlgebra, Spectrum
+from wallcross.cli import COMMANDS, cmd_cone, main
+from wallcross.errors import ValidationError
+from wallcross.lattice import CentralCharge, TruncationSet, cone_enumerate
+from wallcross.scenario import parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PRIMITIVE = str(SCENARIOS / "primitive.scn")
@@ -151,7 +156,7 @@ def test_cross_on_kronecker_quiver(capsys):
     assert {c: after[c] for c in before} == before
     expected = {(p, q): 1 for p in range(7) for q in range(7) if abs(p - q) == 1 and p + q <= 6}
     expected[1, 1] = -2
-    assert ray_invariants(after) == expected
+    assert ray_invariants(after, 6) == expected
 
 
 def test_cross_on_pentagon(capsys):
@@ -180,6 +185,33 @@ def test_lambda_override_shrinks_the_cone(capsys):
     assert out == "(empty)\n"
 
 
+_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(_RATIONALS, min_size=4, max_size=4),
+    _RATIONALS,
+    st.builds(Fraction, st.integers(1, 30), st.integers(1, 7)),
+    st.builds(Fraction, st.integers(1, 24), st.integers(1, 4)),
+)
+def test_cone_heights_equal_the_height_of_z(entries, c0, lift, cutoff):
+    # crossing.scn's lattice, form and sector (rays (-5, 1) and (5, 1)) under
+    # a rational Z and covector: c1 > 5 |c0| keeps the covector positive on
+    # the sector, and the shipped scenarios, all integer, could not show a
+    # wrongly scaled height
+    base = parse_scenario(Path(CROSSING).read_text())
+    z = CentralCharge((entries[:2], entries[2:]))
+    trunc = TruncationSet((c0, 5 * abs(c0) + lift), cutoff, base.trunc.scan_box)
+    sc = dataclasses.replace(base, z=z, trunc=trunc)
+    try:
+        members = cone_enumerate(sc.lattice, z, sc.q, sc.sector, trunc)
+    except ValidationError:  # Z without a negative-definite kernel
+        assume(False)
+    expected = [f"{ch.coords} height {trunc.height(z.evaluate(ch))}" for ch in members]
+    assert cmd_cone(sc) == (expected or ["(empty)"])
+
+
 def test_selftest_golden(capsys):
     code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", "selftest")
     assert (code, err) == (0, "")
@@ -199,6 +231,30 @@ def test_selftest_skips_boundary_riding_scan(capsys):
     assert (code, err) == (0, "")
     assert "skip wall scan: a member rides the sector boundary" in out
     assert out.endswith("selftest passed\n")
+
+
+def test_failed_selftest_check_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(PbwAlgebra, "factorize", lambda self, element: Spectrum({}))
+    code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", "selftest")
+    assert (code, out) == (4, "")
+    assert err == "error: reconstruction: selftest check failed: factorization\n"
+
+
+def test_selftest_checks_hold_under_python_O():
+    # assert statements vanish under -O; the checks must not
+    script = (
+        "import sys\n"
+        "from wallcross.algebra import PbwAlgebra, Spectrum\n"
+        "from wallcross.cli import main\n"
+        "PbwAlgebra.factorize = lambda self, element: Spectrum({})\n"
+        f"sys.exit(main(['--scenario', {CROSSING!r}, '--command', 'selftest']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, cwd=SCENARIOS.parent / "src",
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "error: reconstruction: selftest check failed: factorization\n"
 
 
 def test_repeated_runs_are_byte_identical(capsys):

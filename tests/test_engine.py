@@ -730,6 +730,16 @@ def test_pentagon_transport(mode):
     assert after == expected
 
 
+def test_ray_invariants_oracle_is_exact_over_every_multiple():
+    # a(n g) = -1/n^2 is the ray of Omega(g) = 1 alone; a lone a(g) = -1
+    # leaves Omega(2 g) = -1/4 on a charge the spectrum does not hold; and a
+    # lone a(2 g) stays a Fraction though a(g) is absent
+    assert ray_invariants({(n, 0): Fraction(-1, n * n) for n in range(1, 5)}, 4) == {(1, 0): 1}
+    assert ray_invariants({(0, 1): Fraction(-1)}, 2) == {(0, 1): 1, (0, 2): Fraction(-1, 4)}
+    got = ray_invariants({(2, 2): Fraction(1)}, 4)
+    assert got == {(2, 2): -1} and all(type(v) is Fraction for v in got.values())
+
+
 @pytest.mark.parametrize("mode", ["twisted", "plain"])
 def test_kronecker_m2_transport(mode):
     # Omega(1, 1) = -2 and Omega(n, n +- 1) = 1; every other Omega is 0
@@ -737,7 +747,7 @@ def test_kronecker_m2_transport(mode):
     assert {c: after[c] for c in before} == before
     expected = {(p, q): 1 for p in range(9) for q in range(9) if abs(p - q) == 1 and p + q <= 8}
     expected[1, 1] = -2
-    assert ray_invariants(after) == expected
+    assert ray_invariants(after, 8) == expected
 
 
 def kronecker_m3_invariants(cutoff: int) -> dict:
@@ -745,7 +755,7 @@ def kronecker_m3_invariants(cutoff: int) -> dict:
     to be integral and symmetric under (p, q) -> (q, p)."""
     before, after = kronecker_transport(3, "twisted", cutoff)
     assert {c: after[c] for c in before} == before
-    omega = ray_invariants(after)
+    omega = ray_invariants(after, cutoff)
     assert all(v.denominator == 1 for v in omega.values())
     assert all(omega.get((q, p)) == v for (p, q), v in omega.items())
     return omega

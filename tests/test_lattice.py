@@ -453,6 +453,15 @@ def test_bool_charge_coordinate_rejected():
         Charge((True, 0))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SurfaceModel(((0, True), (-True, 0))),
+    lambda: ChargeLattice(2, ((True, 0), (0, 1)), SurfaceModel.standard(1)),
+], ids=["intersection", "boundary"])
+def test_bool_matrix_entry_rejected(build):
+    with pytest.raises(ValidationError, match="matrix entries must be integers, got True"):
+        build()
+
+
 def test_cross_sign_convention():
     assert cross((Fraction(-1), Fraction(1)), (Fraction(1), Fraction(1))) == -2
     assert cross((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))) == 0

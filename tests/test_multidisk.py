@@ -134,6 +134,18 @@ def test_contract_edge_errors():
         forest.contract_edge((4, 5))
 
 
+@pytest.mark.parametrize("edges", [None, [0], [(0, 1, 2)]], ids=["none", "bare_int", "triple"])
+def test_malformed_edge_list_rejected(edges):
+    with pytest.raises(ValidationError, match="edges must be vertex pairs"):
+        DecoratedForest.from_edge_list((G1, G2), edges)
+
+
+def test_contract_edge_none_rejected():
+    forest = DecoratedForest.from_edge_list((G1, G2), [(0, 1)])
+    with pytest.raises(ValidationError, match="edge half-edges must be a sequence"):
+        forest.contract_edge(None)
+
+
 def test_contraction_keeps_stability():
     # merging two stable endpoints only goes unstable if both charges were 0,
     # checked over every forest on 3 vertices with charges in {0, g1, g2}
