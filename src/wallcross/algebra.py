@@ -43,10 +43,9 @@ from .lattice import (
     QuadraticForm,
     Sector,
     TruncationSet,
+    _Chart,
     _dot,
     _exact,
-    _integer_rows,
-    _truncated_sector,
     charges_parallel,
     cone_enumerate,
     cross,
@@ -188,11 +187,10 @@ class PbwAlgebra:
     def _ordered_by(self, z: CentralCharge, mode: BracketMode | str) -> "PbwAlgebra":
         """Sort the chamber's members by z; returns self."""
         self.z, self.mode = z, BracketMode.coerce(mode)
-        charges = self._chamber.charges
-        zx, zy = _integer_rows(z.matrix)
-        (c0, c1), = _integer_rows([self.trunc.covector])
-        zvals = [(_dot(zx, ch.coords), _dot(zy, ch.coords)) for ch in charges]
-        heights = [c0 * x + c1 * y for x, y in zvals]
+        self._chart = chart = _Chart(z, self.sector, self.trunc)
+        charges, (c0, c1) = self._chamber.charges, chart.cov
+        zvals = [chart.value(ch.coords) for ch in charges]
+        heights = [_dot(chart.hrow, ch.coords) for ch in charges]
         # cross(Z, covector) / height (> 0 on the sector) grows clockwise,
         # and times the lcm of the heights it is an int.  Parallel members
         # follow by height, then by coordinates, the sort being stable
@@ -200,7 +198,6 @@ class PbwAlgebra:
         perm = sorted(range(len(charges)), key=lambda i: (
             (zvals[i][0] * c1 - zvals[i][1] * c0) * (lcm // heights[i]), heights[i]))
         self.order = GeneratorOrder(tuple(charges[i] for i in perm))
-        self._zvals = [zvals[i] for i in perm]
         hrow = [self.trunc.height(col) for col in zip(*z.matrix)]
         self._heights = [_dot(hrow, ch.coords) for ch in self.order.charges]
         self._perm = perm
@@ -349,10 +346,9 @@ class PbwAlgebra:
         for ch in support:
             if ch not in self.order.index:
                 raise ValidationError(f"spectrum support outside the truncated cone: {ch!r}")
-        zvals, index = self._zvals, self.order.index
-        groups: list[list[Charge]] = []
+        value, groups = self._chart.value, []
         for ch in sorted(support, key=self.order.position):
-            if groups and cross(zvals[index[groups[-1][-1]]], zvals[index[ch]]) == 0:
+            if groups and cross(value(groups[-1][-1].coords), value(ch.coords)) == 0:
                 if not charges_parallel(groups[-1][-1], ch):
                     raise FirstTypeWallError(
                         f"first-type wall in spectrum support: {groups[-1][-1]!r} and {ch!r}"
@@ -408,11 +404,10 @@ class PbwAlgebra:
         words grow letter by letter in generator order, on integer heights;
         None as soon as a letter grows them past limit.
         """
-        letters = [self.order.index[ch] for group in self._ray_groups(spectrum) for ch in group]
-        *heights, cap = _integer_rows([[self._heights[i] for i in letters] + [self._cutoff]])[0]
+        hrow, cap = self._chart.hrow, self._chart.cut
         words = [((), Fraction(1), 0)]  # (word, coefficient, height)
-        for i, h in zip(letters, heights):
-            a = spectrum.coefficient(self.order.charges[i])
+        for ch in (ch for group in self._ray_groups(spectrum) for ch in group):
+            i, a, h = self.order.index[ch], spectrum.coefficient(ch), _dot(hrow, ch.coords)
             grown = []
             for word, c, total in words:
                 k = 1
@@ -482,9 +477,9 @@ def _check_members(lattice, z, sector, trunc, members) -> None:
     if z.rank != lattice.rank:
         raise ValidationError("central charge rank must match the lattice")
     trunc.validate_for(sector)
-    height, _ = _truncated_sector(z, sector, trunc)
+    chart = _Chart(z, sector, trunc)
     for ch in members:
-        if not isinstance(ch, Charge) or len(ch) != lattice.rank or height(ch.coords) is None:
+        if not isinstance(ch, Charge) or len(ch) != lattice.rank or chart.height(ch.coords) is None:
             raise ValidationError(f"member {ch!r} is not a charge in the truncated sector")
 
 

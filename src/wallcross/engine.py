@@ -238,23 +238,23 @@ def detect_walls(
     bounces back has no event there; one whose phases meet tangentially
     there and swap has one.
 
-    Both keyframes of a segment are scaled by one positive integer D, so
-    each crossing polynomial has int coefficients and is D^2 times the
-    rational one, with the same roots and signs; the rays scale alike."""
+    Both keyframes of a segment and the sector rays are scaled by one
+    positive integer D, so each crossing polynomial has int coefficients
+    and is D^2 times the rational one, with the same roots and signs."""
     charge_list = sorted(set(charges), key=lambda ch: ch.coords)
     mset = set(charge_list)
     m = path.segment_count
     tol = _exact(tolerance)
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
-    rays = _integer_rows((sector.start, sector.end))
     still = (0, 0)
     # interval -> its (kind, beta1, beta2) set, so that Fractions are hashed
     # per interval found and compared only between distinct intervals
     events: dict[tuple[Fraction, Fraction], set] = {}
     last: dict[Charge, tuple] = {}  # the previous segment's (value, step)
-    for i in range(m):
-        rows = _integer_rows(path.keyframes[i].matrix + path.keyframes[i + 1].matrix)
+    for i, (z0, z1) in enumerate(zip(path.keyframes, path.keyframes[1:])):
+        *rows, ray_start, ray_end = _integer_rows(
+            z0.matrix + z1.matrix + (sector.start, sector.end))
         seg = {}
         for ch in charge_list:
             x0, y0, x1, y1 = (_dot(row, ch.coords) for row in rows)
@@ -275,7 +275,7 @@ def detect_walls(
                     events.setdefault(interval, set()).add(("first_type", b1, b2))
         for b1 in charge_list:
             u0, du = seg[b1]
-            for ray in rays:
+            for ray in (ray_start, ray_end):
                 poly = la, lb, _ = _crossing(u0, du, ray, still)
                 if la == 0 and lb == 0:
                     end = (u0[0] + du[0], u0[1] + du[1])
@@ -309,11 +309,10 @@ def detect_walls(
 
 def _guard_second_type(alg: PbwAlgebra, members) -> None:
     """Reject a member sum with a part on a sector boundary ray under alg's Z."""
-    rays = _integer_rows((alg.sector.start, alg.sector.end))
-    mset = set(members)
+    chart, mset = alg._chart, set(members)
     for b1 in members:
-        value = alg._zvals[alg.order.index[b1]]
-        if all(cross(ray, value) for ray in rays):  # members lie in the sector
+        value = chart.value(b1.coords)
+        if all(cross(ray, value) for ray in chart.rays):  # members lie in the sector
             continue
         for b2 in members:
             if (b1 + b2) in mset:

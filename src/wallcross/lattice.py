@@ -38,10 +38,7 @@ class Charge:
     __slots__ = ("coords", "_hash")
 
     def __init__(self, coords: Iterable[int]):
-        cs = tuple(coords)
-        for c in cs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValidationError(f"charge coordinates must be integers, got {c!r}")
+        cs = _integers(coords, "charge coordinates")
         object.__setattr__(self, "coords", cs)
         object.__setattr__(self, "_hash", hash(cs))
 
@@ -89,15 +86,20 @@ def charges_parallel(b1: Charge, b2: Charge) -> bool:
     return True
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """The entries as a tuple, each an int that is not a bool."""
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence of integers, got {values!r}") from None
+    for x in out:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValidationError(f"{what} must be integers, got {x!r}")
+    return out
+
+
 def _freeze_int_matrix(rows) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for row in rows:
-        frozen = tuple(row)
-        for x in frozen:
-            if not isinstance(x, int) or isinstance(x, bool):  # as in Charge
-                raise ValidationError(f"matrix entries must be integers, got {x!r}")
-        out.append(frozen)
-    return tuple(out)
+    return tuple(_integers(row, "matrix entries") for row in rows)
 
 
 def _exact(x) -> Fraction:
@@ -111,6 +113,15 @@ def _exact(x) -> Fraction:
 
 def _freeze_fraction_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(_exact(x) for x in row) for row in rows)
+
+
+def _plane(v, what: str) -> Vec2:
+    """An exact plane vector: exactly two rational entries."""
+    try:
+        x, y = v
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a pair of rationals, got {v!r}") from None
+    return _exact(x), _exact(y)
 
 
 def _integer_rows(rows) -> list[list[int]]:
@@ -152,6 +163,9 @@ class SurfaceModel:
     def standard(cls, genus: int) -> "SurfaceModel":
         """Standard symplectic form: basis a_1..a_g, b_1..b_g with
         a_i . b_i = 1."""
+        genus, = _integers((genus,), "genus")
+        if genus < 0:
+            raise ValidationError("genus must be non-negative")
         dim = 2 * genus
         rows = [[0] * dim for _ in range(dim)]
         for i in range(genus):
@@ -192,7 +206,7 @@ class ChargeLattice:
     def __post_init__(self):
         mat = _freeze_int_matrix(self.boundary)
         object.__setattr__(self, "boundary", mat)
-        if self.rank < 1:
+        if _integers((self.rank,), "lattice rank")[0] < 1:
             raise ValidationError("lattice rank must be positive")
         if len(mat) != self.surface.dim:
             raise ValidationError("boundary matrix must have one row per homology basis vector")
@@ -288,8 +302,7 @@ class Sector:
     end: Vec2
 
     def __post_init__(self):
-        start = (_exact(self.start[0]), _exact(self.start[1]))
-        end = (_exact(self.end[0]), _exact(self.end[1]))
+        start, end = _plane(self.start, "sector direction"), _plane(self.end, "sector direction")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
         if start == (0, 0) or end == (0, 0):
@@ -330,12 +343,11 @@ class TruncationSet:
     scan_box: int
 
     def __post_init__(self):
-        cov = (_exact(self.covector[0]), _exact(self.covector[1]))
-        object.__setattr__(self, "covector", cov)
+        object.__setattr__(self, "covector", _plane(self.covector, "truncation covector"))
         object.__setattr__(self, "cutoff", _exact(self.cutoff))
         if self.cutoff < 0:
             raise ValidationError("truncation cutoff must be non-negative")
-        if not isinstance(self.scan_box, int) or self.scan_box < 1:
+        if _integers((self.scan_box,), "scan_box")[0] < 1:
             raise ValidationError("scan_box must be a positive integer")
 
     def height(self, z_value) -> Fraction:
@@ -406,27 +418,31 @@ def check_kernel_definiteness(z: CentralCharge, q: QuadraticForm) -> None:
             below[col:] = [x - f * y for x, y in zip(below[col:], row[col:])]
 
 
-def _truncated_sector(z: CentralCharge, sector: Sector, trunc: TruncationSet):
-    """The truncated sector as a test on coordinate tuples, and the scaled
-    cutoff: the test gives a point's integer height when its Z value is
-    nonzero, in the closed sector and within the cutoff, else None.  Z, the
-    sector rays and the height functional with its cutoff are each scaled
-    by a positive integer, which keeps every test and the height order."""
-    zx, zy = _integer_rows(z.matrix)
-    (sx, sy), (ex, ey) = _integer_rows((sector.start, sector.end))
-    *hrow, cut = _integer_rows([[trunc.height(col) for col in zip(*z.matrix)] + [trunc.cutoff]])[0]
+class _Chart:
+    """The integer picture of (Z, sector, truncation) that every exact test
+    reads: Z's rows, the sector rays with the covector, and the height row
+    with the cutoff, each scaled by a positive integer, which keeps every
+    sign, phase order and height order."""
 
-    def height(point) -> Optional[int]:
-        h = _dot(hrow, point)
-        if h > cut:
-            return None
-        x, y = _dot(zx, point), _dot(zy, point)
+    __slots__ = ("zx", "zy", "rays", "cov", "hrow", "cut")
+
+    def __init__(self, z: CentralCharge, sector: Sector, trunc: TruncationSet):
+        self.zx, self.zy = _integer_rows(z.matrix)
+        *self.rays, self.cov = _integer_rows((sector.start, sector.end, trunc.covector))
+        *self.hrow, self.cut = _integer_rows([[*map(trunc.height, zip(*z.matrix)), trunc.cutoff]])[0]
+
+    def value(self, point) -> tuple[int, int]:
+        return _dot(self.zx, point), _dot(self.zy, point)
+
+    def height(self, point) -> Optional[int]:
+        """The point's height when its Z value is nonzero, in the closed
+        sector and within the cutoff, else None."""
+        h = _dot(self.hrow, point)
+        (x, y), ((sx, sy), (ex, ey)) = self.value(point), self.rays
         # the zero vector (and the zero point) lies in no sector
-        if (x == 0 and y == 0) or sx * y - sy * x > 0 or x * ey - y * ex > 0:
+        if h > self.cut or (x == 0 and y == 0) or sx * y - sy * x > 0 or x * ey - y * ex > 0:
             return None
         return h
-
-    return height, cut
 
 
 def cone_enumerate(
@@ -443,18 +459,18 @@ def cone_enumerate(
     non-negative quadratic form, found by scanning the integer box given
     by trunc.scan_box.  Heights of generators are strictly positive, so
     the additive closure below the cutoff is finite.  Q is scaled by a
-    positive integer, like the sector test's data, which keeps its sign.
+    positive integer, like the chart's data, which keeps its sign.
     """
     if z.rank != lattice.rank or q.rank != lattice.rank:
         raise ValidationError("central charge / quadratic form rank must match the lattice")
     trunc.validate_for(sector)
     check_kernel_definiteness(z, q)
     box = trunc.scan_box
-    height, cut = _truncated_sector(z, sector, trunc)
+    chart = _Chart(z, sector, trunc)
     qm = _integer_rows(q.matrix)
     gens: list[tuple[tuple[int, ...], int]] = []
     for point in itertools.product(range(-box, box + 1), repeat=lattice.rank):
-        h = height(point)
+        h = chart.height(point)
         if h is None or _dot(point, [_dot(row, point) for row in qm]) < 0:
             continue
         gens.append((point, h))
@@ -466,7 +482,7 @@ def cone_enumerate(
         for m, hm in frontier:
             for g, hg in gens:
                 h = hm + hg
-                if h > cut:
+                if h > chart.cut:
                     break
                 s = tuple(map(operator.add, m, g))
                 if s not in members:

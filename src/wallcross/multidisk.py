@@ -23,6 +23,7 @@ from .lattice import (
     ChargeLattice,
     SurfaceModel,
     _exact,
+    _integers,
     cross,
     phase_precedes,
 )
@@ -142,20 +143,6 @@ class DecoratedForest:
         return DecoratedForest(tuple(charges), attach, involution)
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    """The entries as a tuple, each an int that is not a bool (as in Charge)."""
-    try:
-        out = tuple(values)
-    except TypeError:
-        raise ValidationError(
-            f"{what} must be a sequence of integers, got {values!r}"
-        ) from None
-    for x in out:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValidationError(f"{what} must be integers, got {x!r}")
-    return out
-
-
 def _charges(values) -> tuple[Charge, ...]:
     """The vertex decorations as a tuple, each a Charge."""
     try:
@@ -234,7 +221,16 @@ class NiceChain:
     vertices: tuple[ChainVertex, ...]
 
     def __post_init__(self):
-        verts = tuple(sorted(self.vertices, key=lambda v: v.theta))
+        try:
+            verts = tuple(self.vertices)
+        except TypeError:
+            raise ValidationError(
+                f"chain vertices must be a sequence, got {self.vertices!r}"
+            ) from None
+        for v in verts:
+            if not isinstance(v, ChainVertex):
+                raise ValidationError(f"chain vertex expected, got {v!r}")
+        verts = tuple(sorted(verts, key=lambda v: v.theta))
         object.__setattr__(self, "vertices", verts)
         thetas = [v.theta for v in verts]
         if len(set(thetas)) != len(thetas):
@@ -253,8 +249,14 @@ def make_chain(
     items: Iterable[tuple[Fraction, Charge | Sequence[int]]],
 ) -> NiceChain:
     """Chain from (height, charge) pairs; boundary classes are filled in."""
+    try:
+        pairs = [(theta, ch) for theta, ch in items]
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"chain items must be (height, charge) pairs, got {items!r}"
+        ) from None
     verts = []
-    for theta, ch in items:
+    for theta, ch in pairs:
         charge = ch if isinstance(ch, Charge) else lattice.charge(ch)
         verts.append(ChainVertex(theta, charge, lattice.boundary_of(charge)))
     return NiceChain(tuple(verts))
@@ -268,6 +270,8 @@ class ChainCombination:
     def __init__(self, terms: Mapping[NiceChain, Fraction] = ()):
         self._terms = {}
         for chain, c in dict(terms).items():
+            if not isinstance(chain, NiceChain):
+                raise ValidationError(f"combination keys must be chains, got {chain!r}")
             c = _exact(c)
             if c != 0:
                 self._terms[chain] = c

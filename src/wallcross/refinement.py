@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 from .algebra import AlgebraElement, BracketMode, Spectrum
 from .errors import ValidationError
-from .lattice import ChargeLattice, SurfaceModel
+from .lattice import ChargeLattice, SurfaceModel, _integers
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class QuadraticRefinement:
     basis_signs: tuple[int, ...]
 
     def __post_init__(self):
-        signs = tuple(self.basis_signs)
+        signs = _integers(self.basis_signs, "refinement values")
         object.__setattr__(self, "basis_signs", signs)
         if len(signs) != self.surface.dim:
             raise ValidationError("refinement needs one sign per homology basis vector")
@@ -60,7 +60,7 @@ class CohomologyAction:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        bits = tuple(b % 2 for b in self.bits)
+        bits = tuple(b % 2 for b in _integers(self.bits, "action bits"))
         object.__setattr__(self, "bits", bits)
 
     def evaluate(self, gamma: Sequence[int]) -> int:

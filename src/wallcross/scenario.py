@@ -186,7 +186,7 @@ def parse_scenario(text: str) -> Scenario:
     genus = _int(val, ln)
     inter = sections["surface"].maybe("intersection")
     if inter is None:
-        surface = SurfaceModel.standard(genus)
+        surface = _build(ln, SurfaceModel.standard, genus)
     else:
         surface = _build(inter[0], SurfaceModel, _matrix(inter[1], inter[0], ints=True))
         if surface.dim != 2 * genus:

@@ -563,7 +563,8 @@ def crossing_scenario():
 
 
 def tables(alg: PbwAlgebra) -> tuple:
-    return alg.order.charges, alg._cstr, alg._merge, alg._heights, alg._zvals, alg.signature
+    chart = tuple(getattr(alg._chart, name) for name in alg._chart.__slots__)
+    return alg.order.charges, alg._cstr, alg._merge, alg._heights, chart, alg.signature
 
 
 def test_reordered_copy_matches_a_fresh_algebra():

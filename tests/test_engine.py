@@ -158,6 +158,16 @@ def test_detect_walls_boundary_riding_rejected():
         detect_walls(path, (G1, G2), sector)
 
 
+def test_detect_walls_charge_on_the_opposite_ray_keeps_both_rays():
+    # g2 stays on the ray opposite the start ray (-1, 1) for the whole
+    # segment, which is no event; g1 then meets the end ray (1, 1) at
+    # t = 1/2, with partner g2 as g1 + g2 is tracked
+    path = VariationPath((zmat(((2, 1), (1, -1))), zmat(((0, 2), (1, -2)))))
+    sector = Sector((Fraction(-1), Fraction(1)), (Fraction(1), Fraction(1)))
+    events = detect_walls(path, (G1, G2, G1 + G2), sector)
+    assert events == (WallEvent(Fraction(1, 2), Fraction(1, 2), "second_type", G1, G2),)
+
+
 def test_detect_walls_second_type():
     # (1+2t, 1) meets the end ray (2, 1) at t = 1/2
     s = build_setup(

@@ -6,6 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import build_setup
 from wallcross.algebra import PbwAlgebra, Spectrum
@@ -19,6 +20,7 @@ from wallcross.lattice import (
     Sector,
     SurfaceModel,
     TruncationSet,
+    _Chart,
     charges_parallel,
     check_kernel_definiteness,
     cone_enumerate,
@@ -460,6 +462,87 @@ def test_bool_charge_coordinate_rejected():
 def test_bool_matrix_entry_rejected(build):
     with pytest.raises(ValidationError, match="matrix entries must be integers, got True"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Sector((-5, 1, 7), (5, 1)),
+    lambda: Sector((-5, 1), (5,)),
+    lambda: Sector(None, (5, 1)),
+    lambda: Sector((-5, 1), None),
+    lambda: TruncationSet((0, 1, 2), 2, 4),
+    lambda: TruncationSet((1,), 2, 4),
+    lambda: TruncationSet(None, 2, 4),
+], ids=["start_3", "end_1", "start_none", "end_none", "covector_3", "covector_1", "covector_none"])
+def test_plane_vectors_need_exactly_two_entries(build):
+    with pytest.raises(ValidationError, match="must be a pair of rationals"):
+        build()
+
+
+@pytest.mark.parametrize("box", [True, 1.0, None, "4"], ids=["bool", "float", "none", "text"])
+def test_scan_box_is_an_int_not_a_bool(box):
+    with pytest.raises(ValidationError, match="scan_box must be integers"):
+        TruncationSet((0, 1), 2, box)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ChargeLattice(2.0, ((1, 0), (0, 1)), SurfaceModel.standard(1)),
+     "lattice rank must be integers, got 2.0"),
+    (lambda: ChargeLattice(True, ((1,), (0,)), SurfaceModel.standard(1)),
+     "lattice rank must be integers, got True"),
+    (lambda: SurfaceModel.standard(-1), "genus must be non-negative"),
+    (lambda: SurfaceModel.standard(1.5), "genus must be integers, got 1.5"),
+    (lambda: SurfaceModel.standard(None), "genus must be integers, got None"),
+], ids=["rank_float", "rank_bool", "genus_negative", "genus_float", "genus_none"])
+def test_rank_and_genus_are_ints_not_bools(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_POSITIVE = st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_chart_is_the_rational_truncated_sector_scaled(data):
+    # The oracle is the rational picture: Z.evaluate, Sector.contains and
+    # TruncationSet.height against the cutoff.  The sector rays run through
+    # the Z values of the first two points and the cutoff is the height of
+    # the third, so boundary rays and the cutoff itself are hit exactly;
+    # the zero point has height 0 but lies in no sector.
+    rank = data.draw(st.integers(2, 3))
+    z = CentralCharge(tuple(tuple(data.draw(_RATIONALS) for _ in range(rank)) for _ in range(2)))
+    points = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * rank), min_size=3, max_size=20))
+    start, end = (tuple(data.draw(_POSITIVE) * x for x in z.evaluate(p)) for p in points[:2])
+    assume(cross(start, end) != 0)
+    if cross(start, end) > 0:
+        start, end = end, start
+    # (sy - ey, ex - sx) is -cross(start, end) > 0 on both rays; the
+    # drawn vector tilts it
+    tilt = tuple(data.draw(_RATIONALS) / 4 for _ in range(2))
+    cov = (start[1] - end[1] + tilt[0], end[0] - start[0] + tilt[1])
+    third = z.evaluate(points[2])
+    cutoff = max(Fraction(0), cov[0] * third[0] + cov[1] * third[1])
+    trunc = TruncationSet(cov, cutoff, 1)
+    assume(trunc.height(start) > 0 and trunc.height(end) > 0)
+    sector, heights, values = Sector(start, end), set(), set()
+    chart = _Chart(z, sector, trunc)
+    for point in points + [tuple(2 * x for x in p) for p in points[:2]] + [(0,) * rank]:
+        v = z.evaluate(point)
+        outside = v == (0, 0) or not sector.contains(v) or trunc.height(v) > cutoff
+        h = chart.height(point)
+        assert (h is None) == outside
+        if h is not None:
+            heights.add(Fraction(h) / trunc.height(v))
+        x, y = chart.value(point)
+        if v == (0, 0):
+            assert (x, y) == (0, 0)
+        else:
+            k = x / v[0] if v[0] else y / v[1]
+            assert (x, y) == (k * v[0], k * v[1])
+            values.add(k)
+    assert len(heights) <= 1 and all(r > 0 for r in heights)
+    assert len(values) <= 1 and all(k > 0 for k in values)
 
 
 def test_cross_sign_convention():

@@ -253,6 +253,19 @@ def test_forest_and_boundary_fields_must_be_sequences():
         ChainVertex(Fraction(1, 2), G1, None)
 
 
+def test_chain_fields_must_be_chains():
+    lattice = build_setup().lattice
+    with pytest.raises(ValidationError, match="combination keys must be chains, got 'x'"):
+        ChainCombination({"x": 1})
+    with pytest.raises(ValidationError, match="chain vertices must be a sequence, got None"):
+        NiceChain(None)
+    with pytest.raises(ValidationError, match="chain vertex expected, got 1"):
+        NiceChain((1, 2))
+    for items in (None, [Fraction(1, 2)], [(Fraction(1, 2),)]):
+        with pytest.raises(ValidationError, match="chain items must be"):
+            make_chain(lattice, items)
+
+
 def test_enumerate_spanning_tree_counts():
     # Cayley: n^(n-2) spanning trees on n labeled vertices
     for n in range(2, 7):

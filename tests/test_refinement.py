@@ -58,6 +58,18 @@ def test_evaluate_defining_relation_exhaustive():
                     assert lhs == (-1) ** parity * sigma.evaluate(total)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda s: QuadraticRefinement(s, (1.0, -1.0)), "refinement values must be integers, got 1.0"),
+    (lambda s: QuadraticRefinement(s, (True, True)), "refinement values must be integers, got True"),
+    (lambda s: QuadraticRefinement(s, None), "refinement values must be a sequence of integers"),
+    (lambda s: CohomologyAction((1.5, 0)), "action bits must be integers, got 1.5"),
+    (lambda s: CohomologyAction(None), "action bits must be a sequence of integers"),
+], ids=["signs_float", "signs_bool", "signs_none", "bits_float", "bits_none"])
+def test_signs_and_bits_are_ints_not_bools(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build(SurfaceModel.standard(1))
+
+
 def test_refinement_validation():
     surface = SurfaceModel.standard(1)
     with pytest.raises(ValidationError):

@@ -166,6 +166,7 @@ def test_minimal_parses_without_optional_sections():
          "one row per homology basis vector"),
         (lambda t: t.replace("boundary = 1 0 ; 0 1", "boundary = 1 0 ; 0"),
          "matrix rows have unequal lengths"),
+        (lambda t: t.replace("genus = 1", "genus = -1"), "line 6: genus must be non-negative"),
         (lambda t: t.replace("genus = 1", "genus = 2\nintersection = 0 1 ; -1 0"),
          "intersection matrix does not match the genus"),
         (lambda t: t.replace("value = plain", "value = fancy"), "mode must be 'plain' or 'twisted'"),
