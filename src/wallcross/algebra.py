@@ -46,6 +46,7 @@ from .lattice import (
     _Chart,
     _dot,
     _exact,
+    _mapping,
     charges_parallel,
     cone_enumerate,
     cross,
@@ -93,9 +94,8 @@ class Spectrum:
     __slots__ = ("_map",)
 
     def __init__(self, mapping: Mapping[Charge, Fraction] = ()):
-        m = dict(mapping)
         self._map = {}
-        for ch, c in m.items():
+        for ch, c in _mapping(mapping, "spectrum").items():
             if not isinstance(ch, Charge):
                 raise ValidationError(f"spectrum keys must be charges, got {ch!r}")
             c = _exact(c)
@@ -427,13 +427,16 @@ class PbwAlgebra:
         the generator order (that is, the central charge) may differ.  A word
         over the cutoff is dropped up front; the others insert their letters
         right to left by `_insert`, with int coefficients memoized for this
-        call, and scale by the word's coefficient once.
+        call.  The source coefficients are scaled to integers over their lcm
+        D, so the sum is collected in ints and divided by D once per output
+        word.
         """
         src = element.algebra
         # (boundary, intersection, mode) and the members in coordinate order
         if src.signature[:3] != self.signature[:3] or src._chamber.charges != self._chamber.charges:
             raise ValidationError("elements can only be converted between algebras "
                                   "sharing lattice, members and mode")
+        d = math.lcm(*(c.denominator for c in element._terms.values()))
         memo: dict = {}
         parts = []
         for w, c in element._terms.items():
@@ -443,8 +446,8 @@ class PbwAlgebra:
             normal = {(): 1}
             for a in reversed(idxs):
                 normal = _collect((self._insert(a, u, memo), k) for u, k in normal.items())
-            parts.append((normal, c))
-        return AlgebraElement(self, _collect(parts))
+            parts.append((normal, c.numerator * (d // c.denominator)))
+        return AlgebraElement(self, {w: Fraction(n, d) for w, n in _collect(parts).items()})
 
     def _insert(self, a: int, u: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], int]:
         """Normal form of e_a u for a normal word u: (a,) + u when a comes

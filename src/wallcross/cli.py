@@ -212,19 +212,22 @@ def _apply_overrides(sc: Scenario, cutoff: str | None, mode: str | None) -> Scen
     return sc
 
 
+# built once: parse_args keeps no state between calls
+_PARSER = argparse.ArgumentParser(
+    prog="wallcross",
+    description="Exact wall-crossing computations from a scenario file.",
+)
+_PARSER.add_argument("--scenario", required=True, help="path to a scenario file")
+_PARSER.add_argument("--command", required=True, choices=COMMANDS)
+_PARSER.add_argument(
+    "--lambda", dest="cutoff", default=None, metavar="P/Q",
+    help="override the truncation cutoff",
+)
+_PARSER.add_argument("--mode", choices=("plain", "twisted"), default=None)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="wallcross",
-        description="Exact wall-crossing computations from a scenario file.",
-    )
-    parser.add_argument("--scenario", required=True, help="path to a scenario file")
-    parser.add_argument("--command", required=True, choices=COMMANDS)
-    parser.add_argument(
-        "--lambda", dest="cutoff", default=None, metavar="P/Q",
-        help="override the truncation cutoff",
-    )
-    parser.add_argument("--mode", choices=("plain", "twisted"), default=None)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         with open(args.scenario, encoding="utf-8") as handle:

@@ -11,6 +11,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -197,25 +198,40 @@ def _crossing(u0, du, v0, dv) -> tuple[int, int, int]:
 
 
 def _segment_events(
-    i: int, m: int, poly: tuple[int, int, int], before, tol: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """Event intervals in t of one crossing polynomial on segment i of m.
+    i: int, m: int, poly: tuple[int, int, int], before, tol: Fraction,
+    memo: dict, events: dict,
+) -> list[set]:
+    """The sets in events of the intervals in t where one crossing
+    polynomial changes sign on segment i of m.
 
     A root on an interior keyframe is decided once, on the segment that
     starts there; before is the previous segment's polynomial.  Next to a
     root s0 the sign is that of b + 2 c s0 just above and the opposite just
-    below, or sign(c) on both sides at a double root."""
+    below, or sign(c) on both sides at a double root.
+
+    The other roots are those of every nonzero multiple of poly, so memo,
+    one per segment, keeps their sets under poly over its gcd, signed to
+    make the first nonzero coefficient positive: each distinct polynomial
+    is root-isolated, and each of its intervals hashed, once."""
     a, b, c = poly
-    out = []
+    g = math.gcd(a, b, c)
+    if (a or b or c) < 0:
+        g = -g
+    key = (a // g, b // g, c // g)
+    sets = memo.get(key)
+    if sets is None:
+        sets = memo[key] = [
+            events.setdefault((Fraction(i + lo, m), Fraction(i + hi, m)), set())
+            for lo, hi in _quadratic_events(*key, tol)
+            # an interior keyframe root is decided from before, below
+            if not ((i and lo == 0 or i < m - 1 and lo == 1) and lo == hi)
+        ]
     if i and a == 0:
         _, pb, pc = before
         if (-(pb + 2 * pc) or pc) * (b or c) < 0:
-            out.append((Fraction(i, m), Fraction(i, m)))
-    for lo, hi in _quadratic_events(a, b, c, tol):
-        if (i and lo == 0 or i < m - 1 and lo == 1) and lo == hi:
-            continue  # an interior keyframe root, decided above
-        out.append((Fraction(i + lo, m), Fraction(i + hi, m)))
-    return out
+            t = Fraction(i, m)
+            return [events.setdefault((t, t), set()), *sets]
+    return sets
 
 
 def detect_walls(
@@ -240,7 +256,12 @@ def detect_walls(
 
     Both keyframes of a segment and the sector rays are scaled by one
     positive integer D, so each crossing polynomial has int coefficients
-    and is D^2 times the rational one, with the same roots and signs."""
+    and is D^2 times the rational one, with the same roots and signs.
+
+    Roots are isolated once per distinct polynomial on a segment, up to a
+    nonzero integer factor: at rank 2, cross(Z b1, Z b2) is det Z times
+    det[b1 b2], so every pair shares one.  Each pair still makes its own
+    keyframe sign test and its own checks."""
     charge_list = sorted(set(charges), key=lambda ch: ch.coords)
     mset = set(charge_list)
     m = path.segment_count
@@ -249,13 +270,13 @@ def detect_walls(
         raise ValidationError("tolerance must be positive")
     still = (0, 0)
     # interval -> its (kind, beta1, beta2) set, so that Fractions are hashed
-    # per interval found and compared only between distinct intervals
+    # per distinct interval and compared only between distinct intervals
     events: dict[tuple[Fraction, Fraction], set] = {}
     last: dict[Charge, tuple] = {}  # the previous segment's (value, step)
     for i, (z0, z1) in enumerate(zip(path.keyframes, path.keyframes[1:])):
         *rows, ray_start, ray_end = _integer_rows(
             z0.matrix + z1.matrix + (sector.start, sector.end))
-        seg = {}
+        seg, memo = {}, {}
         for ch in charge_list:
             x0, y0, x1, y1 = (_dot(row, ch.coords) for row in rows)
             seg[ch] = ((x0, y0), (x1 - x0, y1 - y0))
@@ -271,8 +292,8 @@ def detect_walls(
                         f"{b1.coords} ~ {b2.coords}"
                     )
                 before = _crossing(*last[b1], *last[b2]) if i and poly[0] == 0 else None
-                for interval in _segment_events(i, m, poly, before, tol):
-                    events.setdefault(interval, set()).add(("first_type", b1, b2))
+                for found in _segment_events(i, m, poly, before, tol, memo, events):
+                    found.add(("first_type", b1, b2))
         for b1 in charge_list:
             u0, du = seg[b1]
             for ray in (ray_start, ray_end):
@@ -291,8 +312,8 @@ def detect_walls(
                 if (lb * _dot(u0, ray) - la * _dot(du, ray)) * lb <= 0:
                     continue
                 before = _crossing(*last[b1], ray, still) if i and la == 0 else None
-                for t, _ in _segment_events(i, m, poly, before, tol):
-                    found = events.setdefault((t, t), set())
+                # a linear polynomial: every interval is a point (t, t)
+                for found in _segment_events(i, m, poly, before, tol, memo, events):
                     for b2 in charge_list:
                         if (b1 + b2) in mset:
                             found.add(("second_type", b1, b2))
@@ -404,13 +425,15 @@ class _Cluster:
 
 
 def _cluster_events(events) -> list[_Cluster]:
+    """Overlapping intervals of the sorted events, merged, comparing each
+    distinct interval once (its events share its two Fractions)."""
     clusters: list[_Cluster] = []
-    for ev in events:
-        if clusters and ev.t_lo <= clusters[-1].hi:
-            clusters[-1].hi = max(clusters[-1].hi, ev.t_hi)
-            clusters[-1].events.append(ev)
+    for (lo, hi), group in itertools.groupby(events, lambda ev: (ev.t_lo, ev.t_hi)):
+        if clusters and lo <= clusters[-1].hi:
+            clusters[-1].hi = max(clusters[-1].hi, hi)
+            clusters[-1].events.extend(group)
         else:
-            clusters.append(_Cluster(ev.t_lo, ev.t_hi, [ev]))
+            clusters.append(_Cluster(lo, hi, list(group)))
     return clusters
 
 

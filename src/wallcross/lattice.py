@@ -86,6 +86,22 @@ def charges_parallel(b1: Charge, b2: Charge) -> bool:
     return True
 
 
+def _sequence(values, message: str) -> tuple:
+    """The entries as a tuple; what is not iterable fails with message."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValidationError(f"{message}, got {values!r}") from None
+
+
+def _mapping(mapping, what: str) -> dict:
+    """The pairs as a dict; neither a mapping nor pairs fails."""
+    try:
+        return dict(mapping)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a mapping, got {mapping!r}") from None
+
+
 def _integers(values, what: str) -> tuple[int, ...]:
     """The entries as a tuple, each an int that is not a bool."""
     try:
@@ -99,6 +115,7 @@ def _integers(values, what: str) -> tuple[int, ...]:
 
 
 def _freeze_int_matrix(rows) -> tuple[tuple[int, ...], ...]:
+    rows = _sequence(rows, "a matrix must be a sequence of rows")
     return tuple(_integers(row, "matrix entries") for row in rows)
 
 
@@ -112,7 +129,11 @@ def _exact(x) -> Fraction:
 
 
 def _freeze_fraction_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(_exact(x) for x in row) for row in rows)
+    rows = _sequence(rows, "a matrix must be a sequence of rows")
+    return tuple(
+        tuple(_exact(x) for x in _sequence(row, "matrix entries must be a sequence of rationals"))
+        for row in rows
+    )
 
 
 def _plane(v, what: str) -> Vec2:
@@ -208,6 +229,8 @@ class ChargeLattice:
         object.__setattr__(self, "boundary", mat)
         if _integers((self.rank,), "lattice rank")[0] < 1:
             raise ValidationError("lattice rank must be positive")
+        if not isinstance(self.surface, SurfaceModel):
+            raise ValidationError(f"lattice surface must be a SurfaceModel, got {self.surface!r}")
         if len(mat) != self.surface.dim:
             raise ValidationError("boundary matrix must have one row per homology basis vector")
         for row in mat:
@@ -240,6 +263,8 @@ class CentralCharge:
         object.__setattr__(self, "matrix", mat)
         if len(mat) != 2 or len(mat[0]) != len(mat[1]):
             raise ValidationError("central charge matrix must have exactly two rows of equal length")
+        if not mat[0]:
+            raise ValidationError("central charge rank must be positive")
 
     @property
     def rank(self) -> int:

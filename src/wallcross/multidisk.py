@@ -24,6 +24,7 @@ from .lattice import (
     SurfaceModel,
     _exact,
     _integers,
+    _mapping,
     cross,
     phase_precedes,
 )
@@ -269,7 +270,7 @@ class ChainCombination:
 
     def __init__(self, terms: Mapping[NiceChain, Fraction] = ()):
         self._terms = {}
-        for chain, c in dict(terms).items():
+        for chain, c in _mapping(terms, "chain combination").items():
             if not isinstance(chain, NiceChain):
                 raise ValidationError(f"combination keys must be chains, got {chain!r}")
             c = _exact(c)

@@ -422,6 +422,42 @@ def test_command_grid_matches_bench_golden(capsys, lam):
     assert mismatched == []
 
 
+@pytest.mark.parametrize("command", ["cross", "walls"])
+def test_wall_commands_at_lambda_8_match_bench_golden(capsys, command):
+    """The wall commands at the benchmark's largest cutoff, where crossing.scn
+    has 62 members and 1,821 events on one shared crossing polynomial."""
+    golden = json.loads(BENCH_GOLDEN.read_text())
+    for scenario in golden["scenario_sha256"]:
+        for mode in ("plain", "twisted"):
+            code, out, err = run_cli(
+                capsys, "--scenario", str(SCENARIOS / f"{scenario}.scn"),
+                "--command", command, "--lambda", "8", "--mode", mode,
+            )
+            got = [code, hashlib.sha256(out.encode()).hexdigest(), err.strip()]
+            assert got == golden["cli"][f"{command}:{scenario}:lambda=8:{mode}"]
+
+
+def test_main_parser_is_reused_between_calls(capsys, monkeypatch):
+    # the parser is built once, at import: a run after a rejected argument
+    # list prints what the first run did, and the rejection is unchanged
+    monkeypatch.setenv("COLUMNS", "80")
+    first = run_cli(capsys, "--scenario", PRIMITIVE, "--command", "cone")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--scenario", PRIMITIVE, "--command", "bogus"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "usage: wallcross [-h] --scenario SCENARIO --command\n"
+            "                 {cone,product,factorize,cross,walls,multilink,twist,selftest}\n"
+            "                 [--lambda P/Q] [--mode {plain,twisted}]\n"
+            "wallcross: error: argument --command: invalid choice: 'bogus' (choose from "
+        )
+    assert run_cli(capsys, "--scenario", PRIMITIVE, "--command", "cone") == first
+    assert first[0] == 0 and first[2] == ""
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "wallcross.cli",

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ from wallcross.engine import (
     StabilityStructure,
     VariationPath,
     WallEvent,
+    _crossing,
     _quadratic_events,
     check_variation,
     detect_walls,
@@ -35,6 +37,9 @@ from wallcross.lattice import (
     Sector,
     SurfaceModel,
     TruncationSet,
+    _dot,
+    _integer_rows,
+    charges_parallel,
     cross,
 )
 from wallcross.scenario import parse_scenario
@@ -402,6 +407,142 @@ def test_quadratic_events_same_for_ints_fractions_and_scaling(a, b, c, d, k):
     assert all(type(x) is Fraction for pair in events for x in pair)
     assert _quadratic_events(Fraction(a, d), Fraction(b, d), Fraction(c, d), tol) == events
     assert _quadratic_events(a * k * k, b * k * k, c * k * k, tol) == events
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
+    st.integers(1, 9), st.booleans(),
+)
+def test_quadratic_events_same_for_every_nonzero_integer_multiple(a, b, c, k, negate):
+    # detect_walls keys its per-segment memo on a polynomial over its signed
+    # gcd, which relies on this
+    k = -k if negate else k
+    tol = Fraction(1, 64)
+    assert _quadratic_events(a * k, b * k, c * k, tol) == _quadratic_events(a, b, c, tol)
+
+
+def _per_pair_walls(path, charges, sector, tol=Fraction(1, 1024)):
+    """detect_walls with every pair root-isolating its own polynomial, as
+    it did before polynomials were shared: the oracle for the memo."""
+    charge_list = sorted(set(charges), key=lambda ch: ch.coords)
+    mset = set(charge_list)
+    m = path.segment_count
+    still = (0, 0)
+    events, last = set(), {}
+
+    def segment_events(i, poly, before):
+        a, b, c = poly
+        out = []
+        if i and a == 0:
+            _, pb, pc = before
+            if (-(pb + 2 * pc) or pc) * (b or c) < 0:
+                out.append((Fraction(i, m), Fraction(i, m)))
+        for lo, hi in _quadratic_events(a, b, c, tol):
+            if (i and lo == 0 or i < m - 1 and lo == 1) and lo == hi:
+                continue
+            out.append((Fraction(i + lo, m), Fraction(i + hi, m)))
+        return out
+
+    for i, (z0, z1) in enumerate(zip(path.keyframes, path.keyframes[1:])):
+        *rows, ray_start, ray_end = _integer_rows(
+            z0.matrix + z1.matrix + (sector.start, sector.end))
+        seg = {}
+        for ch in charge_list:
+            x0, y0, x1, y1 = (_dot(row, ch.coords) for row in rows)
+            seg[ch] = ((x0, y0), (x1 - x0, y1 - y0))
+        for b1, b2 in itertools.combinations(charge_list, 2):
+            if charges_parallel(b1, b2):
+                continue
+            poly = _crossing(*seg[b1], *seg[b2])
+            if poly == (0, 0, 0):
+                raise ValidationError(
+                    "variation path runs along a first-type wall for "
+                    f"{b1.coords} ~ {b2.coords}"
+                )
+            before = _crossing(*last[b1], *last[b2]) if i and poly[0] == 0 else None
+            for lo, hi in segment_events(i, poly, before):
+                events.add(WallEvent(lo, hi, "first_type", b1, b2))
+        for b1 in charge_list:
+            u0, du = seg[b1]
+            for ray in (ray_start, ray_end):
+                poly = la, lb, _ = _crossing(u0, du, ray, still)
+                if la == 0 and lb == 0:
+                    end = (u0[0] + du[0], u0[1] + du[1])
+                    if _dot(u0, ray) > 0 or _dot(end, ray) > 0:
+                        raise ValidationError(
+                            f"charge {b1.coords} rides the sector boundary along the path"
+                        )
+                    continue
+                if (lb * _dot(u0, ray) - la * _dot(du, ray)) * lb <= 0:
+                    continue
+                before = _crossing(*last[b1], ray, still) if i and la == 0 else None
+                for t, _ in segment_events(i, poly, before):
+                    events.update(
+                        WallEvent(t, t, "second_type", b1, b2)
+                        for b2 in charge_list if b1 + b2 in mset
+                    )
+        last = seg
+    return tuple(sorted(events, key=WallEvent.sort_key))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_detect_walls_matches_per_pair_root_isolation(rank):
+    # At rank 2 every pair shares one crossing polynomial up to a signed
+    # factor; at rank 3 they differ.  Small integer keyframes make interior
+    # keyframe roots (junctions), whose sign test is each pair's own.
+    rng = random.Random(43 + rank)
+    charges = [Charge(c) for c in itertools.product(range(3), repeat=rank)
+               if any(c) and (rank == 2 or sum(c) <= 2)]
+    sector = Sector((Fraction(-2), Fraction(1)), (Fraction(2), Fraction(1)))
+
+    def frame():
+        return zmat([[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))) for _ in range(rank)]
+                     for _ in range(2)])
+
+    def outcome(run, frames):
+        try:
+            return run(VariationPath(frames), charges, sector)
+        except ValidationError as exc:
+            return str(exc)
+
+    kinds = set()
+    for _ in range(40):
+        frames = [frame() for _ in range(rng.randint(2, 3))]
+        events = outcome(detect_walls, frames)
+        assert events == outcome(_per_pair_walls, frames)
+        if isinstance(events, str):
+            kinds.add("error")
+            continue
+        m = len(frames) - 1
+        for ev in events:
+            junction = ev.t_lo == ev.t_hi and 0 < ev.t_lo * m < m and (ev.t_lo * m).denominator == 1
+            kinds.add("junction" if junction else (ev.kind, ev.t_lo == ev.t_hi))
+    assert kinds >= {"junction", "error", ("first_type", False), ("second_type", True)}
+
+
+def test_detect_walls_isolates_each_distinct_polynomial_once(monkeypatch):
+    # crossing.scn at lambda 8: 62 members, 1,821 events, one segment
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text()
+    sc = parse_scenario(text)
+    trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(8))
+    members = StabilityStructure(sc.lattice, sc.z, sc.q, sc.sector, trunc, sc.spectrum).members
+    path = VariationPath(sc.path_keyframes())
+    assert path.segment_count == 1
+    calls = []
+
+    def counted(a, b, c, tol):
+        calls.append((a, b, c))
+        return _quadratic_events(a, b, c, tol)
+
+    monkeypatch.setattr(engine, "_quadratic_events", counted)
+    events = detect_walls(path, members, sc.sector)
+    assert len(events) == 1821
+    assert len(calls) == len(set(calls))
+    # one first-type polynomial, and at most one per member and boundary ray
+    assert len(calls) <= 1 + 2 * len(members)
+    for a, b, c in calls:
+        assert math.gcd(a, b, c) == 1 and (a or b or c) > 0
 
 
 # -- transport -----------------------------------------------------------------

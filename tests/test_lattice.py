@@ -498,6 +498,26 @@ def test_rank_and_genus_are_ints_not_bools(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: CentralCharge(None), "a matrix must be a sequence of rows, got None"),
+    (lambda: CentralCharge((1, 2)), "matrix entries must be a sequence of rationals, got 1"),
+    (lambda: CentralCharge(((), ())), "central charge rank must be positive"),
+    (lambda: QuadraticForm(None), "a matrix must be a sequence of rows, got None"),
+    (lambda: SurfaceModel(None), "a matrix must be a sequence of rows, got None"),
+    (lambda: ChargeLattice(2, None, SurfaceModel(())),
+     "a matrix must be a sequence of rows, got None"),
+    (lambda: ChargeLattice(2, ((1, 0), (0, 1)), None),
+     "lattice surface must be a SurfaceModel, got None"),
+    (lambda: Spectrum(None), "spectrum must be a mapping, got None"),
+    (lambda: Spectrum([1, 2]), r"spectrum must be a mapping, got \[1, 2\]"),
+    (lambda: ChainCombination(None), "chain combination must be a mapping, got None"),
+], ids=["z_none", "z_flat", "z_rank0", "q_none", "surface_none", "boundary_none",
+        "lattice_surface_none", "spectrum_none", "spectrum_list", "combination_none"])
+def test_whole_matrix_or_mapping_rejected(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
 _RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 _POSITIVE = st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5)
 
