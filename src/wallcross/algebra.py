@@ -177,17 +177,23 @@ class PbwAlgebra:
         self.trunc = trunc
         if members is None:
             members = cone_enumerate(lattice, z, q, sector, trunc)
+            chart = _Chart(z, sector, trunc)
         else:
-            _check_members(lattice, z, sector, trunc, members)
+            chart = _check_members(lattice, z, sector, trunc, members)
         self.members = tuple(members)
         self._cutoff = trunc.cutoff
         self._chamber = _Chamber(lattice, self.members)
-        self._ordered_by(z, mode)
+        self._ordered_by(z, mode, chart)
 
-    def _ordered_by(self, z: CentralCharge, mode: BracketMode | str) -> "PbwAlgebra":
-        """Sort the chamber's members by z; returns self."""
+    def _ordered_by(
+        self, z: CentralCharge, mode: BracketMode | str, chart: Optional[_Chart] = None
+    ) -> "PbwAlgebra":
+        """Sort the chamber's members by z, on z's chart when one is given;
+        returns self."""
         self.z, self.mode = z, BracketMode.coerce(mode)
-        self._chart = chart = _Chart(z, self.sector, self.trunc)
+        if chart is None:
+            chart = _Chart(z, self.sector, self.trunc)
+        self._chart = chart
         charges, (c0, c1) = self._chamber.charges, chart.cov
         zvals = [chart.value(ch.coords) for ch in charges]
         heights = [_dot(chart.hrow, ch.coords) for ch in charges]
@@ -198,8 +204,7 @@ class PbwAlgebra:
         perm = sorted(range(len(charges)), key=lambda i: (
             (zvals[i][0] * c1 - zvals[i][1] * c0) * (lcm // heights[i]), heights[i]))
         self.order = GeneratorOrder(tuple(charges[i] for i in perm))
-        hrow = [self.trunc.height(col) for col in zip(*z.matrix)]
-        self._heights = [_dot(hrow, ch.coords) for ch in self.order.charges]
+        self._heights = [Fraction(heights[i], chart.scale) for i in perm]
         self._perm = perm
         for table in ("_cstr", "_merge"):  # a copy's tables from its old order
             vars(self).pop(table, None)
@@ -466,24 +471,24 @@ class PbwAlgebra:
         return got
 
     def with_mode(self, mode: BracketMode | str) -> "PbwAlgebra":
-        return copy.copy(self)._ordered_by(self.z, mode)
+        return copy.copy(self)._ordered_by(self.z, mode, self._chart)
 
     def _require_same(self, element: "AlgebraElement") -> None:
         if element.algebra.signature != self.signature:
             raise ValidationError("element belongs to a different algebra")
 
 
-def _check_members(lattice, z, sector, trunc, members) -> None:
+def _check_members(lattice, z, sector, trunc, members) -> _Chart:
     """Hold explicit members to what cone_enumerate gives: charges of the
     lattice rank with a nonzero Z value in the closed sector and a height
-    (so positive) within the cutoff."""
+    (so positive) within the cutoff.  Returns the chart they were tested on."""
     if z.rank != lattice.rank:
         raise ValidationError("central charge rank must match the lattice")
-    trunc.validate_for(sector)
     chart = _Chart(z, sector, trunc)
     for ch in members:
         if not isinstance(ch, Charge) or len(ch) != lattice.rank or chart.height(ch.coords) is None:
             raise ValidationError(f"member {ch!r} is not a charge in the truncated sector")
+    return chart
 
 
 def _collect(parts) -> dict:

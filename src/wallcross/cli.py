@@ -17,7 +17,7 @@ from .algebra import BracketMode, PbwAlgebra, Spectrum
 from .engine import (
     StabilityStructure,
     VariationPath,
-    _event_line,
+    _event_lines,
     _spectrum_lines,
     check_variation,
     detect_walls,
@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
     WallcrossError,
 )
-from .lattice import _dot, cone_enumerate
+from .lattice import _Chart, _dot, cone_enumerate
 from .multidisk import enumerate_forests, multilink_total
 from .refinement import all_refinements, twist_spectrum
 from .scenario import Scenario, parse_scenario
@@ -63,9 +63,12 @@ def cmd_cone(sc: Scenario) -> list[str]:
     members = cone_enumerate(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc)
     if not members:
         return ["(empty)"]
-    # height(Z(ch)) is linear in ch: one row of exact heights, dotted with ch
-    hrow = [sc.trunc.height(col) for col in zip(*sc.z.matrix)]
-    return [f"{_coords(ch)} height {_dot(hrow, ch.coords)}" for ch in members]
+    # the chart's int heights are the exact ones times its scale
+    chart = _Chart(sc.z, sc.sector, sc.trunc)
+    return [
+        f"{_coords(ch)} height {Fraction(_dot(chart.hrow, ch.coords), chart.scale)}"
+        for ch in members
+    ]
 
 
 def _word_str(word) -> str:
@@ -95,7 +98,7 @@ def cmd_walls(sc: Scenario) -> list[str]:
     events = detect_walls(_path(sc), struct.members, sc.sector)
     if not events:
         return ["no wall events"]
-    return [_event_line(ev) for ev in events]
+    return _event_lines(events)
 
 
 def cmd_multilink(sc: Scenario) -> list[str]:

@@ -395,7 +395,7 @@ class VariationReport:
         if not self.events:
             out.append("no events, spectrum constant")
             return out
-        out.extend("event " + _event_line(ev) for ev in self.events)
+        out.extend("event " + line for line in _event_lines(self.events))
         for jump in self.jumps:
             out.append(f"jump on [{jump.t_lo}, {jump.t_hi}]:")
             out.append("  before:")
@@ -413,8 +413,14 @@ def _spectrum_lines(spectrum: Spectrum) -> list[str]:
     return [f"{ch.coords} -> {c}" for ch, c in spectrum.items()]
 
 
-def _event_line(ev: WallEvent) -> str:
-    return f"t in [{ev.t_lo}, {ev.t_hi}] {ev.kind} {ev.beta1.coords} x {ev.beta2.coords}"
+def _event_lines(events) -> list[str]:
+    """One line per event.  Events come sorted by interval, and many share
+    one, so each distinct interval is formatted once."""
+    out = []
+    for (lo, hi), group in itertools.groupby(events, lambda ev: (ev.t_lo, ev.t_hi)):
+        head = f"t in [{lo}, {hi}] "
+        out.extend(f"{head}{ev.kind} {ev.beta1.coords} x {ev.beta2.coords}" for ev in group)
+    return out
 
 
 @dataclass

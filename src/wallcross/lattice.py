@@ -120,6 +120,8 @@ def _freeze_int_matrix(rows) -> tuple[tuple[int, ...], ...]:
 
 
 def _exact(x) -> Fraction:
+    if type(x) is Fraction:  # immutable, so itself; a subclass is converted
+        return x
     if isinstance(x, float):  # a binary fraction, not the rational meant
         raise ValidationError(f"exact rational expected, got float {x!r}")
     try:
@@ -145,11 +147,16 @@ def _plane(v, what: str) -> Vec2:
     return _exact(x), _exact(y)
 
 
-def _integer_rows(rows) -> list[list[int]]:
-    """The rational rows times the lcm of all their denominators: a
-    positive scale, which changes no sign, phase order or height order."""
+def _scaled(rows) -> tuple[int, list[list[int]]]:
+    """The lcm D of all the rational rows' denominators, and the rows times
+    D: a positive scale, which changes no sign, phase order or height order."""
     d = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def _integer_rows(rows) -> list[list[int]]:
+    """The rational rows times the lcm of all their denominators."""
+    return _scaled(rows)[1]
 
 
 def _dot(u, v):
@@ -385,76 +392,94 @@ class TruncationSet:
             raise ValidationError("truncation covector must be positive on the closed sector")
 
 
-def _kernel_basis(z: CentralCharge) -> list[tuple[Fraction, ...]]:
-    """Rational basis of ker Z via Gaussian elimination on the 2 x n matrix."""
-    n = z.rank
-    rows = [list(r) for r in z.matrix]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
+def _kernel_rows(zx: list[int], zy: list[int]) -> list[list[int]]:
+    """An integer basis of ker Z from Z's integer rows, by Cramer's rule on
+    Z's first nonzero 2 x 2 minor, else on its first nonzero entry.  It is
+    empty, after one determinant, when Z is an invertible 2 x 2 matrix."""
+    n = len(zx)
+    for p, q in itertools.combinations(range(n), 2):
+        d = zx[p] * zy[q] - zx[q] * zy[p]
+        if d:  # rank 2: d e_j plus the solution on columns p, q, per other j
+            basis = []
+            for j in range(n):
+                if j != p and j != q:
+                    v = [0] * n
+                    v[j] = d
+                    v[p], v[q] = zx[q] * zy[j] - zx[j] * zy[q], zx[j] * zy[p] - zx[p] * zy[j]
+                    basis.append(v)
+            return basis
+    row = zx if any(zx) else zy  # rank <= 1: both rows are multiples of it
+    p = next((j for j, x in enumerate(row) if x), None)
+    if p is None:
+        return [[int(i == j) for i in range(n)] for j in range(n)]
     basis = []
-    free_cols = [c for c in range(n) if c not in pivots]
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -rows[ri][fc]
-        basis.append(tuple(vec))
+    for j in range(n):
+        if j != p:
+            v = [0] * n
+            v[j], v[p] = row[p], -row[j]
+            basis.append(v)
     return basis
+
+
+def _negative_definite(m: list[list[int]]) -> bool:
+    """Sylvester's criterion on a symmetric integer matrix, which is
+    overwritten: its k-th leading minor has the sign (-1)^k.  Fraction-free
+    (Bareiss) elimination without row swaps leaves the (k+1)-th leading
+    minor in m[k][k] after step k, and each of its divisions is exact."""
+    prev, sign = 1, -1
+    for k in range(len(m)):
+        pivot = m[k][k]
+        if pivot * sign <= 0:
+            return False
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev, sign = pivot, -sign
+    return True
 
 
 def check_kernel_definiteness(z: CentralCharge, q: QuadraticForm) -> None:
     """Reject configurations where Q fails to be negative definite on ker Z.
 
     Without this the set of cone generators below a height cutoff can be
-    infinite and enumeration would silently truncate it.  Q on ker Z is
-    negative definite exactly when every pivot of its exact LDL^T
-    factorization (elimination without row swaps) is negative.
+    infinite and enumeration would silently truncate it.  Z and Q are scaled
+    to integers, which scales Q on ker Z by a positive factor.  An integer
+    basis of ker Z comes from Cramer's rule, and Q on it is negative
+    definite exactly when its leading minors, from fraction-free
+    elimination, alternate in sign from negative (Sylvester).  An
+    invertible Z has ker Z = 0 and passes after one 2 x 2 determinant.
     """
-    basis = _kernel_basis(z)
-    n = z.rank
-    m = [
-        [sum(a[i] * q.matrix[i][j] * b[j] for i in range(n) for j in range(n)) for b in basis]
-        for a in basis
-    ]
-    for col, row in enumerate(m):
-        if row[col] >= 0:
-            raise ValidationError("quadratic form is not negative definite on ker Z")
-        for below in m[col + 1:]:
-            f = below[col] / row[col]
-            below[col:] = [x - f * y for x, y in zip(below[col:], row[col:])]
+    basis = _kernel_rows(*_integer_rows(z.matrix))
+    if not basis:
+        return
+    qm = _integer_rows(q.matrix)
+    m = [[_dot(a, [_dot(row, b) for row in qm]) for b in basis] for a in basis]
+    if not _negative_definite(m):
+        raise ValidationError("quadratic form is not negative definite on ker Z")
 
 
 class _Chart:
     """The integer picture of (Z, sector, truncation) that every exact test
-    reads: Z's rows, the sector rays with the covector, and the height row
-    with the cutoff, each scaled by a positive integer, which keeps every
-    sign, phase order and height order."""
+    reads: Z's rows, and the sector rays with the covector, each scaled by a
+    positive integer, which keeps every sign, phase order and height order.
+    The height row is the covector applied to Z's rows, so an int height is
+    the rational one times scale; cut is the cutoff times scale, rounded
+    down, which keeps every comparison of an int height with it.
 
-    __slots__ = ("zx", "zy", "rays", "cov", "hrow", "cut")
+    Building one checks, on ints, that the covector is positive on the
+    sector, as TruncationSet.validate_for does."""
+
+    __slots__ = ("zx", "zy", "rays", "cov", "hrow", "cut", "scale")
 
     def __init__(self, z: CentralCharge, sector: Sector, trunc: TruncationSet):
-        self.zx, self.zy = _integer_rows(z.matrix)
-        *self.rays, self.cov = _integer_rows((sector.start, sector.end, trunc.covector))
-        *self.hrow, self.cut = _integer_rows([[*map(trunc.height, zip(*z.matrix)), trunc.cutoff]])[0]
+        dz, (self.zx, self.zy) = _scaled(z.matrix)
+        dc, (*self.rays, self.cov) = _scaled((sector.start, sector.end, trunc.covector))
+        c0, c1 = self.cov
+        if any(c0 * x + c1 * y <= 0 for x, y in self.rays):
+            raise ValidationError("truncation covector must be positive on the closed sector")
+        self.hrow = [c0 * x + c1 * y for x, y in zip(self.zx, self.zy)]
+        self.scale = dz * dc
+        self.cut = trunc.cutoff.numerator * self.scale // trunc.cutoff.denominator
 
     def value(self, point) -> tuple[int, int]:
         return _dot(self.zx, point), _dot(self.zy, point)
@@ -469,6 +494,32 @@ class _Chart:
             return None
         return h
 
+    def scan(self, box: int):
+        """The points of [-box, box]^rank on the inner side of the three
+        half-planes that height tests (the cutoff and the two sector rays),
+        in lexicographic order.  The first rank - 1 coordinates run over the
+        box; the last solves c t <= rest for each half-plane: floor division
+        for c > 0, ceil division for c < 0, all or nothing for c = 0."""
+        (sx, sy), (ex, ey) = self.rays
+        forms = (
+            (self.hrow, self.cut),
+            ([sx * y - sy * x for x, y in zip(self.zx, self.zy)], 0),
+            ([ey * x - ex * y for x, y in zip(self.zx, self.zy)], 0),
+        )
+        for head in itertools.product(range(-box, box + 1), repeat=len(self.zx) - 1):
+            lo, hi = -box, box
+            for row, bound in forms:
+                c, rest = row[-1], bound - _dot(row, head)  # _dot stops where head does
+                if c > 0:
+                    hi = min(hi, rest // c)
+                elif c < 0:
+                    lo = max(lo, -(rest // -c))
+                elif rest < 0:
+                    break
+            else:
+                for t in range(lo, hi + 1):
+                    yield (*head, t)
+
 
 def cone_enumerate(
     lattice: ChargeLattice,
@@ -481,20 +532,21 @@ def cone_enumerate(
     with height at most the cutoff, sorted by (height, lexicographic).
 
     Generators are the charges with central charge inside the sector and
-    non-negative quadratic form, found by scanning the integer box given
-    by trunc.scan_box.  Heights of generators are strictly positive, so
-    the additive closure below the cutoff is finite.  Q is scaled by a
+    non-negative quadratic form, found in the integer box given by
+    trunc.scan_box.  Only the box points that `_Chart.scan` leaves (one
+    interval of the last coordinate per value of the others) take the
+    exact height and Q tests; they come in lexicographic order, as in a
+    full scan.  Heights of generators are strictly positive, so the
+    additive closure below the cutoff is finite.  Q is scaled by a
     positive integer, like the chart's data, which keeps its sign.
     """
     if z.rank != lattice.rank or q.rank != lattice.rank:
         raise ValidationError("central charge / quadratic form rank must match the lattice")
-    trunc.validate_for(sector)
-    check_kernel_definiteness(z, q)
-    box = trunc.scan_box
     chart = _Chart(z, sector, trunc)
+    check_kernel_definiteness(z, q)
     qm = _integer_rows(q.matrix)
     gens: list[tuple[tuple[int, ...], int]] = []
-    for point in itertools.product(range(-box, box + 1), repeat=lattice.rank):
+    for point in chart.scan(trunc.scan_box):
         h = chart.height(point)
         if h is None or _dot(point, [_dot(row, point) for row in qm]) < 0:
             continue

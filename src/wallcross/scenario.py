@@ -80,6 +80,11 @@ def _fail(lineno: int, message: str):
 
 
 def _fraction(token: str, lineno: int) -> Fraction:
+    # an ASCII integer skips Fraction's string parser; int() alone would
+    # also take '_', spaces and non-ASCII digits
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if digits.isascii() and digits.isdigit():
+        return Fraction(int(token))
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):

@@ -6,12 +6,14 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
+import wallcross.lattice as lattice
 from conftest import ray_invariants
 from wallcross.algebra import PbwAlgebra, Spectrum
 from wallcross.cli import COMMANDS, cmd_cone, main
@@ -456,6 +458,32 @@ def test_main_parser_is_reused_between_calls(capsys, monkeypatch):
         )
     assert run_cli(capsys, "--scenario", PRIMITIVE, "--command", "cone") == first
     assert first[0] == 0 and first[2] == ""
+
+
+def test_product_builds_two_charts_and_checks_the_covector_once(capsys, monkeypatch):
+    # the fixed path of one product call: the parse checks the covector on
+    # the sector and ker Z, cone_enumerate builds a chart (which checks the
+    # covector on ints) and checks ker Z, and the algebra builds one chart
+    # for its member check and its order.  With a separate covector check
+    # and a chart per use, the counts were 3, 3 and 2.
+    counts = Counter()
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(lattice._Chart, "__init__", "charts")
+    count(TruncationSet, "validate_for", "validate_for")
+    count(lattice, "_kernel_rows", "kernel checks")  # once per check of ker Z
+    code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", "product",
+                             "--lambda", "2")
+    assert (code, err) == (0, "") and out
+    assert counts == {"charts": 2, "validate_for": 1, "kernel checks": 2}
 
 
 def test_console_entry_point_runs():

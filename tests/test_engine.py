@@ -19,6 +19,7 @@ from wallcross.engine import (
     VariationPath,
     WallEvent,
     _crossing,
+    _event_lines,
     _quadratic_events,
     check_variation,
     detect_walls,
@@ -40,6 +41,7 @@ from wallcross.lattice import (
     _dot,
     _integer_rows,
     charges_parallel,
+    cone_enumerate,
     cross,
 )
 from wallcross.scenario import parse_scenario
@@ -724,6 +726,33 @@ def test_check_variation_builds_the_source_product_once(monkeypatch):
     assert builds == [struct.algebra()]  # every target algebra re-sorts a copy
     digest = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
     assert digest == "fc0e5239340f8b901e31fc1b829e7069820cec6069eef1ec412a6e3a0d0e9f83"
+
+
+def test_event_lines_format_each_distinct_interval_once():
+    # crossing.scn at lambda 8: 1,821 events on one interval.  The endpoints
+    # count their formatting; each interval shares one pair, as detect_walls'
+    # events do.
+    sc = parse_scenario((Path(__file__).resolve().parent.parent / "scenarios"
+                         / "crossing.scn").read_text())
+    trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(8))
+    members = cone_enumerate(sc.lattice, sc.z, sc.q, sc.sector, trunc)
+    events = detect_walls(VariationPath(sc.path_keyframes()), members, sc.sector)
+    formatted = []
+
+    class Counted(Fraction):
+        def __format__(self, spec):
+            formatted.append(self)
+            return format(Fraction(self), spec)
+
+    shared, counted = {}, []
+    for ev in events:
+        lo, hi = shared.setdefault((ev.t_lo, ev.t_hi), (Counted(ev.t_lo), Counted(ev.t_hi)))
+        counted.append(dataclasses.replace(ev, t_lo=lo, t_hi=hi))
+    assert _event_lines(counted) == [
+        f"t in [{ev.t_lo}, {ev.t_hi}] {ev.kind} {ev.beta1.coords} x {ev.beta2.coords}"
+        for ev in events
+    ]
+    assert len(events) == 1821 and len(formatted) == 2 * len(shared) == 2
 
 
 def test_check_variation_second_type_abort():

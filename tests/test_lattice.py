@@ -192,7 +192,7 @@ def _oracle_cone(gens, z, trunc):
     return tuple(sorted(members, key=lambda b: (trunc.height(z.evaluate(b)), b.coords)))
 
 
-@pytest.mark.parametrize("rank, box", [(2, 4), (3, 2)])
+@pytest.mark.parametrize("rank, box", [(2, 4), (3, 2), (3, 3)])
 def test_cone_enumerate_matches_fraction_oracle(rank, box):
     rng = random.Random(1000 + rank)
     lattice = ChargeLattice(rank, (), SurfaceModel(()))
@@ -236,6 +236,45 @@ def test_cone_enumerate_matches_fraction_oracle(rank, box):
         assert cone_enumerate(lattice, z, q, sector, trunc) == expected
         nonempty += len(expected) > 1
     assert nonempty >= 20
+
+
+# Fixed geometries for the scan's interval solve: per half-plane c t <= rest
+# in the last coordinate t, with c > 0, c < 0, and c = 0 with rest >= 0
+# (the whole box) or rest < 0 (no point).
+_HALF_PLANE_CASES = {
+    # Z(p) = (p1, p0): the height p0 has last coefficient 0, so heads with
+    # p0 above the cutoff are empty; the start form has c < 0, the end c > 0
+    "height coefficient 0": (((0, 1), (1, 0)), ((1, 0), (0, 1)), ((-1, 1), (1, 1)), (0, 1)),
+    # Z e2 = (-1, 1) lies on the start ray: that form's last coefficient is
+    # 0 and it keeps the heads with p0 >= 0 only
+    "start-ray coefficient 0": (((1, -1), (1, 1)), ((1, 2), (2, 1)), ((-1, 1), (1, 1)), (0, 1)),
+    # Z e2 = (2, 1) lies on the end ray
+    "end-ray coefficient 0": (((0, 2), (1, 1)), ((1, 0), (0, 1)), ((-1, 3), (2, 1)), (1, 2)),
+    # rational data: floor and ceil of non-integer quotients
+    "rational data": (
+        ((Fraction(1, 3), Fraction(-2, 5)), (Fraction(3, 4), Fraction(1, 2))),
+        ((1, 0), (0, -1)),
+        ((Fraction(-1, 2), 1), (Fraction(3, 2), Fraction(2, 3))),
+        (Fraction(1, 7), Fraction(3, 2)),
+    ),
+    # rank 1: no head, one interval
+    "rank 1": (((Fraction(1, 2),), (3,)), ((1,),), ((-1, 2), (1, 2)), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HALF_PLANE_CASES))
+@pytest.mark.parametrize("box", [1, 2, 5])
+def test_cone_enumerate_matches_fraction_oracle_on_fixed_half_planes(name, box):
+    z_rows, q_rows, (start, end), covector = _HALF_PLANE_CASES[name]
+    z, q, sector = CentralCharge(z_rows), QuadraticForm(q_rows), Sector(start, end)
+    lattice = ChargeLattice(z.rank, (), SurfaceModel(()))
+    sizes = set()
+    for cutoff in (0, Fraction(1, 2), 1, Fraction(7, 3), 4, 9):
+        trunc = TruncationSet(covector, cutoff, box)
+        expected = _oracle_cone(_oracle_scan(lattice, z, q, sector, trunc), z, trunc)
+        assert cone_enumerate(lattice, z, q, sector, trunc) == expected
+        sizes.add(len(expected))
+    assert len(sizes) >= 3  # the cutoffs cut the cone in different places
 
 
 def _leibniz_det(m) -> Fraction:
@@ -286,6 +325,73 @@ def test_kernel_definiteness_matches_leading_minors():
         assert got == expected, block
         verdicts.append(got)
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
+def _fraction_kernel(z_rows) -> list[list[Fraction]]:
+    """A basis of ker Z by Gauss-Jordan elimination in Fractions."""
+    n = len(z_rows[0])
+    rows, pivots = [list(map(Fraction, r)) for r in z_rows], []
+    for col in range(n):
+        found = next((i for i in range(len(pivots), 2) if rows[i][col] != 0), None)
+        if found is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[found] = rows[found], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(2):
+            if i != r:
+                rows[i] = [a - rows[i][col] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        if len(pivots) == 2:
+            break
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(int(c == free)) for c in range(n)]
+        for r, col in enumerate(pivots):
+            vec[col] = -rows[r][free]
+        basis.append(vec)
+    return basis
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_kernel_definiteness_matches_leading_minors_on_random_z(rank):
+    # random Z, singular at rank 2 (a rank-1 or zero matrix), and random Q
+    rng = random.Random(53 + rank)
+    verdicts = []
+    for _ in range(150):
+        if rank == 2:
+            u = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)]
+            z_rows = [[x * k for x in u] for k in (rng.randint(-2, 2), rng.randint(-2, 2))]
+        else:
+            z_rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rank)]
+                      for _ in range(2)]
+        if rng.random() < 0.4:
+            upper = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rank)]
+                     for _ in range(rank)]
+            q_rows = [[upper[min(i, j)][max(i, j)] for j in range(rank)] for i in range(rank)]
+        else:  # -A^T A plus a shift: semidefinite, singular when A has low rank
+            a = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(rank)]
+                 for _ in range(rng.randint(1, rank))]
+            shift = rng.choice((0, 0, Fraction(-1, 3), Fraction(1, 5), 2))
+            q_rows = [[-sum(r[i] * r[j] for r in a) + (shift if i == j else 0)
+                       for j in range(rank)] for i in range(rank)]
+        basis = _fraction_kernel(z_rows)
+        for v in basis:  # the oracle's basis is a basis of ker Z
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in z_rows)
+        block = [[sum(a[i] * q_rows[i][j] * b[j] for i in range(rank) for j in range(rank))
+                  for b in basis] for a in basis]
+        expected = _negative_definite_by_minors(block)
+        try:
+            check_kernel_definiteness(CentralCharge(z_rows), QuadraticForm(q_rows))
+            got = True
+        except ValidationError as exc:
+            assert str(exc) == "quadratic form is not negative definite on ker Z"
+            got = False
+        assert got == expected, (z_rows, q_rows)
+        verdicts.append((len(basis), got))
+    assert sum(got for _, got in verdicts) >= 30 and sum(not got for _, got in verdicts) >= 30
+    if rank == 2:  # both singular kinds: a line and the whole plane
+        assert {dim for dim, _ in verdicts} == {1, 2}
 
 
 def test_cone_closure_under_addition(setup):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from wallcross.algebra import BracketMode
 from wallcross.errors import ValidationError
-from wallcross.scenario import format_scenario, parse_scenario
+from wallcross.scenario import _fraction, format_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -276,3 +277,25 @@ def test_format_round_trips_on_generated_scenarios(text):
     printed = format_scenario(sc)
     assert parse_scenario(printed) == sc
     assert format_scenario(parse_scenario(printed)) == printed
+
+
+# pieces of rational tokens: signs, ASCII digits with leading zeros, '_',
+# non-ASCII digits (superscript two is no decimal digit, Arabic-Indic three
+# is one), '/', '.', exponents, spaces and the empty string
+_TOKEN_PIECES = st.sampled_from(
+    ["", "+", "-", "0", "00", "7", "42", "_", "\u00b2", "\u0663", "/", ".", "e", "E-", " ", "x"]
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(st.lists(_TOKEN_PIECES, max_size=5).map("".join))
+def test_fraction_token_agrees_with_fraction(token):
+    try:
+        expected = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        message = f"^line 3: malformed rational {re.escape(repr(token))}$"
+        with pytest.raises(ValidationError, match=message):
+            _fraction(token, 3)
+    else:
+        got = _fraction(token, 3)
+        assert got == expected and type(got) is Fraction
