@@ -44,11 +44,12 @@ from .lattice import (
     Sector,
     TruncationSet,
     _Chart,
+    _check_geometry,
+    _cone,
     _dot,
     _exact,
     _mapping,
     charges_parallel,
-    cone_enumerate,
     cross,
 )
 
@@ -176,8 +177,7 @@ class PbwAlgebra:
         self.sector = sector
         self.trunc = trunc
         if members is None:
-            members = cone_enumerate(lattice, z, q, sector, trunc)
-            chart = _Chart(z, sector, trunc)
+            members, chart = _cone(lattice, z, q, sector, trunc)
         else:
             chart = _check_members(lattice, z, sector, trunc, members)
         self.members = tuple(members)
@@ -185,15 +185,9 @@ class PbwAlgebra:
         self._chamber = _Chamber(lattice, self.members)
         self._ordered_by(z, mode, chart)
 
-    def _ordered_by(
-        self, z: CentralCharge, mode: BracketMode | str, chart: Optional[_Chart] = None
-    ) -> "PbwAlgebra":
-        """Sort the chamber's members by z, on z's chart when one is given;
-        returns self."""
-        self.z, self.mode = z, BracketMode.coerce(mode)
-        if chart is None:
-            chart = _Chart(z, self.sector, self.trunc)
-        self._chart = chart
+    def _ordered_by(self, z: CentralCharge, mode: BracketMode | str, chart: _Chart) -> "PbwAlgebra":
+        """Sort the chamber's members by z, on z's chart; returns self."""
+        self.z, self.mode, self._chart = z, BracketMode.coerce(mode), chart
         charges, (c0, c1) = self._chamber.charges, chart.cov
         zvals = [chart.value(ch.coords) for ch in charges]
         heights = [_dot(chart.hrow, ch.coords) for ch in charges]
@@ -250,6 +244,8 @@ class PbwAlgebra:
     def normal_form(
         self, word: Sequence[Charge], coeff=1, strategy: str = "leftmost"
     ) -> "AlgebraElement":
+        if strategy not in ("leftmost", "rightmost"):
+            raise ValidationError(f"unknown rewrite strategy {strategy!r}")
         idxs = tuple(self.order.position(ch) for ch in word)
         out: dict[tuple[int, ...], Fraction] = {}
         self._normalize_into(out, idxs, _exact(coeff), strategy)
@@ -276,8 +272,6 @@ class PbwAlgebra:
         # the total charge is a rewriting invariant: drop once, up front
         if word and self._word_height(word) > self._cutoff:
             return
-        if strategy not in ("leftmost", "rightmost"):
-            raise ValidationError(f"unknown rewrite strategy {strategy!r}")
         left_first = strategy == "leftmost"
         cstr = None  # the tables, fetched at the first unsorted pair
         stack = [(word, coeff)]
@@ -482,6 +476,7 @@ def _check_members(lattice, z, sector, trunc, members) -> _Chart:
     """Hold explicit members to what cone_enumerate gives: charges of the
     lattice rank with a nonzero Z value in the closed sector and a height
     (so positive) within the cutoff.  Returns the chart they were tested on."""
+    _check_geometry(lattice=lattice, z=z, sector=sector, trunc=trunc)
     if z.rank != lattice.rank:
         raise ValidationError("central charge rank must match the lattice")
     chart = _Chart(z, sector, trunc)

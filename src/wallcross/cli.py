@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
     WallcrossError,
 )
-from .lattice import _Chart, _dot, cone_enumerate
+from .lattice import _cone, _dot, cone_enumerate
 from .multidisk import enumerate_forests, multilink_total
 from .refinement import all_refinements, twist_spectrum
 from .scenario import Scenario, parse_scenario
@@ -60,11 +60,10 @@ def _path(sc: Scenario) -> VariationPath:
 
 
 def cmd_cone(sc: Scenario) -> list[str]:
-    members = cone_enumerate(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc)
+    members, chart = _cone(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc)
     if not members:
         return ["(empty)"]
     # the chart's int heights are the exact ones times its scale
-    chart = _Chart(sc.z, sc.sector, sc.trunc)
     return [
         f"{_coords(ch)} height {Fraction(_dot(chart.hrow, ch.coords), chart.scale)}"
         for ch in members

@@ -26,11 +26,12 @@ from .lattice import (
     QuadraticForm,
     Sector,
     TruncationSet,
+    _charge_set,
+    _cone,
     _dot,
     _exact,
     _integer_rows,
     charges_parallel,
-    cone_enumerate,
     cross,
     wall_first_type,
 )
@@ -50,18 +51,18 @@ class StabilityStructure:
     mode: BracketMode = BracketMode.PLAIN
     refinement: Optional[QuadraticRefinement] = None
     members: tuple[Charge, ...] = field(init=False, repr=False)
-    _algebra: Optional[PbwAlgebra] = field(init=False, repr=False, default=None)
+    _algebra: PbwAlgebra = field(init=False, repr=False)
     _product: Optional[AlgebraElement] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "mode", BracketMode.coerce(self.mode))
         if not isinstance(self.spectrum, Spectrum):
             object.__setattr__(self, "spectrum", Spectrum(self.spectrum))
-        members = cone_enumerate(self.lattice, self.z, self.q, self.sector, self.trunc)
-        object.__setattr__(self, "members", members)
-        mset = set(members)
+        alg = PbwAlgebra(self.lattice, self.z, self.q, self.sector, self.trunc, self.mode)
+        object.__setattr__(self, "_algebra", alg)
+        object.__setattr__(self, "members", alg.members)
         for ch in self.spectrum.support():
-            if ch not in mset:
+            if ch not in alg.order.index:
                 raise ValidationError(
                     f"spectrum weight outside the truncated cone: {ch.coords}"
                 )
@@ -75,12 +76,7 @@ class StabilityStructure:
             raise ValidationError("refinement surface does not match the lattice")
 
     def algebra(self) -> PbwAlgebra:
-        """The algebra over this structure's cone, built on first use."""
-        if self._algebra is None:
-            object.__setattr__(self, "_algebra", PbwAlgebra(
-                self.lattice, self.z, self.q, self.sector, self.trunc,
-                self.mode, self.members,
-            ))
+        """The algebra over this structure's cone, on its enumeration's chart."""
         return self._algebra
 
     def _sector_product(self) -> AlgebraElement:
@@ -262,8 +258,8 @@ def detect_walls(
     nonzero integer factor: at rank 2, cross(Z b1, Z b2) is det Z times
     det[b1 b2], so every pair shares one.  Each pair still makes its own
     keyframe sign test and its own checks."""
-    charge_list = sorted(set(charges), key=lambda ch: ch.coords)
-    mset = set(charge_list)
+    mset = _charge_set(charges, path.keyframes[0].rank)
+    charge_list = sorted(mset, key=lambda ch: ch.coords)
     m = path.segment_count
     tol = _exact(tolerance)
     if tol <= 0:
@@ -353,9 +349,7 @@ def transport_spectrum(
     The product is formed in the source algebra, re-expressed in a copy of
     it re-sorted by the new central charge, and read back off.  The element
     itself never changes; only the ordered factorization does."""
-    members_new = cone_enumerate(
-        struct.lattice, z_new, struct.q, struct.sector, struct.trunc
-    )
+    members_new, chart = _cone(struct.lattice, z_new, struct.q, struct.sector, struct.trunc)
     if set(members_new) != set(struct.members):
         raise ValidationError(
             "transport requires the same truncated cone membership under "
@@ -367,7 +361,7 @@ def transport_spectrum(
             "target central charge lies on a first-type wall: "
             f"{witness[0].coords} ~ {witness[1].coords}"
         )
-    alg_new = copy.copy(struct.algebra())._ordered_by(z_new, struct.mode)
+    alg_new = copy.copy(struct.algebra())._ordered_by(z_new, struct.mode, chart)
     for alg in (struct.algebra(), alg_new):
         _guard_second_type(alg, members_new)
     return alg_new.factorize(alg_new.convert(struct._sector_product()))

@@ -79,6 +79,8 @@ class Charge:
 def charges_parallel(b1: Charge, b2: Charge) -> bool:
     """True when b1 and b2 are rational multiples of one another."""
     n = len(b1.coords)
+    if n != len(b2.coords):
+        raise ValidationError(f"charges of different rank: {b1!r} and {b2!r}")
     for i in range(n):
         for j in range(i + 1, n):
             if b1.coords[i] * b2.coords[j] != b1.coords[j] * b2.coords[i]:
@@ -112,6 +114,15 @@ def _integers(values, what: str) -> tuple[int, ...]:
         if not isinstance(x, int) or isinstance(x, bool):
             raise ValidationError(f"{what} must be integers, got {x!r}")
     return out
+
+
+def _charge_set(charges, rank: int) -> set[Charge]:
+    """The distinct charges, each checked to be a Charge of the given rank."""
+    cs = _sequence(charges, "charges must be an iterable of charges")
+    for ch in cs:
+        if not isinstance(ch, Charge) or len(ch.coords) != rank:
+            raise ValidationError(f"expected a charge of rank {rank}, got {ch!r}")
+    return set(cs)
 
 
 def _freeze_int_matrix(rows) -> tuple[tuple[int, ...], ...]:
@@ -207,7 +218,7 @@ class SurfaceModel:
 
     def pairing_h1(self, x, y) -> int:
         """Intersection pairing of two integer homology vectors."""
-        xs, ys = tuple(x), tuple(y)
+        xs, ys = _integers(x, "homology vector"), _integers(y, "homology vector")
         if len(xs) != self.dim or len(ys) != self.dim:
             raise ValidationError("homology vector length does not match surface")
         total = 0
@@ -251,6 +262,8 @@ class ChargeLattice:
         return c
 
     def boundary_of(self, beta: Charge) -> tuple[int, ...]:
+        if not isinstance(beta, Charge) or len(beta.coords) != self.rank:
+            raise ValidationError(f"expected a charge of lattice rank {self.rank}, got {beta!r}")
         return tuple(
             sum(row[j] * beta.coords[j] for j in range(self.rank)) for row in self.boundary
         )
@@ -278,7 +291,7 @@ class CentralCharge:
         return len(self.matrix[0])
 
     def evaluate(self, beta) -> Vec2:
-        coords = beta.coords if isinstance(beta, Charge) else tuple(beta)
+        coords = beta.coords if isinstance(beta, Charge) else _integers(beta, "coordinates")
         if len(coords) != self.rank:
             raise ValidationError("charge length does not match central charge rank")
         return (
@@ -310,7 +323,7 @@ class QuadraticForm:
         return len(self.matrix)
 
     def evaluate(self, beta) -> Fraction:
-        coords = beta.coords if isinstance(beta, Charge) else tuple(beta)
+        coords = beta.coords if isinstance(beta, Charge) else _integers(beta, "coordinates")
         if len(coords) != self.rank:
             raise ValidationError("charge length does not match quadratic form rank")
         total = Fraction(0)
@@ -540,6 +553,23 @@ def cone_enumerate(
     additive closure below the cutoff is finite.  Q is scaled by a
     positive integer, like the chart's data, which keeps its sign.
     """
+    return _cone(lattice, z, q, sector, trunc)[0]
+
+
+def _check_geometry(**args) -> None:
+    """Reject a geometry argument that is not of its class, by name."""
+    for name, value in args.items():
+        if not isinstance(value, _GEOMETRY[name]):
+            raise ValidationError(f"{name} must be a {_GEOMETRY[name].__name__}, got {value!r}")
+
+
+_GEOMETRY = {"lattice": ChargeLattice, "z": CentralCharge, "q": QuadraticForm,
+             "sector": Sector, "trunc": TruncationSet}
+
+
+def _cone(lattice, z, q, sector, trunc) -> tuple[tuple[Charge, ...], _Chart]:
+    """cone_enumerate's members and the chart they were found on."""
+    _check_geometry(lattice=lattice, z=z, q=q, sector=sector, trunc=trunc)
     if z.rank != lattice.rank or q.rank != lattice.rank:
         raise ValidationError("central charge / quadratic form rank must match the lattice")
     chart = _Chart(z, sector, trunc)
@@ -566,7 +596,7 @@ def cone_enumerate(
                     members[s] = h
                     fresh.append((s, h))
         frontier = fresh
-    return tuple(Charge(c) for _, c in sorted((h, c) for c, h in members.items()))
+    return tuple(Charge(c) for _, c in sorted((h, c) for c, h in members.items())), chart
 
 
 def wall_first_type(
@@ -574,7 +604,7 @@ def wall_first_type(
 ) -> Optional[tuple[Charge, Charge]]:
     """First pair of non-proportional charges with parallel central charges,
     or None.  Deterministic: charges are scanned in lexicographic order."""
-    cs = sorted(set(charges), key=lambda b: b.coords)
+    cs = sorted(_charge_set(charges, z.rank), key=lambda b: b.coords)
     zx, zy = _integer_rows(z.matrix)
     zs = [(_dot(zx, b.coords), _dot(zy, b.coords)) for b in cs]
     for i in range(len(cs)):

@@ -385,6 +385,7 @@ def crossing_rewrite(
     """Exchange the heights of vertices j and j+1 (in height order) and add
     the pairing-weighted merged chain, with the merged vertex at the height
     midpoint.  Any height in the gap would do; only the order matters."""
+    j, = _integers((j,), "rewrite position")
     verts = chain.vertices
     if not 0 <= j < len(verts) - 1:
         raise ValidationError("rewrite position must name two height-adjacent vertices")

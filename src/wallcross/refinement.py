@@ -39,6 +39,7 @@ class QuadraticRefinement:
 
     def evaluate(self, gamma: Sequence[int]) -> int:
         """Sign of an integer homology vector; depends only on it mod 2."""
+        gamma = _integers(gamma, "homology vector")
         if len(gamma) != self.surface.dim:
             raise ValidationError("homology vector length does not match surface")
         support = [i for i, g in enumerate(gamma) if g % 2]
@@ -64,6 +65,7 @@ class CohomologyAction:
         object.__setattr__(self, "bits", bits)
 
     def evaluate(self, gamma: Sequence[int]) -> int:
+        gamma = _integers(gamma, "homology vector")
         if len(gamma) != len(self.bits):
             raise ValidationError("homology vector length does not match action")
         return sum(b * (g % 2) for b, g in zip(self.bits, gamma)) % 2

@@ -33,6 +33,7 @@ from wallcross.lattice import (
     Sector,
     SurfaceModel,
     TruncationSet,
+    _Chart,
     cross,
 )
 from wallcross.scenario import parse_scenario
@@ -168,6 +169,14 @@ def test_normal_form_strategy_independence():
         left = alg.normal_form(word, strategy="leftmost")
         right = alg.normal_form(word, strategy="rightmost")
         assert left == right
+
+
+@pytest.mark.parametrize("count, coeff", [(1, 0), (50, 1)], ids=["zero_coefficient", "over_cutoff"])
+def test_unknown_strategy_rejected_before_any_early_return(count, coeff):
+    # both words normalize to zero without a rewrite, so the strategy is
+    # checked before the coefficient and the height are read
+    with pytest.raises(ValidationError, match="unknown rewrite strategy 'bogus'"):
+        make_algebra().normal_form((_ch(1, 0),) * count, coeff, strategy="bogus")
 
 
 # ----------------------------------------------------------------------
@@ -562,6 +571,11 @@ def crossing_scenario():
     return parse_scenario(text)
 
 
+def resorted(alg: PbwAlgebra, z: CentralCharge, mode) -> PbwAlgebra:
+    """A copy of alg re-sorted by z, on z's chart, as a transport makes it."""
+    return copy.copy(alg)._ordered_by(z, mode, _Chart(z, alg.sector, alg.trunc))
+
+
 def tables(alg: PbwAlgebra) -> tuple:
     chart = tuple(getattr(alg._chart, name) for name in alg._chart.__slots__)
     return alg.order.charges, alg._cstr, alg._merge, alg._heights, chart, alg.signature
@@ -585,8 +599,8 @@ def test_reordered_copy_matches_a_fresh_algebra():
             if set(fresh.members) != set(base.members):
                 continue
             compared += 1
-            assert tables(copy.copy(base)._ordered_by(z, mode)) == tables(fresh)
-            assert tables(copy.copy(base)._ordered_by(z, other).with_mode(mode)) == tables(fresh)
+            assert tables(resorted(base, z, mode)) == tables(fresh)
+            assert tables(resorted(base, z, other).with_mode(mode)) == tables(fresh)
             assert tables(fresh.with_mode(other).with_mode(mode)) == tables(fresh)
     assert compared >= 30
 
@@ -611,11 +625,11 @@ def test_copies_before_and_after_the_first_rewrite_agree(mode):
         assert tables(copied) == tables(alg)
         for z, m in ((z_end, mode), (sc.z, other)):
             fresh = PbwAlgebra(sc.lattice, z, sc.q, sc.sector, trunc, m)
-            resorted = copy.copy(copied)._ordered_by(z, m)
-            assert [resorted.normal_form(word) for word in words] == [
+            moved = resorted(copied, z, m)
+            assert [moved.normal_form(word) for word in words] == [
                 fresh.normal_form(word) for word in words]
-            assert tables(resorted) == tables(fresh)
-            assert resorted._chamber is alg._chamber
+            assert tables(moved) == tables(fresh)
+            assert moved._chamber is alg._chamber
     assert early._chamber.tables is late._chamber.tables
 
 
@@ -868,8 +882,7 @@ def test_convert_matches_stack_rewrite(data):
         data.draw(st.sampled_from(("plain", "twisted"))),
     )
     when = st.one_of(st.sampled_from((0, 1)), st.fractions(0, 1, max_denominator=12))
-    src, dst = (copy.copy(alg)._ordered_by(path.z_at(data.draw(when)), alg.mode)
-                for _ in range(2))
+    src, dst = (resorted(alg, path.z_at(data.draw(when)), alg.mode) for _ in range(2))
     # letters up to a drawn height, so that not every long word is over the cutoff
     top = data.draw(st.sampled_from((1, 2, alg.trunc.cutoff)))
     letters = [i for i, h in enumerate(src._heights) if h <= top]
@@ -892,7 +905,7 @@ def test_convert_does_not_use_the_stack_rewrite(monkeypatch):
     monkeypatch.setattr(PbwAlgebra, "_normalize_into",
                         lambda *args: calls.append(1) or original(*args))
     for t in (Fraction(1, 3), 1):
-        dst = copy.copy(alg)._ordered_by(path.z_at(t), alg.mode)
+        dst = resorted(alg, path.z_at(t), alg.mode)
         for element in elements:
             assert not dst.convert(element).is_zero()
     assert calls == []

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
+import wallcross.algebra as algebra_module
+import wallcross.engine as engine
 import wallcross.lattice as lattice
 from conftest import ray_invariants
 from wallcross.algebra import PbwAlgebra, Spectrum
@@ -460,12 +462,11 @@ def test_main_parser_is_reused_between_calls(capsys, monkeypatch):
     assert first[0] == 0 and first[2] == ""
 
 
-def test_product_builds_two_charts_and_checks_the_covector_once(capsys, monkeypatch):
+def test_product_builds_one_chart_and_checks_the_covector_once(capsys, monkeypatch):
     # the fixed path of one product call: the parse checks the covector on
-    # the sector and ker Z, cone_enumerate builds a chart (which checks the
-    # covector on ints) and checks ker Z, and the algebra builds one chart
-    # for its member check and its order.  With a separate covector check
-    # and a chart per use, the counts were 3, 3 and 2.
+    # the sector and ker Z, and the structure's enumeration builds a chart
+    # (which checks the covector on ints) and checks ker Z; its algebra
+    # orders the members on that chart
     counts = Counter()
 
     def count(owner, name, key):
@@ -483,7 +484,34 @@ def test_product_builds_two_charts_and_checks_the_covector_once(capsys, monkeypa
     code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", "product",
                              "--lambda", "2")
     assert (code, err) == (0, "") and out
-    assert counts == {"charts": 2, "validate_for": 1, "kernel checks": 2}
+    assert counts == {"charts": 1, "validate_for": 1, "kernel checks": 2}
+
+
+def test_cross_and_walls_build_one_chart_per_central_charge(capsys, monkeypatch):
+    # crossing.scn at lambda 8: the structure orders its algebra on the
+    # chart its enumeration built and checks none of the members it just
+    # enumerated; each of cross's 5 transports orders its target copy on
+    # the chart of its own enumeration
+    counts = Counter()
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(lattice._Chart, "__init__", "charts")
+    count(algebra_module, "_check_members", "member checks")
+    count(engine, "transport_spectrum", "transports")
+    for command, expected in (("cross", {"charts": 6, "transports": 5}), ("walls", {"charts": 1})):
+        counts.clear()
+        code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", command,
+                                 "--lambda", "8")
+        assert (code, err) == (0, "") and out
+        assert counts == expected
 
 
 def test_console_entry_point_runs():

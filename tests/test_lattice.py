@@ -10,7 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import build_setup
 from wallcross.algebra import PbwAlgebra, Spectrum
-from wallcross.engine import StabilityStructure, VariationPath, check_variation, detect_walls
+from wallcross.engine import (
+    StabilityStructure,
+    VariationPath,
+    check_variation,
+    detect_walls,
+    transport_spectrum,
+)
 from wallcross.errors import ValidationError
 from wallcross.lattice import (
     CentralCharge,
@@ -30,6 +36,7 @@ from wallcross.lattice import (
     wall_second_type,
 )
 from wallcross.multidisk import ChainCombination, ChainVertex, make_chain
+from wallcross.refinement import CohomologyAction, QuadraticRefinement
 
 
 def _ch(*coords: int) -> Charge:
@@ -539,21 +546,93 @@ SCALAR_ENTRY_POINTS = [
 ]
 _ENTRY_IDS = [name for name, _, _ in SCALAR_ENTRY_POINTS]
 
+_TORUS = SurfaceModel.standard(1)
+# (test id, builder taking one entry of an integer coordinate vector that is
+# not a Charge): each entry must be an int, and a float is not rounded
+COORDINATE_ENTRY_POINTS = [
+    ("charge_value", lambda x: build_setup().z.evaluate((x, 1))),
+    ("quadratic_value", lambda x: build_setup().q.evaluate((x, 1))),
+    ("pairing_h1", lambda x: _TORUS.pairing_h1((x, 0), (0, 1))),
+    ("cohomology_action", lambda x: CohomologyAction((1, 0)).evaluate((x, 0))),
+    ("refinement", lambda x: QuadraticRefinement(_TORUS, (1, 1)).evaluate((x, 1))),
+]
+_COORDINATE_IDS = [name for name, _ in COORDINATE_ENTRY_POINTS]
+
 
 @pytest.mark.parametrize(
-    "value, build", [(value, build) for _, value, build in SCALAR_ENTRY_POINTS], ids=_ENTRY_IDS
+    "value, build, match",
+    [(value, build, "float") for _, value, build in SCALAR_ENTRY_POINTS]
+    + [(0.5, build, "must be integers, got 0.5") for _, build in COORDINATE_ENTRY_POINTS],
+    ids=_ENTRY_IDS + _COORDINATE_IDS,
 )
-def test_floats_rejected(value, build):
-    with pytest.raises(ValidationError, match="float"):
+def test_floats_rejected(value, build, match):
+    with pytest.raises(ValidationError, match=match):
         build(value)
 
 
-@pytest.mark.parametrize("build", [build for _, _, build in SCALAR_ENTRY_POINTS], ids=_ENTRY_IDS)
+@pytest.mark.parametrize(
+    "build, match",
+    [(build, "exact rational expected") for _, _, build in SCALAR_ENTRY_POINTS]
+    + [(build, "must be integers, got") for _, build in COORDINATE_ENTRY_POINTS],
+    ids=_ENTRY_IDS + _COORDINATE_IDS,
+)
 @pytest.mark.parametrize("value", ["abc", "1/0", None, Decimal("NaN"), Decimal("Infinity")],
                          ids=["text", "zero_denominator", "none", "nan", "infinity"])
-def test_non_numeric_scalars_rejected(build, value):
-    with pytest.raises(ValidationError, match="exact rational expected"):
+def test_non_numeric_scalars_rejected(build, match, value):
+    with pytest.raises(ValidationError, match=match):
         build(value)
+
+
+@pytest.mark.parametrize("build", [build for _, build in COORDINATE_ENTRY_POINTS],
+                         ids=_COORDINATE_IDS)
+def test_bool_coordinates_rejected(build):
+    with pytest.raises(ValidationError, match="must be integers, got True"):
+        build(True)
+
+
+def test_refinement_evaluates_a_vector_not_a_scalar():
+    sigma = QuadraticRefinement(_TORUS, (1, 1))
+    with pytest.raises(ValidationError, match="must be a sequence of integers, got 5"):
+        sigma.evaluate(5)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda s: cone_enumerate(s.lattice, ((1, 0), (0, 1)), s.q, s.sector, s.trunc),
+     r"z must be a CentralCharge, got \(\(1, 0\), \(0, 1\)\)"),
+    (lambda s: StabilityStructure(None, s.z, s.q, s.sector, s.trunc, Spectrum({})),
+     "lattice must be a ChargeLattice, got None"),
+    (lambda s: PbwAlgebra(s.lattice, s.z, s.q, ((1, 0), (0, 1)), s.trunc),
+     "sector must be a Sector"),
+    (lambda s: PbwAlgebra(s.lattice, s.z, s.q, s.sector, None, members=(s.g2,)),
+     "trunc must be a TruncationSet, got None"),
+    (lambda s: transport_spectrum(
+        StabilityStructure(s.lattice, s.z, s.q, s.sector, s.trunc, Spectrum({})), ((1, 0), (0, 1))),
+     "z must be a CentralCharge"),
+], ids=["cone_z", "structure_lattice", "algebra_sector", "members_trunc", "transport_z"])
+def test_wrong_type_geometry_rejected_by_name(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build(build_setup())
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda s: wall_first_type(s.z, [Charge((1, 0, 7)), Charge((0, 1))]),
+     r"expected a charge of rank 2, got Charge\(1, 0, 7\)"),
+    (lambda s: detect_walls(VariationPath((s.z, s.z)), [Charge((1, 0, 7)), Charge((0, 1, 2))],
+                            s.sector),
+     r"expected a charge of rank 2, got Charge\("),
+    (lambda s: detect_walls(VariationPath((s.z, s.z)), [(1, 0)], s.sector),
+     r"expected a charge of rank 2, got \(1, 0\)"),
+    (lambda s: charges_parallel(Charge((1, 0)), Charge((2, 0, 5))), "charges of different rank"),
+    (lambda s: charges_parallel(Charge((2, 0, 5)), Charge((1, 0))), "charges of different rank"),
+    (lambda s: s.lattice.boundary_of(Charge((1, 0, 3))),
+     r"expected a charge of lattice rank 2, got Charge\(1, 0, 3\)"),
+    (lambda s: s.lattice.boundary_of(Charge((1,))),
+     r"expected a charge of lattice rank 2, got Charge\(1,\)"),
+], ids=["first_type", "detect_walls", "detect_walls_tuple", "parallel_longer",
+        "parallel_shorter", "boundary_longer", "boundary_shorter"])
+def test_wrong_rank_charges_rejected(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build(build_setup())
 
 
 def test_bool_charge_coordinate_rejected():

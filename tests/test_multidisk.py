@@ -541,6 +541,14 @@ def test_crossing_rewrite_position_errors():
         crossing_rewrite(chain, -1, s.lattice.surface)
 
 
+@pytest.mark.parametrize("j", [0.0, True], ids=["float", "bool"])
+def test_crossing_rewrite_position_is_an_int(j):
+    s = build_setup()
+    chain = make_chain(s.lattice, [(Fraction(1, 3), G1), (Fraction(2, 3), G2)])
+    with pytest.raises(ValidationError, match=f"rewrite position must be integers, got {j}"):
+        crossing_rewrite(chain, j, s.lattice.surface)
+
+
 def random_chain(s, rng, members, size):
     thetas = rng.sample(range(1, 100), size)
     return make_chain(
