@@ -30,7 +30,7 @@ from .lattice import (
     _cone,
     _dot,
     _exact,
-    _integer_rows,
+    _scaled,
     charges_parallel,
     cross,
     wall_first_type,
@@ -270,8 +270,8 @@ def detect_walls(
     events: dict[tuple[Fraction, Fraction], set] = {}
     last: dict[Charge, tuple] = {}  # the previous segment's (value, step)
     for i, (z0, z1) in enumerate(zip(path.keyframes, path.keyframes[1:])):
-        *rows, ray_start, ray_end = _integer_rows(
-            z0.matrix + z1.matrix + (sector.start, sector.end))
+        *rows, ray_start, ray_end = _scaled(
+            z0.matrix + z1.matrix + (sector.start, sector.end))[1]
         seg, memo = {}, {}
         for ch in charge_list:
             x0, y0, x1, y1 = (_dot(row, ch.coords) for row in rows)

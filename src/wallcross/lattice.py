@@ -106,10 +106,7 @@ def _mapping(mapping, what: str) -> dict:
 
 def _integers(values, what: str) -> tuple[int, ...]:
     """The entries as a tuple, each an int that is not a bool."""
-    try:
-        out = tuple(values)
-    except TypeError:
-        raise ValidationError(f"{what} must be a sequence of integers, got {values!r}") from None
+    out = _sequence(values, f"{what} must be a sequence of integers")
     for x in out:
         if not isinstance(x, int) or isinstance(x, bool):
             raise ValidationError(f"{what} must be integers, got {x!r}")
@@ -163,11 +160,6 @@ def _scaled(rows) -> tuple[int, list[list[int]]]:
     D: a positive scale, which changes no sign, phase order or height order."""
     d = math.lcm(*(x.denominator for row in rows for x in row))
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
-
-
-def _integer_rows(rows) -> list[list[int]]:
-    """The rational rows times the lcm of all their denominators."""
-    return _scaled(rows)[1]
 
 
 def _dot(u, v):
@@ -462,10 +454,10 @@ def check_kernel_definiteness(z: CentralCharge, q: QuadraticForm) -> None:
     elimination, alternate in sign from negative (Sylvester).  An
     invertible Z has ker Z = 0 and passes after one 2 x 2 determinant.
     """
-    basis = _kernel_rows(*_integer_rows(z.matrix))
+    basis = _kernel_rows(*_scaled(z.matrix)[1])
     if not basis:
         return
-    qm = _integer_rows(q.matrix)
+    qm = _scaled(q.matrix)[1]
     m = [[_dot(a, [_dot(row, b) for row in qm]) for b in basis] for a in basis]
     if not _negative_definite(m):
         raise ValidationError("quadratic form is not negative definite on ker Z")
@@ -574,7 +566,7 @@ def _cone(lattice, z, q, sector, trunc) -> tuple[tuple[Charge, ...], _Chart]:
         raise ValidationError("central charge / quadratic form rank must match the lattice")
     chart = _Chart(z, sector, trunc)
     check_kernel_definiteness(z, q)
-    qm = _integer_rows(q.matrix)
+    qm = _scaled(q.matrix)[1]
     gens: list[tuple[tuple[int, ...], int]] = []
     for point in chart.scan(trunc.scan_box):
         h = chart.height(point)
@@ -605,7 +597,7 @@ def wall_first_type(
     """First pair of non-proportional charges with parallel central charges,
     or None.  Deterministic: charges are scanned in lexicographic order."""
     cs = sorted(_charge_set(charges, z.rank), key=lambda b: b.coords)
-    zx, zy = _integer_rows(z.matrix)
+    zx, zy = _scaled(z.matrix)[1]
     zs = [(_dot(zx, b.coords), _dot(zy, b.coords)) for b in cs]
     for i in range(len(cs)):
         for j in range(i + 1, len(cs)):

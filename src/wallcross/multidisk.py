@@ -25,6 +25,7 @@ from .lattice import (
     _exact,
     _integers,
     _mapping,
+    _sequence,
     cross,
     phase_precedes,
 )
@@ -146,12 +147,7 @@ class DecoratedForest:
 
 def _charges(values) -> tuple[Charge, ...]:
     """The vertex decorations as a tuple, each a Charge."""
-    try:
-        out = tuple(values)
-    except TypeError:
-        raise ValidationError(
-            f"vertex decorations must be a sequence of charges, got {values!r}"
-        ) from None
+    out = _sequence(values, "vertex decorations must be a sequence of charges")
     for ch in out:
         if not isinstance(ch, Charge):
             raise ValidationError(f"vertex decoration must be a charge, got {ch!r}")
@@ -222,12 +218,7 @@ class NiceChain:
     vertices: tuple[ChainVertex, ...]
 
     def __post_init__(self):
-        try:
-            verts = tuple(self.vertices)
-        except TypeError:
-            raise ValidationError(
-                f"chain vertices must be a sequence, got {self.vertices!r}"
-            ) from None
+        verts = _sequence(self.vertices, "chain vertices must be a sequence")
         for v in verts:
             if not isinstance(v, ChainVertex):
                 raise ValidationError(f"chain vertex expected, got {v!r}")

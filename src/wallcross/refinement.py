@@ -14,6 +14,7 @@ transitively.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -111,20 +112,13 @@ def covariant_spectrum(
 
 def to_twisted(sigma: QuadraticRefinement, element: AlgebraElement) -> AlgebraElement:
     """Algebra morphism from plain to twisted mode: each generator picks up
-    the refinement sign of its boundary.  Basis words map letterwise since
-    the generator order does not depend on the mode."""
+    the refinement sign of its boundary.  The generator order does not
+    depend on the mode, so each normal word keeps its letter positions."""
     alg = element.algebra
     if alg.mode is not BracketMode.PLAIN:
         raise ValidationError("to_twisted expects an element in plain mode")
-    target = alg.with_mode(BracketMode.TWISTED)
-    lattice = alg.lattice
-    letter_sign = {
-        ch: sigma.evaluate(lattice.boundary_of(ch)) for ch in alg.order.charges
-    }
-    terms = {}
-    for word, coeff in element.terms():
-        sign = 1
-        for ch in word:
-            sign *= letter_sign[ch]
-        terms[word] = coeff * sign
-    return target.from_terms(terms)
+    signs = [sigma.evaluate(alg.lattice.boundary_of(ch)) for ch in alg.order.charges]
+    return AlgebraElement(alg.with_mode(BracketMode.TWISTED), {
+        word: coeff * math.prod(map(signs.__getitem__, word))
+        for word, coeff in element._terms.items()
+    })

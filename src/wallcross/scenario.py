@@ -98,24 +98,16 @@ def _int(token: str, lineno: int) -> int:
         _fail(lineno, f"expected an integer, got {token!r}")
 
 
-def _row(value: str, lineno: int) -> tuple[Fraction, ...]:
+def _row(value: str, lineno: int, parse=_fraction) -> tuple:
+    """The whitespace-separated tokens, each read by parse."""
     parts = value.split()
     if not parts:
         _fail(lineno, "empty vector")
-    return tuple(_fraction(p, lineno) for p in parts)
+    return tuple(parse(p, lineno) for p in parts)
 
 
-def _int_row(value: str, lineno: int) -> tuple[int, ...]:
-    parts = value.split()
-    if not parts:
-        _fail(lineno, "empty vector")
-    return tuple(_int(p, lineno) for p in parts)
-
-
-def _matrix(value: str, lineno: int, ints: bool = False):
-    rows = []
-    for chunk in value.split(";"):
-        rows.append(_int_row(chunk, lineno) if ints else _row(chunk, lineno))
+def _matrix(value: str, lineno: int, parse=_fraction):
+    rows = [_row(chunk, lineno, parse) for chunk in value.split(";")]
     if len({len(r) for r in rows}) != 1:
         _fail(lineno, "matrix rows have unequal lengths")
     return tuple(rows)
@@ -134,9 +126,6 @@ class _Section:
         self.lineno = lineno
         self.single: dict[str, tuple[int, str]] = {}
         self.repeated: list[tuple[int, str, str]] = []
-
-    def maybe(self, key: str) -> Optional[tuple[int, str]]:
-        return self.single.get(key)
 
 
 def _collect(text: str) -> dict[str, _Section]:
@@ -180,7 +169,7 @@ def parse_scenario(text: str) -> Scenario:
     sections = _collect(text)
 
     def need(section: str, key: str) -> tuple[int, str]:
-        entry = sections[section].maybe(key)
+        entry = sections[section].single.get(key)
         if entry is None:
             raise ValidationError(f"section [{section}] is missing key {key!r}")
         return entry
@@ -189,15 +178,15 @@ def parse_scenario(text: str) -> Scenario:
     rank = _int(val, ln)
     ln, val = need("surface", "genus")
     genus = _int(val, ln)
-    inter = sections["surface"].maybe("intersection")
+    inter = sections["surface"].single.get("intersection")
     if inter is None:
         surface = _build(ln, SurfaceModel.standard, genus)
     else:
-        surface = _build(inter[0], SurfaceModel, _matrix(inter[1], inter[0], ints=True))
+        surface = _build(inter[0], SurfaceModel, _matrix(inter[1], inter[0], _int))
         if surface.dim != 2 * genus:
             _fail(inter[0], "intersection matrix does not match the genus")
     ln, val = need("lattice", "boundary")
-    lattice = _build(ln, ChargeLattice, rank, _matrix(val, ln, ints=True), surface)
+    lattice = _build(ln, ChargeLattice, rank, _matrix(val, ln, _int), surface)
 
     ln, val = need("central_charge", "matrix")
     z = _build(ln, CentralCharge, _matrix(val, ln))
@@ -233,7 +222,7 @@ def parse_scenario(text: str) -> Scenario:
         coords, sep, weight = val.partition(":")
         if not sep:
             _fail(ln, "spectrum entry needs '<coords> : <weight>'")
-        charge = _build(ln, lattice.charge, _int_row(coords.strip(), ln))
+        charge = _build(ln, lattice.charge, _row(coords.strip(), ln, _int))
         if charge in weights:
             _fail(ln, f"duplicate spectrum charge {charge.coords}")
         weights[charge] = _fraction(weight.strip(), ln)
@@ -242,7 +231,7 @@ def parse_scenario(text: str) -> Scenario:
     refinement = None
     if "refinement" in sections:
         ln, val = need("refinement", "signs")
-        refinement = _build(ln, QuadraticRefinement, surface, _int_row(val, ln))
+        refinement = _build(ln, QuadraticRefinement, surface, _row(val, ln, _int))
 
     chains = []
     for ln, _, val in sections.get("chains", _Section(0)).repeated:
@@ -253,7 +242,7 @@ def parse_scenario(text: str) -> Scenario:
                 _fail(ln, "chain item needs '<height> : <coords>'")
             items.append(
                 (_fraction(theta.strip(), ln),
-                 _build(ln, lattice.charge, _int_row(coords.strip(), ln)))
+                 _build(ln, lattice.charge, _row(coords.strip(), ln, _int)))
             )
         chains.append(_build(ln, make_chain, lattice, items))
 

@@ -885,7 +885,8 @@ def test_convert_matches_stack_rewrite(data):
     src, dst = (resorted(alg, path.z_at(data.draw(when)), alg.mode) for _ in range(2))
     # letters up to a drawn height, so that not every long word is over the cutoff
     top = data.draw(st.sampled_from((1, 2, alg.trunc.cutoff)))
-    letters = [i for i, h in enumerate(src._heights) if h <= top]
+    letters = [i for i, ch in enumerate(src.order.charges)
+               if src.trunc.height(src.z.evaluate(ch)) <= top]
     words = data.draw(st.lists(st.lists(st.sampled_from(letters), min_size=1, max_size=5),
                                min_size=1, max_size=4))
     element = AlgebraElement(src, {

@@ -237,6 +237,21 @@ def test_selftest_skips_boundary_riding_scan(capsys):
     assert out.endswith("selftest passed\n")
 
 
+def test_selftest_on_an_empty_cone_skips_the_algebra_checks(capsys):
+    # the algebra is built before the emptiness check, over no members
+    code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", "selftest",
+                             "--lambda", "0")
+    assert (code, err) == (0, "")
+    assert out == (
+        "ok cone (0 members)\n"
+        "skip algebra checks: the truncated cone is empty\n"
+        "ok refinement defining relation\n"
+        "ok forest enumeration\n"
+        "ok constant path has no walls\n"
+        "selftest passed\n"
+    )
+
+
 def test_failed_selftest_check_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(PbwAlgebra, "factorize", lambda self, element: Spectrum({}))
     code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", "selftest")
@@ -462,25 +477,31 @@ def test_main_parser_is_reused_between_calls(capsys, monkeypatch):
     assert first[0] == 0 and first[2] == ""
 
 
+def _call_counts(monkeypatch, *targets) -> Counter:
+    """Calls of each (owner, name), counted under its key for this test."""
+    counts = Counter()
+    for owner, name, key in targets:
+        original = getattr(owner, name)
+
+        def counted(*args, _key=key, _original=original, **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
 def test_product_builds_one_chart_and_checks_the_covector_once(capsys, monkeypatch):
     # the fixed path of one product call: the parse checks the covector on
     # the sector and ker Z, and the structure's enumeration builds a chart
     # (which checks the covector on ints) and checks ker Z; its algebra
     # orders the members on that chart
-    counts = Counter()
-
-    def count(owner, name, key):
-        original = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            counts[key] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    count(lattice._Chart, "__init__", "charts")
-    count(TruncationSet, "validate_for", "validate_for")
-    count(lattice, "_kernel_rows", "kernel checks")  # once per check of ker Z
+    counts = _call_counts(
+        monkeypatch,
+        (lattice._Chart, "__init__", "charts"),
+        (TruncationSet, "validate_for", "validate_for"),
+        (lattice, "_kernel_rows", "kernel checks"),  # once per check of ker Z
+    )
     code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", "product",
                              "--lambda", "2")
     assert (code, err) == (0, "") and out
@@ -492,26 +513,32 @@ def test_cross_and_walls_build_one_chart_per_central_charge(capsys, monkeypatch)
     # chart its enumeration built and checks none of the members it just
     # enumerated; each of cross's 5 transports orders its target copy on
     # the chart of its own enumeration
-    counts = Counter()
-
-    def count(owner, name, key):
-        original = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            counts[key] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    count(lattice._Chart, "__init__", "charts")
-    count(algebra_module, "_check_members", "member checks")
-    count(engine, "transport_spectrum", "transports")
+    counts = _call_counts(
+        monkeypatch,
+        (lattice._Chart, "__init__", "charts"),
+        (algebra_module, "_check_members", "member checks"),
+        (engine, "transport_spectrum", "transports"),
+    )
     for command, expected in (("cross", {"charts": 6, "transports": 5}), ("walls", {"charts": 1})):
         counts.clear()
         code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", command,
                                  "--lambda", "8")
         assert (code, err) == (0, "") and out
         assert counts == expected
+
+
+def test_selftest_builds_two_charts_and_checks_no_members(capsys, monkeypatch):
+    # the selftest's algebra enumerates the cone on its own chart and one
+    # more enumeration checks that the cone is repeatable; the members the
+    # algebra enumerated are not checked again
+    counts = _call_counts(
+        monkeypatch,
+        (lattice._Chart, "__init__", "charts"),
+        (algebra_module, "_check_members", "member checks"),
+    )
+    code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", "selftest")
+    assert (code, err) == (0, "") and out.endswith("selftest passed\n")
+    assert counts == {"charts": 2}
 
 
 def test_console_entry_point_runs():

@@ -39,11 +39,12 @@ from wallcross.lattice import (
     SurfaceModel,
     TruncationSet,
     _dot,
-    _integer_rows,
+    _scaled,
     charges_parallel,
     cone_enumerate,
     cross,
 )
+from wallcross.refinement import all_refinements, twist_spectrum
 from wallcross.scenario import parse_scenario
 
 G1 = Charge((1, 0))
@@ -447,8 +448,8 @@ def _per_pair_walls(path, charges, sector, tol=Fraction(1, 1024)):
         return out
 
     for i, (z0, z1) in enumerate(zip(path.keyframes, path.keyframes[1:])):
-        *rows, ray_start, ray_end = _integer_rows(
-            z0.matrix + z1.matrix + (sector.start, sector.end))
+        *rows, ray_start, ray_end = _scaled(
+            z0.matrix + z1.matrix + (sector.start, sector.end))[1]
         seg = {}
         for ch in charge_list:
             x0, y0, x1, y1 = (_dot(row, ch.coords) for row in rows)
@@ -756,6 +757,25 @@ def test_event_lines_format_each_distinct_interval_once():
     assert len(events) == 1821 and len(formatted) == 2 * len(shared) == 2
 
 
+def test_cluster_events_merge_overlapping_nested_and_touching_intervals():
+    # sorted events: [1/10, 3/10] overlaps [1/5, 2/5], which [2/5, 2/5]
+    # touches; [1/2, 9/10] holds two events and nests [3/5, 7/10]; [19/20, 1]
+    # is apart from both clusters
+    g3 = Charge((1, 1))
+    spans = [(Fraction(1, 10), Fraction(3, 10), G1, G2), (Fraction(1, 5), Fraction(2, 5), G1, g3),
+             (Fraction(2, 5), Fraction(2, 5), G2, g3), (Fraction(1, 2), Fraction(9, 10), G1, G2),
+             (Fraction(1, 2), Fraction(9, 10), G2, g3), (Fraction(3, 5), Fraction(7, 10), G1, g3),
+             (Fraction(19, 20), Fraction(1), G1, G2)]
+    events = sorted((WallEvent(lo, hi, "first_type", b1, b2) for lo, hi, b1, b2 in spans),
+                    key=WallEvent.sort_key)
+    clusters = engine._cluster_events(events)
+    assert [(cl.lo, cl.hi) for cl in clusters] == [
+        (Fraction(1, 10), Fraction(2, 5)), (Fraction(1, 2), Fraction(9, 10)),
+        (Fraction(19, 20), Fraction(1)),
+    ]
+    assert [cl.events for cl in clusters] == [events[:3], events[3:6], events[6:]]
+
+
 def test_check_variation_second_type_abort():
     s = build_setup(
         z_rows=((1, -1), (1, 1)),
@@ -881,23 +901,36 @@ def test_engine_sector_splitting():
 # -- known answers: pentagon and Kronecker wall crossing -----------------------
 
 
+CROSSING_SCN = parse_scenario(
+    (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text())
+
+
+def as_spectrum(weights: dict) -> Spectrum:
+    return Spectrum({Charge(c): a for c, a in weights.items()})
+
+
+def crossing_transport(m: int, cutoff: int, weights: dict, mode: str):
+    """Transport weights (coordinates -> a) along crossing.scn's path with
+    boundary ((m, 0), (0, 1)), so <g1, g2> = m, at the given cutoff (the
+    height of (p, q) is p + q along the whole path); returns the structure
+    and the output as a dict."""
+    sc = CROSSING_SCN
+    lattice = ChargeLattice(2, ((m, 0), (0, 1)), sc.lattice.surface)
+    trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(cutoff), scan_box=cutoff + 1)
+    struct = StabilityStructure(lattice, sc.z, sc.q, sc.sector, trunc, as_spectrum(weights), mode)
+    after = transport_spectrum(struct, sc.path_keyframes()[-1])
+    return struct, {ch.coords: a for ch, a in after.items()}
+
+
 def kronecker_transport(m: int, mode: str, cutoff: int = 8) -> tuple[dict, dict]:
     """Transport a(n g_i) = -1/n^2 along crossing.scn's path with <g1, g2> = m
     (cutoff 8: 62 members, cutoff 10: 95); returns the input and the output
     as dicts."""
-    text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text()
-    sc = parse_scenario(text)
-    lattice = ChargeLattice(2, ((m, 0), (0, 1)), sc.lattice.surface)
-    trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(cutoff), scan_box=cutoff + 1)
     before = {(n, 0): Fraction(-1, n * n) for n in range(1, cutoff + 1)}
     before.update({(0, n): Fraction(-1, n * n) for n in range(1, cutoff + 1)})
-    struct = StabilityStructure(
-        lattice, sc.z, sc.q, sc.sector, trunc, Spectrum({Charge(c): a for c, a in before.items()}),
-        mode,
-    )
+    struct, after = crossing_transport(m, cutoff, before, mode)
     assert len(struct.members) == {8: 62, 10: 95}[cutoff]
-    after = transport_spectrum(struct, sc.path_keyframes()[-1])
-    return before, {ch.coords: a for ch, a in after.items()}
+    return before, after
 
 
 @pytest.mark.parametrize("mode", ["twisted", "plain"])
@@ -929,6 +962,56 @@ def test_kronecker_m2_transport(mode):
     expected = {(p, q): 1 for p in range(9) for q in range(9) if abs(p - q) == 1 and p + q <= 8}
     expected[1, 1] = -2
     assert ray_invariants(after, 8) == expected
+
+
+def omega_weights(omega: dict, cutoff: int) -> dict:
+    """The weights whose ray_invariants are omega: each Omega(c) adds
+    -Omega(c)/k^2 to a(k c) for every multiple k c within the cutoff."""
+    weights: dict = {}
+    for c, v in omega.items():
+        for k in range(1, cutoff // sum(c) + 1):
+            kc = tuple(k * x for x in c)
+            weights[kc] = weights.get(kc, Fraction(0)) - Fraction(v, k * k)
+    return {c: a for c, a in weights.items() if a}
+
+
+def _crossing_weights(data, cutoff: int, values) -> dict:
+    """Drawn values on g1 and g2 and on up to two more cone members."""
+    sc = CROSSING_SCN
+    trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(cutoff), scan_box=cutoff + 1)
+    members = [ch.coords for ch in cone_enumerate(sc.lattice, sc.z, sc.q, sc.sector, trunc)]
+    charges = [(1, 0), (0, 1)] + data.draw(st.lists(st.sampled_from(members), max_size=2))
+    return {c: data.draw(values) for c in charges}
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_twisted_transport_keeps_omega_integral(data):
+    # Kontsevich-Soibelman integrality: integer Omega on one side of the
+    # walls gives integer Omega on the other, in the twisted algebra
+    m, cutoff = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 7))
+    omega = {c: v for c, v in _crossing_weights(data, cutoff, st.integers(-2, 2)).items() if v}
+    weights = omega_weights(omega, cutoff)
+    assert ray_invariants(weights, cutoff) == omega
+    _, after = crossing_transport(m, cutoff, weights, "twisted")
+    assert all(v.denominator == 1 for v in ray_invariants(after, cutoff).values())
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_transport_commutes_with_the_twist(data):
+    # to_twisted is an algebra morphism that keeps the generator order, so
+    # twisting the plain transport's output gives the twisted transport of
+    # the twisted input, for every refinement
+    m, cutoff = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 7))
+    values = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+    weights = _crossing_weights(data, cutoff, values)
+    struct, plain = crossing_transport(m, cutoff, weights, "plain")
+    sigma = data.draw(st.sampled_from(list(all_refinements(struct.lattice.surface))))
+    twisted_in = twist_spectrum(sigma, struct.lattice, struct.spectrum)
+    _, twisted = crossing_transport(
+        m, cutoff, {ch.coords: a for ch, a in twisted_in.items()}, "twisted")
+    assert twist_spectrum(sigma, struct.lattice, as_spectrum(plain)) == as_spectrum(twisted)
 
 
 def kronecker_m3_invariants(cutoff: int) -> dict:

@@ -1,0 +1,212 @@
+"""Every invalid input ends in its WallcrossError subclass, with its message.
+
+One row per raise site: a call, the exact error class it raises and a
+fragment of the message.  The rows of the shared readers (`lattice._sequence`
+through `_integers` and `multidisk._charges`, and the scenario parser's `_row`
+and `_matrix` with the integer token parser, once per caller) pin the whole
+message."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from conftest import build_setup
+from wallcross import cli
+from wallcross.algebra import BracketMode, PbwAlgebra, Spectrum
+from wallcross.engine import VariationPath, detect_walls
+from wallcross.errors import ReconstructionError, ValidationError, WallcrossError
+from wallcross.lattice import (
+    CentralCharge,
+    Charge,
+    ChargeLattice,
+    QuadraticForm,
+    SurfaceModel,
+    TruncationSet,
+    cone_enumerate,
+)
+from wallcross.multidisk import ChainVertex, DecoratedForest
+from wallcross.refinement import CohomologyAction, QuadraticRefinement
+from wallcross.scenario import parse_scenario
+
+CROSSING = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text()
+
+
+def _algebra():
+    s = build_setup()
+    return PbwAlgebra(s.lattice, s.z, s.q, s.sector, s.trunc)
+
+
+def _product_across_algebras():
+    plain = _algebra()
+    plain.multiply(plain.one(), plain.with_mode(BracketMode.TWISTED).one())
+
+
+def _rank3_members():
+    s = build_setup()
+    PbwAlgebra(s.lattice, CentralCharge(((1, 0, 0), (0, 1, 0))), s.q, s.sector, s.trunc,
+               members=(s.g1,))
+
+
+def _factorize_non_product():
+    alg = _algebra()
+    g1 = alg.generator(Charge((1, 0)))
+    alg.factorize(alg.one() + g1 * g1)
+
+
+def _cone_with_rank3_q():
+    s = build_setup()
+    cone_enumerate(s.lattice, s.z, QuadraticForm(((1, 0, 0), (0, 1, 0), (0, 0, 1))), s.sector, s.trunc)
+
+
+def _walls_at_zero_tolerance():
+    s = build_setup()
+    detect_walls(VariationPath((s.z, s.z)), (s.g1, s.g2), s.sector, tolerance=0)
+
+
+def _scenario(old: str, new: str):
+    def parse():
+        assert old in CROSSING
+        parse_scenario(CROSSING.replace(old, new, 1))
+    return parse
+
+
+def _chains(line: str):
+    return lambda: parse_scenario(CROSSING + f"\n[chains]\nchain = {line}\n")
+
+
+CASES = {
+    # algebra
+    "mode-coerce": (
+        lambda: BracketMode.coerce("x"),
+        ValidationError, "unknown bracket mode 'x'"),
+    "spectrum-tuple-key": (
+        lambda: Spectrum({(1, 0): 1}),
+        ValidationError, "spectrum keys must be charges, got (1, 0)"),
+    "ray-product-outside-cone": (
+        lambda: _algebra().ray_product(Spectrum({Charge((5, 5)): 1})),
+        ValidationError, "spectrum support outside the truncated cone: Charge(5, 5)"),
+    "multiply-across-algebras": (
+        _product_across_algebras,
+        ValidationError, "element belongs to a different algebra"),
+    "coefficient-of-ints": (
+        lambda: _algebra().one().coefficient((0,)),
+        ValidationError, "coefficient expects a word of charges"),
+    "members-with-rank3-z": (
+        _rank3_members,
+        ValidationError, "central charge rank must match the lattice"),
+    "factorize-non-product": (
+        _factorize_non_product,
+        ReconstructionError, "element is not a clockwise sector product"),
+    # lattice
+    "surface-odd": (
+        lambda: SurfaceModel(((0,),)),
+        ValidationError, "intersection matrix must have even dimension"),
+    "surface-not-square": (
+        lambda: SurfaceModel(((0, 1), (-1,))),
+        ValidationError, "intersection matrix must be square"),
+    "surface-not-skew": (
+        lambda: SurfaceModel(((0, 1), (1, 0))),
+        ValidationError, "intersection matrix must be skew-symmetric"),
+    "pairing-length": (
+        lambda: SurfaceModel.standard(1).pairing_h1((1,), (0, 1)),
+        ValidationError, "homology vector length does not match surface"),
+    "lattice-rank-0": (
+        lambda: ChargeLattice(0, (), SurfaceModel.standard(0)),
+        ValidationError, "lattice rank must be positive"),
+    "lattice-short-row": (
+        lambda: ChargeLattice(2, ((1, 0), (0,)), SurfaceModel.standard(1)),
+        ValidationError, "boundary matrix row length must equal the lattice rank"),
+    "central-charge-3-rows": (
+        lambda: CentralCharge(((1, 0), (0, 1), (1, 1))),
+        ValidationError, "central charge matrix must have exactly two rows"),
+    "central-charge-evaluate-length": (
+        lambda: build_setup().z.evaluate((1, 2, 3)),
+        ValidationError, "charge length does not match central charge rank"),
+    "form-not-square": (
+        lambda: QuadraticForm(((1, 0), (0,))),
+        ValidationError, "quadratic form matrix must be square"),
+    "form-not-symmetric": (
+        lambda: QuadraticForm(((1, 2), (0, 1))),
+        ValidationError, "quadratic form matrix must be symmetric"),
+    "form-evaluate-length": (
+        lambda: build_setup().q.evaluate((1, 2, 3)),
+        ValidationError, "charge length does not match quadratic form rank"),
+    "scan-box-0": (
+        lambda: TruncationSet((0, 1), 2, 0),
+        ValidationError, "scan_box must be a positive integer"),
+    "cone-rank3-q": (
+        _cone_with_rank3_q,
+        ValidationError, "central charge / quadratic form rank must match the lattice"),
+    "integers-not-a-sequence": (
+        lambda: Charge(5),
+        ValidationError, "charge coordinates must be a sequence of integers, got 5"),
+    # multidisk
+    "forest-unequal-halves": (
+        lambda: DecoratedForest((Charge((1, 0)),) * 2, (0, 1), (1,)),
+        ValidationError, "every half-edge needs an attachment and a partner"),
+    "forest-charges-not-a-sequence": (
+        lambda: DecoratedForest(5, (), ()),
+        ValidationError, "vertex decorations must be a sequence of charges, got 5"),
+    "chain-vertex-tuple-charge": (
+        lambda: ChainVertex(Fraction(1, 2), (1, 0), (1, 0)),
+        ValidationError, "chain vertex needs a charge, got (1, 0)"),
+    # refinement
+    "action-evaluate-length": (
+        lambda: CohomologyAction((1, 0)).evaluate((1, 0, 0)),
+        ValidationError, "homology vector length does not match action"),
+    "action-apply-length": (
+        lambda: CohomologyAction((1,)).apply(QuadraticRefinement(SurfaceModel.standard(1), (1, 1))),
+        ValidationError, "action length does not match surface"),
+    # scenario, on crossing.scn
+    "scenario-empty-matrix-row": (
+        _scenario("matrix = -3 -1 ; 1 1", "matrix = -3 -1 ;"),
+        ValidationError, "line 13: empty vector"),
+    "scenario-empty-int-row": (
+        _scenario("boundary = 1 0 ; 0 1", "boundary = 1 0 ; ; 0 1"),
+        ValidationError, "line 7: empty vector"),
+    "scenario-int-token": (
+        _scenario("boundary = 1 0 ; 0 1", "boundary = 1 0 ; 0 1/2"),
+        ValidationError, "line 7: expected an integer, got '1/2'"),
+    "scenario-int-intersection": (
+        _scenario("genus = 1", "genus = 1\nintersection = 0 1 ; -1 x"),
+        ValidationError, "line 11: expected an integer, got 'x'"),
+    "scenario-int-entry": (
+        _scenario("entry = 1 0 : 1", "entry = 1 0.5 : 1"),
+        ValidationError, "line 32: expected an integer, got '0.5'"),
+    "scenario-int-signs": (
+        _scenario("signs = 1 1", "signs = 1 +"),
+        ValidationError, "line 36: expected an integer, got '+'"),
+    "scenario-3-entry-direction": (
+        _scenario("start = -5 1", "start = -5 1 0"),
+        ValidationError, "line 20: sector directions live in the plane"),
+    "scenario-3-entry-covector": (
+        _scenario("covector = 0 1", "covector = 0 1 0"),
+        ValidationError, "line 24: truncation covector lives in the plane"),
+    "scenario-chain-item-without-colon": (
+        _chains("1/2 1 0"),
+        ValidationError, "line 39: chain item needs '<height> : <coords>'"),
+    "scenario-chain-int-coords": (
+        _chains("1/2 : 1 z"),
+        ValidationError, "line 39: expected an integer, got 'z'"),
+    "scenario-rank3-keyframe": (
+        _scenario("keyframe = 1 -1 ; 1 1", "keyframe = 1 -1 0 ; 1 1 0"),
+        ValidationError, "line 12: keyframe rank must match the lattice"),
+    # engine and cli
+    "walls-zero-tolerance": (
+        _walls_at_zero_tolerance,
+        ValidationError, "tolerance must be positive"),
+    "cli-unknown-command": (
+        lambda: cli.run("bogus", parse_scenario(CROSSING)),
+        ValidationError, "unknown command 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", CASES.values(), ids=CASES.keys())
+def test_invalid_input_raises_its_error(call, error, fragment):
+    with pytest.raises(WallcrossError) as err:
+        call()
+    assert err.type is error
+    assert fragment in str(err.value)

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_setup
 from wallcross.algebra import BracketMode, PbwAlgebra, Spectrum
@@ -207,6 +208,33 @@ def test_to_twisted_is_algebra_morphism():
             lhs = to_twisted(sigma, a * b)
             rhs = to_twisted(sigma, a) * to_twisted(sigma, b)
             assert lhs == rhs
+
+
+def from_terms_to_twisted(sigma, element):
+    """Reference map: each charge word signed letterwise and brought back to
+    normal form by from_terms in the twisted algebra."""
+    alg = element.algebra
+    terms = {}
+    for word, coeff in element.terms():
+        sign = 1
+        for ch in word:
+            sign *= sigma.evaluate(alg.lattice.boundary_of(ch))
+        terms[word] = coeff * sign
+    return alg.with_mode(BracketMode.TWISTED).from_terms(terms)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_to_twisted_matches_the_from_terms_route(data):
+    _, alg = make_plain_algebra(cutoff=data.draw(st.integers(1, 4)))
+    sigma = data.draw(st.sampled_from(list(all_refinements(SurfaceModel.standard(1)))))
+    words = data.draw(st.lists(st.lists(st.sampled_from(alg.order.charges), max_size=4),
+                               min_size=1, max_size=5))
+    element = alg.from_terms({
+        tuple(word): Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+        for word in words
+    })
+    assert to_twisted(sigma, element) == from_terms_to_twisted(sigma, element)
 
 
 def test_twisted_product_from_covariant_spectra():
