@@ -229,7 +229,7 @@ def main(argv=None) -> int:
     try:
         with open(args.scenario, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import AlgebraElement, PbwAlgebra
 from .errors import FirstTypeWallError, ValidationError
@@ -171,6 +171,17 @@ def _acyclic(vertex_count: int, edge_list: Sequence[tuple[int, int]]) -> bool:
     return True
 
 
+def _forest_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every acyclic edge subset of the complete graph on n vertices, as a
+    tuple of vertex pairs, by edge count then ``itertools.combinations``
+    order.  Each subset is checked for cycles once."""
+    candidates = list(itertools.combinations(range(n), 2))
+    for k in range(n or 1):
+        for subset in itertools.combinations(candidates, k):
+            if _acyclic(n, subset):
+                yield subset
+
+
 def enumerate_forests(
     vertex_charges: Sequence[Charge],
 ) -> tuple[DecoratedForest, ...]:
@@ -181,16 +192,13 @@ def enumerate_forests(
     so it is built without the constructor's checks."""
     charges = _charges(vertex_charges)
     n = len(charges)
-    candidates = list(itertools.combinations(range(n), 2))
+    involutions = [tuple(h ^ 1 for h in range(2 * k)) for k in range(n or 1)]
     build = DecoratedForest._unchecked
     flatten = itertools.chain.from_iterable
-    out = []
-    for k in range(n if n else 1):
-        involution = tuple(h ^ 1 for h in range(2 * k))
-        for subset in itertools.combinations(candidates, k):
-            if _acyclic(n, subset):
-                out.append(build(charges, tuple(flatten(subset)), involution))
-    return tuple(out)
+    return tuple(
+        build(charges, tuple(flatten(subset)), involutions[len(subset)])
+        for subset in _forest_edge_sets(n)
+    )
 
 
 # -- height-ordered chains -------------------------------------------------
@@ -355,15 +363,15 @@ def multilink_total(
     """Sum of the forest values over every forest on the chain's vertices.
 
     Each pair's link is read once, as the one-edge forest on that pair would
-    read it; the integer edge products are summed per edge count, and each
-    sum is divided by the factorial of its count at the end."""
+    read it.  The integer link products are summed per edge count over the
+    acyclic edge sets, with no forest built, and each sum is divided by the
+    factorial of its count at the end."""
     verts = chain.vertices
     pairs = itertools.combinations(range(len(verts)), 2)
     links = {(i, j): link(verts[i], verts[j], z, surface) for i, j in pairs}
     by_count = [0] * (len(verts) + 1)
-    for forest in enumerate_forests(chain.to_monomial()):
-        ends = forest.attach  # enumerate_forests glues half-edges 2i and 2i + 1
-        by_count[len(ends) // 2] += prod(links[e] for e in zip(ends[::2], ends[1::2]))
+    for subset in _forest_edge_sets(len(verts)):
+        by_count[len(subset)] += prod(links[e] for e in subset)
     return sum(Fraction(s, factorial(k)) for k, s in enumerate(by_count))
 
 

@@ -296,6 +296,15 @@ def test_validation_errors_exit_2(capsys):
     assert err.startswith("error: validation: ")
 
 
+def test_scenario_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.scn"
+    bad.write_bytes(b"\xff" + (SCENARIOS / "primitive.scn").read_bytes())
+    code, out, err = run_cli(capsys, "--scenario", str(bad), "--command", "cone")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: validation: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 def test_parse_error_reports_line_number(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text("[lattice]\nrank = 2\nrange = 4\n")

@@ -496,10 +496,14 @@ def test_multilink_total_matches_forest_oracle(spec):
     chain = make_chain(s.lattice, zip(sorted(heights), word))
     n = len(chain)
     with mock.patch.object(multidisk, "link", wraps=multidisk.link) as counted, \
-            mock.patch.object(multidisk, "multilink_forest") as per_forest:
+            mock.patch.object(multidisk, "multilink_forest") as per_forest, \
+            mock.patch.object(multidisk, "enumerate_forests") as forests, \
+            mock.patch.object(DecoratedForest, "_unchecked") as built:
         fast = _outcome(multilink_total, chain, z, surface)
     assert counted.call_count <= n * (n - 1) // 2
     per_forest.assert_not_called()
+    forests.assert_not_called()
+    built.assert_not_called()
 
     def oracle():
         return sum(
@@ -508,6 +512,20 @@ def test_multilink_total_matches_forest_oracle(spec):
         )
 
     assert fast == _outcome(oracle)
+
+
+@pytest.mark.parametrize(
+    "letters, total",
+    [((0, 1, 2, 3, 3, 4, 4), 1), ((4, 4, 3, 3, 2, 1, 0), Fraction(60896, 45))],
+    ids=["phase-ordered", "reversed"],
+)
+def test_multilink_total_seven_vertex_chains(letters, total):
+    # past the forest oracle's reach; both totals were computed by walking
+    # every forest
+    s = build_setup()
+    word = [PHASE_ORDERED_LETTERS[i] for i in letters]
+    chain = make_chain(s.lattice, zip((Fraction(k, 8) for k in range(1, 8)), word))
+    assert multilink_total(chain, s.z, s.lattice.surface) == total
 
 
 # -- crossing rewrite ----------------------------------------------------------
