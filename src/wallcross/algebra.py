@@ -9,9 +9,11 @@ brings every word to normal form.  Rewriting preserves the total charge of
 a word, so truncation only ever drops whole words: a word survives exactly
 when its total height stays within the cutoff.
 
-The stack rewrite `_normalize_into` drives `normal_form(strategy=...)`,
-`from_terms` and `multiply`, and is the oracle for `convert`, which inserts
-each word's letters right to left into a normal word u, memoizing e_a u.
+The stack rewrite `_rewrite_into` drives `multiply`, which holds each
+pair's height sum to the cutoff itself, and, behind the cutoff drop of
+`_normalize_into`, `normal_form(strategy=...)` and `from_terms`.
+`_normalize_into` is the oracle for `convert`, which inserts each word's
+letters right to left into a normal word u, memoizing e_a u.
 
 Clockwise-ordered ray products concatenate words that are already sorted,
 which is what makes factorization of a sector product exact and unique:
@@ -260,18 +262,18 @@ class PbwAlgebra:
         heights = self._heights
         return sum((heights[i] for i in word), Fraction(0))
 
-    def _normalize_into(
-        self,
-        out: dict[tuple[int, ...], Fraction],
-        word: tuple[int, ...],
-        coeff: Fraction,
-        strategy: str = "leftmost",
-    ) -> None:
+    def _normalize_into(self, out: dict[tuple[int, ...], Fraction], word: tuple[int, ...],
+                        coeff: Fraction, strategy: str = "leftmost") -> None:
         if coeff == 0:
             return
         # the total charge is a rewriting invariant: drop once, up front
         if word and self._word_height(word) > self._cutoff:
             return
+        self._rewrite_into(out, word, coeff, strategy)
+
+    def _rewrite_into(self, out: dict[tuple[int, ...], Fraction], word: tuple[int, ...],
+                      coeff: Fraction, strategy: str = "leftmost") -> None:
+        """Add coeff times word's normal form to out; the word is within the cutoff."""
         left_first = strategy == "leftmost"
         cstr = None  # the tables, fetched at the first unsorted pair
         stack = [(word, coeff)]
@@ -320,7 +322,7 @@ class PbwAlgebra:
             for wb, cb, hb in right_items:
                 if ha + hb > cutoff:
                     continue
-                self._normalize_into(out, wa + wb, ca * cb)
+                self._rewrite_into(out, wa + wb, ca * cb)
         return AlgebraElement(self, out)
 
     def exponential(self, x: "AlgebraElement") -> "AlgebraElement":

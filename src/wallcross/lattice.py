@@ -52,10 +52,16 @@ class Charge:
         return iter(self.coords)
 
     def __add__(self, other: "Charge") -> "Charge":
-        return Charge(a + b for a, b in zip(self.coords, other.coords, strict=True))
+        try:
+            return Charge(a + b for a, b in zip(self.coords, other.coords, strict=True))
+        except (AttributeError, ValueError):
+            raise _operand_error(self, other) from None
 
     def __sub__(self, other: "Charge") -> "Charge":
-        return Charge(a - b for a, b in zip(self.coords, other.coords, strict=True))
+        try:
+            return Charge(a - b for a, b in zip(self.coords, other.coords, strict=True))
+        except (AttributeError, ValueError):
+            raise _operand_error(self, other) from None
 
     def __neg__(self) -> "Charge":
         return Charge(-a for a in self.coords)
@@ -76,11 +82,18 @@ class Charge:
         return all(c == 0 for c in self.coords)
 
 
+def _operand_error(a: Charge, b) -> ValidationError:
+    """The error for an operand b of a that is not a charge of a's rank."""
+    if isinstance(b, Charge):
+        return ValidationError(f"charges of different rank: {a!r} and {b!r}")
+    return ValidationError(f"charge arithmetic needs a charge, got {b!r}")
+
+
 def charges_parallel(b1: Charge, b2: Charge) -> bool:
     """True when b1 and b2 are rational multiples of one another."""
     n = len(b1.coords)
     if n != len(b2.coords):
-        raise ValidationError(f"charges of different rank: {b1!r} and {b2!r}")
+        raise _operand_error(b1, b2)
     for i in range(n):
         for j in range(i + 1, n):
             if b1.coords[i] * b2.coords[j] != b1.coords[j] * b2.coords[i]:

@@ -231,6 +231,61 @@ def test_multiply_preserves_grading():
         assert total == _ch(2, 1)
 
 
+def rechecked_multiply(alg: PbwAlgebra, left: AlgebraElement, right: AlgebraElement):
+    """Reference product: every pair within the cutoff goes through
+    `_normalize_into`, which sums the concatenated word's height again."""
+    alg._require_same(left)
+    alg._require_same(right)
+    out: dict = {}
+    right_items = [(wb, cb, alg._word_height(wb)) for wb, cb in right._terms.items()]
+    for wa, ca in left._terms.items():
+        ha = alg._word_height(wa)
+        for wb, cb, hb in right_items:
+            if ha + hb > alg._cutoff:
+                continue
+            alg._normalize_into(out, wa + wb, ca * cb)
+    return AlgebraElement(alg, out)
+
+
+@settings(max_examples=80, derandomize=True, database=None)
+@given(data=st.data())
+def test_multiply_matches_the_rechecked_product(data):
+    alg = certificate_algebra(data.draw(st.sampled_from(("small", "crossing"))),
+                              data.draw(st.sampled_from(("plain", "twisted"))))
+    # words in any order, normalized by from_terms, over letters up to a
+    # drawn height: low letters make unsorted concatenations within the
+    # cutoff, which rewrite, and high ones make pairs that sum past it
+    top = data.draw(st.sampled_from((1, 2, alg.trunc.cutoff)))
+    letters = [ch for ch in alg.members if alg.trunc.height(alg.z.evaluate(ch)) <= top]
+    words = st.lists(st.sampled_from(letters), max_size=3).map(tuple)
+    coeffs = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    left, right = (alg.from_terms(data.draw(st.dictionaries(words, coeffs, min_size=1,
+                                                            max_size=5)))
+                   for _ in range(2))
+    got, want = (outcome(lambda a, pair: fn(a, *pair), alg, (left, right))
+                 for fn in (PbwAlgebra.multiply, rechecked_multiply))
+    assert got == want
+
+
+@pytest.mark.parametrize("mode", ["plain", "twisted"])
+def test_multiply_sums_each_word_height_once(monkeypatch, mode):
+    alg = certificate_algebra("crossing", mode)
+    rng = random.Random(71)
+    left, right = (random_element(alg, rng, nwords=8) for _ in range(2))
+    cut, height = alg._cutoff, alg._word_height
+    kept = [wa + wb for wa in left._terms for wb in right._terms
+            if height(wa) + height(wb) <= cut]
+    # some pairs are pruned, and some kept concatenations need rewriting
+    assert 0 < len(kept) < len(left._terms) * len(right._terms)
+    assert any(w != tuple(sorted(w)) for w in kept)
+    calls = []
+    monkeypatch.setattr(PbwAlgebra, "_word_height",
+                        lambda self, word: calls.append(word) or height(word))
+    product = alg.multiply(left, right)
+    assert len(calls) == len(left._terms) + len(right._terms)
+    assert product == rechecked_multiply(alg, left, right)
+
+
 def test_same_ray_letters_commute():
     alg = make_algebra(cutoff=4)
     a = alg.generator(_ch(1, 0))
@@ -401,7 +456,7 @@ def test_factorize_round_trip_random():
 def certificate_algebra(cone: str, mode: str) -> PbwAlgebra:
     if cone == "small":
         return make_algebra(cutoff=3, mode=mode)
-    text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text()
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text(encoding="utf-8")
     sc = parse_scenario(text)
     trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(6))
     return PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, trunc, mode)
@@ -567,7 +622,7 @@ def test_tables_follow_pairing_and_charge_sums():
 
 
 def crossing_scenario():
-    text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text()
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text(encoding="utf-8")
     return parse_scenario(text)
 
 

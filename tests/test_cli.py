@@ -204,7 +204,7 @@ def test_cone_heights_equal_the_height_of_z(entries, c0, lift, cutoff):
     # a rational Z and covector: c1 > 5 |c0| keeps the covector positive on
     # the sector, and the shipped scenarios, all integer, could not show a
     # wrongly scaled height
-    base = parse_scenario(Path(CROSSING).read_text())
+    base = parse_scenario(Path(CROSSING).read_text(encoding="utf-8"))
     z = CentralCharge((entries[:2], entries[2:]))
     trunc = TruncationSet((c0, 5 * abs(c0) + lift), cutoff, base.trunc.scan_box)
     sc = dataclasses.replace(base, z=z, trunc=trunc)
@@ -270,7 +270,7 @@ def test_selftest_checks_hold_under_python_O():
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, cwd=SCENARIOS.parent / "src",
+        capture_output=True, text=True, encoding="utf-8", cwd=SCENARIOS.parent / "src",
     )
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr == "error: reconstruction: selftest check failed: factorization\n"
@@ -307,7 +307,7 @@ def test_scenario_that_is_not_utf8_exits_2(tmp_path, capsys):
 
 def test_parse_error_reports_line_number(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
-    bad.write_text("[lattice]\nrank = 2\nrange = 4\n")
+    bad.write_text("[lattice]\nrank = 2\nrange = 4\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "--scenario", str(bad), "--command", "cone")
     assert code == 2
     assert "line 3: unknown key 'range'" in err
@@ -347,7 +347,7 @@ entry = 1 0 : 1
 
 def test_second_type_wall_exits_3(tmp_path, capsys):
     path = tmp_path / "second.scn"
-    path.write_text(SECOND_TYPE)
+    path.write_text(SECOND_TYPE, encoding="utf-8")
     code, out, err = run_cli(capsys, "--scenario", str(path), "--command", "cross")
     assert code == 3
     assert out == ""
@@ -359,7 +359,7 @@ def test_first_type_wall_exits_2(tmp_path, capsys):
     path = tmp_path / "degenerate.scn"
     text = SECOND_TYPE.replace("matrix = 1 -1 ; 1 1", "matrix = -1 -1 ; 1 1")
     text = text.replace("entry = 1 0 : 1", "entry = 1 0 : 1\nentry = 0 1 : 1")
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     code, _, err = run_cli(capsys, "--scenario", str(path), "--command", "product")
     assert code == 2
     assert err.startswith("error: first-type-wall: ")
@@ -404,7 +404,7 @@ entry = 0 1 : 1
 
 def test_tangential_keyframe_crossing(tmp_path, capsys):
     path = tmp_path / "tangential.scn"
-    path.write_text(TANGENTIAL)
+    path.write_text(TANGENTIAL, encoding="utf-8")
     code, out, err = run_cli(capsys, "--scenario", str(path), "--command", "walls")
     assert (code, out, err) == (0, "t in [1/2, 1/2] first_type (0, 1) x (1, 0)\n", "")
     code, out, err = run_cli(capsys, "--scenario", str(path), "--command", "cross")
@@ -432,7 +432,7 @@ def test_command_grid_matches_bench_golden(capsys, lam):
     """Every command on both scenarios in both modes gives the exit code,
     stdout digest and stderr recorded in the benchmark's golden file
     (lambda 8 is left to the benchmark, which runs it too)."""
-    golden = json.loads(BENCH_GOLDEN.read_text())
+    golden = json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))
     mismatched = []
     for scenario, digest in golden["scenario_sha256"].items():
         path = SCENARIOS / f"{scenario}.scn"
@@ -454,7 +454,7 @@ def test_command_grid_matches_bench_golden(capsys, lam):
 def test_wall_commands_at_lambda_8_match_bench_golden(capsys, command):
     """The wall commands at the benchmark's largest cutoff, where crossing.scn
     has 62 members and 1,821 events on one shared crossing polynomial."""
-    golden = json.loads(BENCH_GOLDEN.read_text())
+    golden = json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))
     for scenario in golden["scenario_sha256"]:
         for mode in ("plain", "twisted"):
             code, out, err = run_cli(
@@ -554,7 +554,7 @@ def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "wallcross.cli",
          "--scenario", PRIMITIVE, "--command", "cone"],
-        capture_output=True, text=True, cwd=SCENARIOS.parent / "src",
+        capture_output=True, text=True, encoding="utf-8", cwd=SCENARIOS.parent / "src",
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "(0, 1) height 1"
@@ -568,13 +568,13 @@ def test_missing_sections_for_command(capsys):
     assert code == 0
 
     # strip the refinement section and ask for a twist
-    text = (SCENARIOS / "crossing.scn").read_text()
+    text = (SCENARIOS / "crossing.scn").read_text(encoding="utf-8")
     stripped = text[: text.index("[refinement]")]
     import tempfile, os
 
     fd, tmp = tempfile.mkstemp(suffix=".scn")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(stripped)
         code, _, err = run_cli(capsys, "--scenario", tmp, "--command", "twist")
         assert code == 2
@@ -604,7 +604,7 @@ _CHARS = "[]=;:,#-/ \tx\n"
 @st.composite
 def _fuzzed_texts(draw):
     base = draw(st.sampled_from(("primitive.scn", "crossing.scn")))
-    lines = (SCENARIOS / base).read_text().splitlines()
+    lines = (SCENARIOS / base).read_text(encoding="utf-8").splitlines()
     for _ in range(draw(st.integers(1, 2))):
         i = draw(st.integers(0, len(lines) - 1))
         kinds = ("delete", "duplicate", "swap", "insert", "erase") + ("token",) * 5

@@ -526,7 +526,7 @@ def test_detect_walls_matches_per_pair_root_isolation(rank):
 
 def test_detect_walls_isolates_each_distinct_polynomial_once(monkeypatch):
     # crossing.scn at lambda 8: 62 members, 1,821 events, one segment
-    text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text()
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text(encoding="utf-8")
     sc = parse_scenario(text)
     trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(8))
     members = StabilityStructure(sc.lattice, sc.z, sc.q, sc.sector, trunc, sc.spectrum).members
@@ -698,7 +698,7 @@ def test_check_variation_crossing_at_junction():
 
 
 def test_check_variation_builds_the_source_product_once(monkeypatch):
-    text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text()
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text(encoding="utf-8")
     sc = parse_scenario(text)
     trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(6))
     struct = StabilityStructure(sc.lattice, sc.z, sc.q, sc.sector, trunc, sc.spectrum)
@@ -735,7 +735,7 @@ def test_event_lines_format_each_distinct_interval_once():
     # count their formatting; each interval shares one pair, as detect_walls'
     # events do.
     sc = parse_scenario((Path(__file__).resolve().parent.parent / "scenarios"
-                         / "crossing.scn").read_text())
+                         / "crossing.scn").read_text(encoding="utf-8"))
     trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(8))
     members = cone_enumerate(sc.lattice, sc.z, sc.q, sc.sector, trunc)
     events = detect_walls(VariationPath(sc.path_keyframes()), members, sc.sector)
@@ -902,7 +902,7 @@ def test_engine_sector_splitting():
 
 
 CROSSING_SCN = parse_scenario(
-    (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text())
+    (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text(encoding="utf-8"))
 
 
 def as_spectrum(weights: dict) -> Spectrum:

@@ -31,7 +31,7 @@ from wallcross.multidisk import ChainVertex, DecoratedForest
 from wallcross.refinement import CohomologyAction, QuadraticRefinement
 from wallcross.scenario import parse_scenario
 
-CROSSING = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text()
+CROSSING = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text(encoding="utf-8")
 
 
 def _algebra():
@@ -140,6 +140,18 @@ CASES = {
     "cone-rank3-q": (
         _cone_with_rank3_q,
         ValidationError, "central charge / quadratic form rank must match the lattice"),
+    "charge-add-rank": (
+        lambda: Charge((1, 0)) + Charge((1, 0, 0)),
+        ValidationError, "charges of different rank: Charge(1, 0) and Charge(1, 0, 0)"),
+    "charge-sub-rank": (
+        lambda: Charge((1, 0, 0)) - Charge((1, 0)),
+        ValidationError, "charges of different rank: Charge(1, 0, 0) and Charge(1, 0)"),
+    "charge-add-tuple": (
+        lambda: Charge((1, 0)) + (1, 0),
+        ValidationError, "charge arithmetic needs a charge, got (1, 0)"),
+    "charge-sub-tuple": (
+        lambda: Charge((1, 0)) - (1, 0),
+        ValidationError, "charge arithmetic needs a charge, got (1, 0)"),
     "integers-not-a-sequence": (
         lambda: Charge(5),
         ValidationError, "charge coordinates must be a sequence of integers, got 5"),

@@ -57,7 +57,7 @@ def with_lines(replacements: dict[str, str]) -> str:
 
 
 def test_parse_primitive_scenario():
-    sc = parse_scenario((SCENARIOS / "primitive.scn").read_text())
+    sc = parse_scenario((SCENARIOS / "primitive.scn").read_text(encoding="utf-8"))
     assert sc.lattice.rank == 2
     assert sc.lattice.surface.dim == 2
     assert sc.z.matrix == ((Fraction(1), Fraction(-1)), (Fraction(1), Fraction(1)))
@@ -73,7 +73,7 @@ def test_parse_primitive_scenario():
 
 
 def test_parse_crossing_scenario():
-    sc = parse_scenario((SCENARIOS / "crossing.scn").read_text())
+    sc = parse_scenario((SCENARIOS / "crossing.scn").read_text(encoding="utf-8"))
     assert len(sc.keyframes) == 1
     assert sc.path_keyframes() == (sc.z, sc.keyframes[0])
     assert sc.trunc.cutoff == 2
@@ -82,7 +82,7 @@ def test_parse_crossing_scenario():
 
 def test_parse_print_round_trip():
     for name in ("primitive.scn", "crossing.scn"):
-        first = parse_scenario((SCENARIOS / name).read_text())
+        first = parse_scenario((SCENARIOS / name).read_text(encoding="utf-8"))
         printed = format_scenario(first)
         assert parse_scenario(printed) == first
         # printing is idempotent on canonical text
@@ -90,7 +90,7 @@ def test_parse_print_round_trip():
 
 
 def test_format_crossing_golden():
-    sc = parse_scenario((SCENARIOS / "crossing.scn").read_text())
+    sc = parse_scenario((SCENARIOS / "crossing.scn").read_text(encoding="utf-8"))
     assert format_scenario(sc) == """\
 [lattice]
 rank = 2
