@@ -366,11 +366,9 @@ class PbwAlgebra:
         multiplied first ray first.  Non-proportional charges sharing a ray
         are a first-type wall and rejected.
         """
-        result = self.one()
+        result, index = self.one(), self.order.index
         for group in self._ray_groups(spectrum):
-            x = self.zero()
-            for ch in group:
-                x = x + spectrum.coefficient(ch) * self.generator(ch)
+            x = AlgebraElement(self, {(index[ch],): spectrum.coefficient(ch) for ch in group})
             result = self.multiply(result, self.exponential(x))
         return result
 

@@ -22,13 +22,7 @@ from .engine import (
     check_variation,
     detect_walls,
 )
-from .errors import (
-    FirstTypeWallError,
-    ReconstructionError,
-    SecondTypeWallError,
-    ValidationError,
-    WallcrossError,
-)
+from .errors import ReconstructionError, ValidationError, WallcrossError
 from .lattice import _cone, _dot, cone_enumerate
 from .multidisk import enumerate_forests, multilink_total
 from .refinement import all_refinements, twist_spectrum
@@ -39,10 +33,6 @@ def _structure(sc: Scenario) -> StabilityStructure:
         sc.lattice, sc.z, sc.q, sc.sector, sc.trunc, sc.spectrum,
         mode=sc.mode, refinement=sc.refinement,
     )
-
-
-def _coords(charge) -> str:
-    return str(charge.coords)
 
 
 def _path(sc: Scenario) -> VariationPath:
@@ -59,7 +49,7 @@ def cmd_cone(sc: Scenario) -> list[str]:
         return ["(empty)"]
     # the chart's int heights are the exact ones times its scale
     return [
-        f"{_coords(ch)} height {Fraction(_dot(chart.hrow, ch.coords), chart.scale)}"
+        f"{ch.coords} height {Fraction(_dot(chart.hrow, ch.coords), chart.scale)}"
         for ch in members
     ]
 
@@ -67,7 +57,7 @@ def cmd_cone(sc: Scenario) -> list[str]:
 def _word_str(word) -> str:
     if not word:
         return "1"
-    return " ".join(f"e{_coords(ch)}" for ch in word)
+    return " ".join(f"e{ch.coords}" for ch in word)
 
 
 def cmd_product(sc: Scenario) -> list[str]:
@@ -227,27 +217,16 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
 
     try:
-        with open(args.scenario, encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: validation: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        try:
+            with open(args.scenario, encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:  # an unreadable scenario file
+            raise ValidationError(exc) from None
         sc = _apply_overrides(parse_scenario(text), args.cutoff, args.mode)
         sys.stdout.write(run(args.command, sc))
-    except SecondTypeWallError as exc:
-        print(f"error: second-type-wall: {exc}", file=sys.stderr)
-        return 3
-    except ReconstructionError as exc:
-        print(f"error: reconstruction: {exc}", file=sys.stderr)
-        return 4
-    except FirstTypeWallError as exc:
-        print(f"error: first-type-wall: {exc}", file=sys.stderr)
-        return 2
-    except WallcrossError as exc:  # ValidationError and any other subclass
-        print(f"error: validation: {exc}", file=sys.stderr)
-        return 2
+    except WallcrossError as exc:  # its class gives the kind and the exit code
+        print(f"error: {exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
     return 0
 
 

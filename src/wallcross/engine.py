@@ -27,10 +27,12 @@ from .lattice import (
     Sector,
     TruncationSet,
     _charge_set,
+    _check_geometry,
     _cone,
     _dot,
     _exact,
     _scaled,
+    _sequence,
     charges_parallel,
     cross,
     wall_first_type,
@@ -93,14 +95,12 @@ class VariationPath:
     keyframes: tuple[CentralCharge, ...]
 
     def __post_init__(self):
-        frames = tuple(self.keyframes)
+        frames = _sequence(self.keyframes, "keyframes must be a sequence of central charges")
         object.__setattr__(self, "keyframes", frames)
         if len(frames) < 2:
             raise ValidationError("a variation path needs at least two keyframes")
-        rank = frames[0].rank if isinstance(frames[0], CentralCharge) else -1
-        for f in frames:
-            if not isinstance(f, CentralCharge) or f.rank != rank:
-                raise ValidationError("keyframes must be central charges of equal rank")
+        if not all(isinstance(f, CentralCharge) and f.rank == frames[0].rank for f in frames):
+            raise ValidationError("keyframes must be central charges of equal rank")
 
     @property
     def segment_count(self) -> int:
@@ -114,13 +114,9 @@ class VariationPath:
         scaled = t * m
         i = min(int(scaled), m - 1)
         s = scaled - i
-        a = self.keyframes[i].matrix
-        b = self.keyframes[i + 1].matrix
-        rows = tuple(
-            tuple(a[r][c] + s * (b[r][c] - a[r][c]) for c in range(len(a[r])))
-            for r in range(2)
-        )
-        return CentralCharge(rows)
+        a, b = self.keyframes[i].matrix, self.keyframes[i + 1].matrix
+        return CentralCharge(tuple(
+            tuple(x + s * (y - x) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)))
 
 
 @dataclass(frozen=True)
@@ -258,6 +254,9 @@ def detect_walls(
     nonzero integer factor: at rank 2, cross(Z b1, Z b2) is det Z times
     det[b1 b2], so every pair shares one.  Each pair still makes its own
     keyframe sign test and its own checks."""
+    if not isinstance(path, VariationPath):
+        raise ValidationError(f"path must be a VariationPath, got {path!r}")
+    _check_geometry(sector=sector)
     mset = _charge_set(charges, path.keyframes[0].rank)
     charge_list = sorted(mset, key=lambda ch: ch.coords)
     m = path.segment_count
@@ -326,10 +325,9 @@ def detect_walls(
 
 def _guard_second_type(alg: PbwAlgebra, members) -> None:
     """Reject a member sum with a part on a sector boundary ray under alg's Z."""
-    chart, mset = alg._chart, set(members)
+    rays, mset = alg._chart.forms[1:], set(members)
     for b1 in members:
-        value = chart.value(b1.coords)
-        if all(cross(ray, value) for ray in chart.rays):  # members lie in the sector
+        if all(_dot(row, b1.coords) for row, _ in rays):  # members lie in the sector
             continue
         for b2 in members:
             if (b1 + b2) in mset:
@@ -349,6 +347,8 @@ def transport_spectrum(
     The product is formed in the source algebra, re-expressed in a copy of
     it re-sorted by the new central charge, and read back off.  The element
     itself never changes; only the ordered factorization does."""
+    if not isinstance(struct, StabilityStructure):
+        raise ValidationError(f"struct must be a StabilityStructure, got {struct!r}")
     members_new, chart = _cone(struct.lattice, z_new, struct.q, struct.sector, struct.trunc)
     if set(members_new) != set(struct.members):
         raise ValidationError(
@@ -450,6 +450,10 @@ def check_variation(
     structure: the sector product is one element along the whole path and
     only its ordered factorization changes, so no intermediate structure
     is needed."""
+    if not isinstance(path, VariationPath):
+        raise ValidationError(f"path must be a VariationPath, got {path!r}")
+    if not isinstance(struct, StabilityStructure):
+        raise ValidationError(f"struct must be a StabilityStructure, got {struct!r}")
     if path.keyframes[0] != struct.z:
         raise ValidationError(
             "structure central charge must match the start of the path"
@@ -465,16 +469,12 @@ def check_variation(
                     f"{total.coords} splits as {ev.beta1.coords} + "
                     f"{ev.beta2.coords}"
                 )
-    cuts = [Fraction(0)]
-    for cl in clusters:
-        cuts.extend((cl.lo, cl.hi))
-    cuts.append(Fraction(1))
-    spans = [(cuts[2 * k], cuts[2 * k + 1]) for k in range(len(clusters) + 1)]
-    for lo, hi in spans:
-        if lo >= hi:
-            raise ValidationError(
-                "wall events touch an end of the path; cannot sample around them"
-            )
+    cuts = [Fraction(0), *(t for cl in clusters for t in (cl.lo, cl.hi)), Fraction(1)]
+    spans = list(zip(cuts[::2], cuts[1::2]))  # the wall-free stretches around the clusters
+    if any(lo >= hi for lo, hi in spans):
+        raise ValidationError(
+            "wall events touch an end of the path; cannot sample around them"
+        )
 
     current = struct.spectrum
     jumps: list[SpectrumJump] = []

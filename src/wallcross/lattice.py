@@ -66,8 +66,15 @@ class Charge:
     def __neg__(self) -> "Charge":
         return Charge(-a for a in self.coords)
 
+    def __radd__(self, other):  # reached only when other is not a Charge
+        raise _operand_error(self, other)
+
+    __rsub__ = __radd__
+
     def __rmul__(self, k: int) -> "Charge":
         return Charge(k * a for a in self.coords)
+
+    __mul__ = __rmul__
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Charge) and self.coords == other.coords
@@ -179,6 +186,15 @@ def _dot(u, v):
     return sum(map(operator.mul, u, v))
 
 
+def _check_square(mat, what: str, sign: int) -> None:
+    """Reject a matrix that is not square, or not equal to sign times its
+    transpose: symmetric for sign 1, skew-symmetric for sign -1."""
+    if any(len(row) != len(mat) for row in mat):
+        raise ValidationError(f"{what} matrix must be square")
+    if mat != tuple(tuple(sign * x for x in col) for col in zip(*mat)):
+        raise ValidationError(f"{what} matrix must be {'skew-' if sign < 0 else ''}symmetric")
+
+
 @dataclass(frozen=True)
 class SurfaceModel:
     """First homology of the reference surface with its intersection form.
@@ -192,16 +208,9 @@ class SurfaceModel:
     def __post_init__(self):
         mat = _freeze_int_matrix(self.intersection)
         object.__setattr__(self, "intersection", mat)
-        dim = len(mat)
-        if dim % 2 != 0:
+        if len(mat) % 2 != 0:
             raise ValidationError("intersection matrix must have even dimension")
-        for row in mat:
-            if len(row) != dim:
-                raise ValidationError("intersection matrix must be square")
-        for i in range(dim):
-            for j in range(dim):
-                if mat[i][j] != -mat[j][i]:
-                    raise ValidationError("intersection matrix must be skew-symmetric")
+        _check_square(mat, "intersection", -1)
 
     @classmethod
     def standard(cls, genus: int) -> "SurfaceModel":
@@ -226,13 +235,7 @@ class SurfaceModel:
         xs, ys = _integers(x, "homology vector"), _integers(y, "homology vector")
         if len(xs) != self.dim or len(ys) != self.dim:
             raise ValidationError("homology vector length does not match surface")
-        total = 0
-        for i, xi in enumerate(xs):
-            if xi == 0:
-                continue
-            row = self.intersection[i]
-            total += xi * sum(row[j] * ys[j] for j in range(self.dim))
-        return total
+        return _dot(xs, [_dot(row, ys) for row in self.intersection])
 
 
 @dataclass(frozen=True)
@@ -269,9 +272,7 @@ class ChargeLattice:
     def boundary_of(self, beta: Charge) -> tuple[int, ...]:
         if not isinstance(beta, Charge) or len(beta.coords) != self.rank:
             raise ValidationError(f"expected a charge of lattice rank {self.rank}, got {beta!r}")
-        return tuple(
-            sum(row[j] * beta.coords[j] for j in range(self.rank)) for row in self.boundary
-        )
+        return tuple(_dot(row, beta.coords) for row in self.boundary)
 
     def pairing(self, b1: Charge, b2: Charge) -> int:
         return self.surface.pairing_h1(self.boundary_of(b1), self.boundary_of(b2))
@@ -299,10 +300,7 @@ class CentralCharge:
         coords = beta.coords if isinstance(beta, Charge) else _integers(beta, "coordinates")
         if len(coords) != self.rank:
             raise ValidationError("charge length does not match central charge rank")
-        return (
-            sum((self.matrix[0][j] * coords[j] for j in range(self.rank)), Fraction(0)),
-            sum((self.matrix[1][j] * coords[j] for j in range(self.rank)), Fraction(0)),
-        )
+        return _dot(self.matrix[0], coords), _dot(self.matrix[1], coords)
 
 
 @dataclass(frozen=True)
@@ -314,14 +312,7 @@ class QuadraticForm:
     def __post_init__(self):
         mat = _freeze_fraction_matrix(self.matrix)
         object.__setattr__(self, "matrix", mat)
-        n = len(mat)
-        for row in mat:
-            if len(row) != n:
-                raise ValidationError("quadratic form matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if mat[i][j] != mat[j][i]:
-                    raise ValidationError("quadratic form matrix must be symmetric")
+        _check_square(mat, "quadratic form", 1)
 
     @property
     def rank(self) -> int:
@@ -331,13 +322,8 @@ class QuadraticForm:
         coords = beta.coords if isinstance(beta, Charge) else _integers(beta, "coordinates")
         if len(coords) != self.rank:
             raise ValidationError("charge length does not match quadratic form rank")
-        total = Fraction(0)
-        for i, ci in enumerate(coords):
-            if ci == 0:
-                continue
-            row = self.matrix[i]
-            total += ci * sum((row[j] * coords[j] for j in range(self.rank)), Fraction(0))
-        return total
+        # a Fraction also at rank 0, where the sum is the int 0
+        return Fraction(_dot(coords, [_dot(row, coords) for row in self.matrix]))
 
 
 @dataclass(frozen=True)
@@ -484,20 +470,28 @@ class _Chart:
     the rational one times scale; cut is the cutoff times scale, rounded
     down, which keeps every comparison of an int height with it.
 
+    forms holds the half-planes row . point <= bound that height and scan
+    test: (hrow, cut), then cross(start, Z) and cross(Z, end) with bound 0.
+
     Building one checks, on ints, that the covector is positive on the
     sector, as TruncationSet.validate_for does."""
 
-    __slots__ = ("zx", "zy", "rays", "cov", "hrow", "cut", "scale")
+    __slots__ = ("zx", "zy", "cov", "hrow", "cut", "scale", "forms")
 
     def __init__(self, z: CentralCharge, sector: Sector, trunc: TruncationSet):
         dz, (self.zx, self.zy) = _scaled(z.matrix)
-        dc, (*self.rays, self.cov) = _scaled((sector.start, sector.end, trunc.covector))
+        dc, ((sx, sy), (ex, ey), self.cov) = _scaled((sector.start, sector.end, trunc.covector))
         c0, c1 = self.cov
-        if any(c0 * x + c1 * y <= 0 for x, y in self.rays):
+        if c0 * sx + c1 * sy <= 0 or c0 * ex + c1 * ey <= 0:
             raise ValidationError("truncation covector must be positive on the closed sector")
         self.hrow = [c0 * x + c1 * y for x, y in zip(self.zx, self.zy)]
         self.scale = dz * dc
         self.cut = trunc.cutoff.numerator * self.scale // trunc.cutoff.denominator
+        self.forms = (
+            (self.hrow, self.cut),
+            ([sx * y - sy * x for x, y in zip(self.zx, self.zy)], 0),
+            ([ey * x - ex * y for x, y in zip(self.zx, self.zy)], 0),
+        )
 
     def value(self, point) -> tuple[int, int]:
         return _dot(self.zx, point), _dot(self.zy, point)
@@ -505,28 +499,21 @@ class _Chart:
     def height(self, point) -> Optional[int]:
         """The point's height when its Z value is nonzero, in the closed
         sector and within the cutoff, else None."""
-        h = _dot(self.hrow, point)
-        (x, y), ((sx, sy), (ex, ey)) = self.value(point), self.rays
-        # the zero vector (and the zero point) lies in no sector
-        if h > self.cut or (x == 0 and y == 0) or sx * y - sy * x > 0 or x * ey - y * ex > 0:
+        h, s, e = (_dot(row, point) for row, _ in self.forms)
+        # both ray forms vanish only at Z = 0, which lies in no sector
+        if h > self.cut or s > 0 or e > 0 or s == e == 0:
             return None
         return h
 
     def scan(self, box: int):
         """The points of [-box, box]^rank on the inner side of the three
-        half-planes that height tests (the cutoff and the two sector rays),
-        in lexicographic order.  The first rank - 1 coordinates run over the
-        box; the last solves c t <= rest for each half-plane: floor division
-        for c > 0, ceil division for c < 0, all or nothing for c = 0."""
-        (sx, sy), (ex, ey) = self.rays
-        forms = (
-            (self.hrow, self.cut),
-            ([sx * y - sy * x for x, y in zip(self.zx, self.zy)], 0),
-            ([ey * x - ex * y for x, y in zip(self.zx, self.zy)], 0),
-        )
+        half-planes of forms, in lexicographic order.  The first rank - 1
+        coordinates run over the box; the last solves c t <= rest for each
+        half-plane: floor division for c > 0, ceil division for c < 0, all
+        or nothing for c = 0."""
         for head in itertools.product(range(-box, box + 1), repeat=len(self.zx) - 1):
             lo, hi = -box, box
-            for row, bound in forms:
+            for row, bound in self.forms:
                 c, rest = row[-1], bound - _dot(row, head)  # _dot stops where head does
                 if c > 0:
                     hi = min(hi, rest // c)
@@ -609,13 +596,13 @@ def wall_first_type(
 ) -> Optional[tuple[Charge, Charge]]:
     """First pair of non-proportional charges with parallel central charges,
     or None.  Deterministic: charges are scanned in lexicographic order."""
+    _check_geometry(z=z)
     cs = sorted(_charge_set(charges, z.rank), key=lambda b: b.coords)
     zx, zy = _scaled(z.matrix)[1]
     zs = [(_dot(zx, b.coords), _dot(zy, b.coords)) for b in cs]
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            if cross(zs[i], zs[j]) == 0 and not charges_parallel(cs[i], cs[j]):
-                return (cs[i], cs[j])
+    for (b1, v1), (b2, v2) in itertools.combinations(zip(cs, zs), 2):
+        if cross(v1, v2) == 0 and not charges_parallel(b1, b2):
+            return (b1, b2)
     return None
 
 

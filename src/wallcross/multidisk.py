@@ -22,6 +22,7 @@ from .lattice import (
     Charge,
     ChargeLattice,
     SurfaceModel,
+    _check_geometry,
     _exact,
     _integers,
     _mapping,
@@ -249,6 +250,7 @@ def make_chain(
     items: Iterable[tuple[Fraction, Charge | Sequence[int]]],
 ) -> NiceChain:
     """Chain from (height, charge) pairs; boundary classes are filled in."""
+    _check_geometry(lattice=lattice)
     try:
         pairs = [(theta, ch) for theta, ch in items]
     except (TypeError, ValueError):

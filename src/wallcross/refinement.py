@@ -30,6 +30,8 @@ class QuadraticRefinement:
     basis_signs: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.surface, SurfaceModel):
+            raise ValidationError(f"refinement surface must be a SurfaceModel, got {self.surface!r}")
         signs = _integers(self.basis_signs, "refinement values")
         object.__setattr__(self, "basis_signs", signs)
         if len(signs) != self.surface.dim:

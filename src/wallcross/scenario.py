@@ -166,6 +166,8 @@ def _collect(text: str) -> dict[str, _Section]:
 
 
 def parse_scenario(text: str) -> Scenario:
+    if not isinstance(text, str):
+        raise ValidationError(f"scenario text must be a str, got {text!r}")
     sections = _collect(text)
 
     def need(section: str, key: str) -> tuple[int, str]:

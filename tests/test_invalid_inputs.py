@@ -16,7 +16,13 @@ import pytest
 from conftest import build_setup
 from wallcross import cli
 from wallcross.algebra import BracketMode, PbwAlgebra, Spectrum
-from wallcross.engine import VariationPath, detect_walls
+from wallcross.engine import (
+    StabilityStructure,
+    VariationPath,
+    check_variation,
+    detect_walls,
+    transport_spectrum,
+)
 from wallcross.errors import ReconstructionError, ValidationError, WallcrossError
 from wallcross.lattice import (
     CentralCharge,
@@ -26,8 +32,9 @@ from wallcross.lattice import (
     SurfaceModel,
     TruncationSet,
     cone_enumerate,
+    wall_first_type,
 )
-from wallcross.multidisk import ChainVertex, DecoratedForest
+from wallcross.multidisk import ChainVertex, DecoratedForest, make_chain
 from wallcross.refinement import CohomologyAction, QuadraticRefinement
 from wallcross.scenario import parse_scenario
 
@@ -64,6 +71,16 @@ def _cone_with_rank3_q():
 def _walls_at_zero_tolerance():
     s = build_setup()
     detect_walls(VariationPath((s.z, s.z)), (s.g1, s.g2), s.sector, tolerance=0)
+
+
+def _structure():
+    s = build_setup()
+    return StabilityStructure(s.lattice, s.z, s.q, s.sector, s.trunc, Spectrum({s.g1: 1}))
+
+
+def _constant_path():
+    s = build_setup()
+    return VariationPath((s.z, s.z))
 
 
 def _scenario(old: str, new: str):
@@ -152,6 +169,21 @@ CASES = {
     "charge-sub-tuple": (
         lambda: Charge((1, 0)) - (1, 0),
         ValidationError, "charge arithmetic needs a charge, got (1, 0)"),
+    "charge-radd-tuple": (
+        lambda: (1, 0) + Charge((1, 0)),
+        ValidationError, "charge arithmetic needs a charge, got (1, 0)"),
+    "charge-rsub-tuple": (
+        lambda: (1, 0) - Charge((1, 0)),
+        ValidationError, "charge arithmetic needs a charge, got (1, 0)"),
+    "charge-sum-from-int": (
+        lambda: sum([Charge((1, 0))]),
+        ValidationError, "charge arithmetic needs a charge, got 0"),
+    "charge-times-fraction": (
+        lambda: Charge((1, 0)) * Fraction(1, 2),
+        ValidationError, "charge coordinates must be integers, got Fraction(1, 2)"),
+    "first-type-z-none": (
+        lambda: wall_first_type(None, (Charge((1, 0)),)),
+        ValidationError, "z must be a CentralCharge, got None"),
     "integers-not-a-sequence": (
         lambda: Charge(5),
         ValidationError, "charge coordinates must be a sequence of integers, got 5"),
@@ -165,7 +197,13 @@ CASES = {
     "chain-vertex-tuple-charge": (
         lambda: ChainVertex(Fraction(1, 2), (1, 0), (1, 0)),
         ValidationError, "chain vertex needs a charge, got (1, 0)"),
+    "make-chain-lattice-none": (
+        lambda: make_chain(None, [(Fraction(1, 2), (1, 0))]),
+        ValidationError, "lattice must be a ChargeLattice, got None"),
     # refinement
+    "refinement-surface-none": (
+        lambda: QuadraticRefinement(None, (1, 1)),
+        ValidationError, "refinement surface must be a SurfaceModel, got None"),
     "action-evaluate-length": (
         lambda: CohomologyAction((1, 0)).evaluate((1, 0, 0)),
         ValidationError, "homology vector length does not match action"),
@@ -173,6 +211,9 @@ CASES = {
         lambda: CohomologyAction((1,)).apply(QuadraticRefinement(SurfaceModel.standard(1), (1, 1))),
         ValidationError, "action length does not match surface"),
     # scenario, on crossing.scn
+    "scenario-text-not-a-str": (
+        lambda: parse_scenario(5),
+        ValidationError, "scenario text must be a str, got 5"),
     "scenario-empty-matrix-row": (
         _scenario("matrix = -3 -1 ; 1 1", "matrix = -3 -1 ;"),
         ValidationError, "line 13: empty vector"),
@@ -207,6 +248,27 @@ CASES = {
         _scenario("keyframe = 1 -1 ; 1 1", "keyframe = 1 -1 0 ; 1 1 0"),
         ValidationError, "line 12: keyframe rank must match the lattice"),
     # engine and cli
+    "path-int": (
+        lambda: VariationPath(5),
+        ValidationError, "keyframes must be a sequence of central charges, got 5"),
+    "path-none": (
+        lambda: VariationPath(None),
+        ValidationError, "keyframes must be a sequence of central charges, got None"),
+    "walls-sector-none": (
+        lambda: detect_walls(_constant_path(), (Charge((1, 0)),), None),
+        ValidationError, "sector must be a Sector, got None"),
+    "walls-path-none": (
+        lambda: detect_walls(None, (Charge((1, 0)),), build_setup().sector),
+        ValidationError, "path must be a VariationPath, got None"),
+    "transport-structure-none": (
+        lambda: transport_spectrum(None, build_setup().z),
+        ValidationError, "struct must be a StabilityStructure, got None"),
+    "variation-path-none": (
+        lambda: check_variation(None, _structure()),
+        ValidationError, "path must be a VariationPath, got None"),
+    "variation-structure-none": (
+        lambda: check_variation(_constant_path(), None),
+        ValidationError, "struct must be a StabilityStructure, got None"),
     "walls-zero-tolerance": (
         _walls_at_zero_tolerance,
         ValidationError, "tolerance must be positive"),

@@ -492,7 +492,7 @@ def test_charge_arithmetic():
     a, b = _ch(1, 2), _ch(3, -1)
     assert a + b == _ch(4, 1)
     assert a - b == _ch(-2, 3)
-    assert 3 * a == _ch(3, 6)
+    assert 3 * a == a * 3 == _ch(3, 6)
     assert (-a).coords == (-1, -2)
     assert a != (1, 2)
     assert len({a, _ch(1, 2)}) == 1
@@ -748,6 +748,79 @@ def test_chart_is_the_rational_truncated_sector_scaled(data):
             values.add(k)
     assert len(heights) <= 1 and all(r > 0 for r in heights)
     assert len(values) <= 1 and all(k > 0 for k in values)
+
+
+# The index loops that the four value-type products used before they went
+# through lattice._dot: the oracle for values and for int versus Fraction.
+def _loop_z(z, coords):
+    return (
+        sum((z.matrix[0][j] * coords[j] for j in range(z.rank)), Fraction(0)),
+        sum((z.matrix[1][j] * coords[j] for j in range(z.rank)), Fraction(0)),
+    )
+
+
+def _loop_q(q, coords):
+    total = Fraction(0)
+    for i, ci in enumerate(coords):
+        if ci == 0:
+            continue
+        row = q.matrix[i]
+        total += ci * sum((row[j] * coords[j] for j in range(q.rank)), Fraction(0))
+    return total
+
+
+def _loop_pairing(surface, xs, ys):
+    total = 0
+    for i, xi in enumerate(xs):
+        if xi == 0:
+            continue
+        row = surface.intersection[i]
+        total += xi * sum(row[j] * ys[j] for j in range(surface.dim))
+    return total
+
+
+def _loop_boundary(lattice, coords):
+    return tuple(sum(row[j] * coords[j] for j in range(lattice.rank)) for row in lattice.boundary)
+
+
+def _same(got, want):
+    """Equal, with the same type, entry by entry for a tuple."""
+    pairs = zip(got, want, strict=True) if isinstance(want, tuple) else [(got, want)]
+    return type(got) is type(want) and all(a == b and type(a) is type(b) for a, b in pairs)
+
+
+_ENTRIES = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_value_type_products_match_the_index_loops(data):
+    rank, genus = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+    dim = 2 * genus
+
+    def vectors(n):  # the zero vector always among them
+        return [(0,) * n] + data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=4))
+
+    upper = {(i, j): data.draw(_ENTRIES) for i in range(rank) for j in range(i, rank)}
+    q = QuadraticForm(tuple(tuple(upper[min(i, j), max(i, j)] for j in range(rank))
+                            for i in range(rank)))
+    for coords in vectors(rank):
+        assert _same(q.evaluate(coords), _loop_q(q, coords))
+    skew = {(i, j): data.draw(st.integers(-2, 2)) for i in range(dim) for j in range(i + 1, dim)}
+    surface = SurfaceModel(tuple(tuple(skew.get((i, j), -skew.get((j, i), 0)) for j in range(dim))
+                                 for i in range(dim)))
+    homology = vectors(dim)
+    for xs, ys in itertools.product(homology, repeat=2):
+        assert _same(surface.pairing_h1(xs, ys), _loop_pairing(surface, xs, ys))
+    if rank == 0:  # a central charge and a lattice have rank >= 1
+        return
+    z = CentralCharge(tuple(tuple(data.draw(_ENTRIES) for _ in range(rank)) for _ in range(2)))
+    boundary = tuple(tuple(data.draw(st.integers(-3, 3)) for _ in range(rank)) for _ in range(dim))
+    lattice = ChargeLattice(rank, boundary, surface)
+    for coords in vectors(rank):
+        assert _same(z.evaluate(coords), _loop_z(z, coords))
+        assert _same(z.evaluate(Charge(coords)), _loop_z(z, coords))
+        assert _same(lattice.boundary_of(Charge(coords)), _loop_boundary(lattice, coords))
 
 
 def test_cross_sign_convention():
