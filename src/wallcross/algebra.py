@@ -401,23 +401,26 @@ class PbwAlgebra:
         letters within the cutoff, with coefficient the product of a^k / k!
         over its letters (a the letter's weight, k its multiplicity).  The
         words grow letter by letter in generator order, on integer heights;
-        None as soon as a letter grows them past limit.
+        None as soon as a letter grows them past limit.  Each coefficient
+        grows as an int numerator and denominator, reduced once per word
+        by its Fraction.
         """
         hrow, cap = self._chart.hrow, self._chart.cut
-        words = [((), Fraction(1), 0)]  # (word, coefficient, height)
+        words = [((), 1, 1, 0)]  # (word, numerator, denominator, height)
         for ch in (ch for group in self._ray_groups(spectrum) for ch in group):
             i, a, h = self.order.index[ch], spectrum.coefficient(ch), _dot(hrow, ch.coords)
+            an, ad = a.numerator, a.denominator
             grown = []
-            for word, c, total in words:
+            for word, n, d, total in words:
                 k = 1
                 while total + k * h <= cap:
-                    c = c * a / k
-                    grown.append((word + (i,) * k, c, total + k * h))
+                    n, d = n * an, d * ad * k
+                    grown.append((word + (i,) * k, n, d, total + k * h))
                     k += 1
             words += grown
             if len(words) > limit:
                 return None
-        return {word: c for word, c, _ in words}
+        return {word: Fraction(n, d) for word, n, d, _ in words}
 
     def convert(self, element: "AlgebraElement") -> "AlgebraElement":
         """Re-express an element of a compatible algebra in this basis.

@@ -42,7 +42,14 @@ from .refinement import QuadraticRefinement
 
 @dataclass(frozen=True, eq=False)
 class StabilityStructure:
-    """A central charge with a spectrum supported on its truncated cone."""
+    """A central charge with a spectrum supported on its truncated cone.
+
+    _transports holds each transport's spectrum under its target algebra's
+    generator order and letter heights (the heights follow Z even where the
+    order does not).  The cutoff, the members, the mode and the sector
+    product are this structure's own, so that key fixes all that convert
+    and factorize read: every sample between two walls sorts the members
+    the same way and reuses one factorization."""
 
     lattice: ChargeLattice
     z: CentralCharge
@@ -55,6 +62,7 @@ class StabilityStructure:
     members: tuple[Charge, ...] = field(init=False, repr=False)
     _algebra: PbwAlgebra = field(init=False, repr=False)
     _product: Optional[AlgebraElement] = field(init=False, repr=False, default=None)
+    _transports: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "mode", BracketMode.coerce(self.mode))
@@ -346,7 +354,13 @@ def transport_spectrum(
 
     The product is formed in the source algebra, re-expressed in a copy of
     it re-sorted by the new central charge, and read back off.  The element
-    itself never changes; only the ordered factorization does."""
+    itself never changes; only the ordered factorization does.
+
+    Every call checks the membership, the first-type wall and the
+    second-type guard under z_new.  The conversion and factorization run
+    once per distinct target order and heights, kept in the structure's
+    _transports; a target keyed like the source factorizes the product
+    without converting it."""
     if not isinstance(struct, StabilityStructure):
         raise ValidationError(f"struct must be a StabilityStructure, got {struct!r}")
     members_new, chart = _cone(struct.lattice, z_new, struct.q, struct.sector, struct.trunc)
@@ -364,7 +378,20 @@ def transport_spectrum(
     alg_new = copy.copy(struct.algebra())._ordered_by(z_new, struct.mode, chart)
     for alg in (struct.algebra(), alg_new):
         _guard_second_type(alg, members_new)
-    return alg_new.factorize(alg_new.convert(struct._sector_product()))
+    key = _transport_key(alg_new)
+    spectrum = struct._transports.get(key)
+    if spectrum is None:
+        product = struct._sector_product()
+        if key != _transport_key(struct.algebra()):
+            product = alg_new.convert(product)
+        spectrum = struct._transports[key] = alg_new.factorize(product)
+    return spectrum
+
+
+def _transport_key(alg: PbwAlgebra) -> tuple:
+    """What convert and factorize read of a target algebra that its
+    structure does not fix: the generator order and the letter heights."""
+    return alg.order.charges, tuple(alg._heights)
 
 
 @dataclass(frozen=True)
@@ -449,7 +476,8 @@ def check_variation(
     between clusters, and t = 1, is transported straight from the starting
     structure: the sector product is one element along the whole path and
     only its ordered factorization changes, so no intermediate structure
-    is needed."""
+    is needed, and samples that sort the members alike share one
+    factorization."""
     if not isinstance(path, VariationPath):
         raise ValidationError(f"path must be a VariationPath, got {path!r}")
     if not isinstance(struct, StabilityStructure):

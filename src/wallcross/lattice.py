@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,6 +73,9 @@ class Charge:
     __rsub__ = __radd__
 
     def __rmul__(self, k: int) -> "Charge":
+        # a number scales, and Charge checks the coordinates it gives
+        if isinstance(k, bool) or not isinstance(k, numbers.Number):
+            raise ValidationError(f"charge multiplier must be an integer, got {k!r}")
         return Charge(k * a for a in self.coords)
 
     __mul__ = __rmul__

@@ -571,6 +571,49 @@ def test_sector_terms_match_ray_product(data):
         assert alg._sector_terms(spectrum, len(expected) - 1) is None
 
 
+def fraction_sector_terms(alg: PbwAlgebra, spectrum: Spectrum, limit) -> dict | None:
+    """The closed form with every coefficient step c * a / k in Fractions."""
+    hrow, cap = alg._chart.hrow, alg._chart.cut
+    words = [((), Fraction(1), 0)]
+    for ch in (ch for group in alg._ray_groups(spectrum) for ch in group):
+        i, a = alg.order.index[ch], spectrum.coefficient(ch)
+        h = sum(x * y for x, y in zip(hrow, ch.coords))
+        grown = []
+        for word, c, total in words:
+            k = 1
+            while total + k * h <= cap:
+                c = c * a / k
+                grown.append((word + (i,) * k, c, total + k * h))
+                k += 1
+        words += grown
+        if len(words) > limit:
+            return None
+    return {word: c for word, c, _ in words}
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_int_sector_terms_match_the_fraction_steps(data):
+    alg = certificate_algebra(
+        data.draw(st.sampled_from(("small", "crossing"))),
+        data.draw(st.sampled_from(("plain", "twisted"))),
+    )
+    # one letter at least: the limit is tested once per letter
+    letters = data.draw(st.lists(st.sampled_from(alg.members), unique=True, min_size=1, max_size=4))
+    spectrum = Spectrum({
+        ch: Fraction(data.draw(st.integers(-4, 4).filter(bool)), data.draw(st.integers(1, 6)))
+        for ch in letters
+    })
+    full = fraction_sector_terms(alg, spectrum, math.inf)
+    assert alg._sector_terms(spectrum, math.inf) == full
+    assert all(type(c) is Fraction for c in full.values())
+    # a limit below the word count is hit, and one at or above it is not
+    limit = data.draw(st.integers(0, 2 * len(full)))
+    expected = fraction_sector_terms(alg, spectrum, limit)
+    assert (expected is None) == (limit < len(full))
+    assert alg._sector_terms(spectrum, limit) == expected
+
+
 def test_factorize_certificate_reports_first_type_walls():
     alg = make_algebra(z_rows=((1, 1), (1, 1)), q_rows=((1, 2), (2, 1)))
     g1, g2 = alg.order.position(_ch(1, 0)), alg.order.position(_ch(0, 1))

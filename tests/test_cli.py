@@ -176,6 +176,28 @@ def test_cross_on_pentagon(capsys):
     assert after == {**before, **{(k, k): Fraction(-1, k * k) for k in range(1, 5)}}
 
 
+# sha256 of cross's stdout on the wall-crossing scenarios the benchmark's
+# golden file leaves out.  <g1, g2> = 2 on kronecker.scn is even, so the
+# twisted signs flip nothing there and both modes print the same report
+CROSS_SHA256 = {
+    (KRONECKER, "6", "plain"): "e6c08272416726b1cabfc2f2b218fd2e1d6cb4f1d0441dbcdf57c0f2b212a8e4",
+    (KRONECKER, "6", "twisted"): "e6c08272416726b1cabfc2f2b218fd2e1d6cb4f1d0441dbcdf57c0f2b212a8e4",
+    (KRONECKER, "8", "plain"): "61bcf079f3234f406a83f0f3a79db8b8eb73ce68a2988bfdc2cd70c1fe2e4657",
+    (KRONECKER, "8", "twisted"): "61bcf079f3234f406a83f0f3a79db8b8eb73ce68a2988bfdc2cd70c1fe2e4657",
+    (PENTAGON, "8", "plain"): "9f0ba3893959dae7d31b446ec19577e26ac07394442061c66826f389eccb08f2",
+    (PENTAGON, "8", "twisted"): "9d1680e4adcaac91e1fe0b239ad42bec951299436685258972d806f41c0a127c",
+}
+
+
+@pytest.mark.parametrize("scenario, lam, mode", CROSS_SHA256,
+                         ids=[f"{Path(s).stem}-{lam}-{mode}" for s, lam, mode in CROSS_SHA256])
+def test_cross_output_digest(capsys, scenario, lam, mode):
+    code, out, err = run_cli(capsys, "--scenario", scenario, "--command", "cross",
+                             "--lambda", lam, "--mode", mode)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CROSS_SHA256[scenario, lam, mode]
+
+
 def test_lambda_override_shrinks_the_cone(capsys):
     code, out, err = run_cli(
         capsys, "--scenario", PRIMITIVE, "--command", "cone", "--lambda", "1"
@@ -534,6 +556,24 @@ def test_cross_and_walls_build_one_chart_per_central_charge(capsys, monkeypatch)
                                  "--lambda", "8")
         assert (code, err) == (0, "") and out
         assert counts == expected
+
+
+@pytest.mark.parametrize("scenario", [CROSSING, KRONECKER], ids=["crossing", "kronecker"])
+def test_cross_converts_and_factorizes_once_per_generator_order(capsys, monkeypatch, scenario):
+    # lambda 8: every transport still checks its own chart, but the 2
+    # samples before the wall keep the source order (no conversion) and
+    # the 3 after it share one order, so 2 factorizations serve all 5
+    counts = _call_counts(
+        monkeypatch,
+        (lattice._Chart, "__init__", "charts"),
+        (engine, "transport_spectrum", "transports"),
+        (PbwAlgebra, "convert", "converts"),
+        (PbwAlgebra, "factorize", "factorizations"),
+    )
+    code, out, err = run_cli(capsys, "--scenario", scenario, "--command", "cross",
+                             "--lambda", "8")
+    assert (code, err) == (0, "") and out
+    assert counts == {"charts": 6, "transports": 5, "converts": 1, "factorizations": 2}
 
 
 def test_selftest_builds_two_charts_and_checks_no_members(capsys, monkeypatch):

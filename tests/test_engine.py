@@ -29,6 +29,7 @@ from wallcross.errors import (
     FirstTypeWallError,
     SecondTypeWallError,
     ValidationError,
+    WallcrossError,
 )
 from wallcross.lattice import (
     CentralCharge,
@@ -728,6 +729,90 @@ def test_check_variation_builds_the_source_product_once(monkeypatch):
     assert builds == []
     digest = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
     assert digest == "fc0e5239340f8b901e31fc1b829e7069820cec6069eef1ec412a6e3a0d0e9f83"
+
+
+class _NoStore(dict):
+    """A transport memo that never keeps an entry."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _variation_outcome(path, struct):
+    try:
+        return check_variation(path, struct).lines()
+    except WallcrossError as err:
+        return type(err), str(err)
+
+
+def test_transport_at_the_source_charge_converts_nothing(monkeypatch):
+    s = crossing_setup()
+    struct = make_structure(s, {G1: Fraction(1), G2: Fraction(-1, 2), Charge((1, 1)): 3})
+    calls = []
+    convert = PbwAlgebra.convert
+
+    def counted(alg, element):
+        calls.append(alg)
+        return convert(alg, element)
+
+    monkeypatch.setattr(PbwAlgebra, "convert", counted)
+    assert transport_spectrum(struct, struct.z) == struct.spectrum
+    assert calls == []
+
+
+def test_transport_memo_keys_on_the_heights():
+    # cutoff 5/2 keeps the cone of crossing's geometry while the height row
+    # moves from (1, 1) to (1, 8/7): no two samples share their heights, so
+    # all 5 are factorized apart, over the 2 generator orders
+    s = crossing_setup()
+    trunc = dataclasses.replace(s.trunc, cutoff=Fraction(5, 2))
+    struct = StabilityStructure(s.lattice, s.z, s.q, s.sector, trunc,
+                                Spectrum(primitive_spectrum()))
+    path = VariationPath((s.z, zmat(((1, -1), (1, Fraction(8, 7))))))
+    report = check_variation(path, struct)
+    orders = [order for order, _ in struct._transports]
+    assert len(orders) == 5 and len(set(orders)) == 2
+    assert report.final.coefficient(Charge((1, 1))) == 1
+    unstored = StabilityStructure(s.lattice, s.z, s.q, s.sector, trunc,
+                                  Spectrum(primitive_spectrum()))
+    object.__setattr__(unstored, "_transports", _NoStore())
+    assert _variation_outcome(path, unstored) == report.lines()
+
+
+KRONECKER_SCN = parse_scenario(
+    (Path(__file__).resolve().parent.parent / "scenarios" / "kronecker.scn").read_text(encoding="utf-8"))
+
+# the second row of a keyframe: the height row under the covector (0, 1).
+# At cutoffs 5/2 and 7/2 every row here keeps the cone of (1, 1); at 2 and
+# 3 a moved row changes it, and the transport's rejection is compared too
+HEIGHT_ROWS = ((1, 1), (1, Fraction(8, 7)), (Fraction(8, 7), 1), (Fraction(15, 14), Fraction(8, 7)))
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_check_variation_matches_a_run_without_the_memo(data):
+    sc = data.draw(st.sampled_from((CROSSING_SCN, KRONECKER_SCN)))
+    cutoff = data.draw(st.sampled_from((Fraction(2), Fraction(5, 2), Fraction(3), Fraction(7, 2))))
+    trunc = dataclasses.replace(sc.trunc, cutoff=cutoff, scan_box=5)
+    members = cone_enumerate(sc.lattice, sc.z, sc.q, sc.sector, trunc)
+    weights = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    spectrum = Spectrum({ch: data.draw(weights) for ch in sc.spectrum.support() if ch in members})
+    frames = [sc.z]
+    for _ in range(data.draw(st.integers(1, 2))):
+        top = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+        frames.append(zmat((top, data.draw(st.sampled_from(HEIGHT_ROWS)))))
+    path = VariationPath(tuple(frames))
+
+    def structure():
+        return StabilityStructure(sc.lattice, sc.z, sc.q, sc.sector, trunc, spectrum, sc.mode)
+
+    unstored = structure()
+    object.__setattr__(unstored, "_transports", _NoStore())
+    expected = _variation_outcome(path, unstored)
+    struct = structure()
+    # a second walk reads every transport from the memo
+    assert _variation_outcome(path, struct) == expected
+    assert _variation_outcome(path, struct) == expected
 
 
 def test_event_lines_format_each_distinct_interval_once():

@@ -181,6 +181,15 @@ CASES = {
     "charge-times-fraction": (
         lambda: Charge((1, 0)) * Fraction(1, 2),
         ValidationError, "charge coordinates must be integers, got Fraction(1, 2)"),
+    "charge-times-bool": (
+        lambda: Charge((1, 2)) * True,
+        ValidationError, "charge multiplier must be an integer, got True"),
+    "bool-times-charge": (
+        lambda: True * Charge((1, 2)),
+        ValidationError, "charge multiplier must be an integer, got True"),
+    "charge-times-charge": (
+        lambda: Charge((1, 2)) * Charge((1, 2)),
+        ValidationError, "charge multiplier must be an integer, got Charge(1, 2)"),
     "first-type-z-none": (
         lambda: wall_first_type(None, (Charge((1, 0)),)),
         ValidationError, "z must be a CentralCharge, got None"),
