@@ -46,7 +46,7 @@ from .lattice import (
     Sector,
     TruncationSet,
     _Chart,
-    _check_geometry,
+    _checked_chart,
     _cone,
     _dot,
     _exact,
@@ -97,13 +97,7 @@ class Spectrum:
     __slots__ = ("_map",)
 
     def __init__(self, mapping: Mapping[Charge, Fraction] = ()):
-        self._map = {}
-        for ch, c in _mapping(mapping, "spectrum").items():
-            if not isinstance(ch, Charge):
-                raise ValidationError(f"spectrum keys must be charges, got {ch!r}")
-            c = _exact(c)
-            if c != 0:
-                self._map[ch] = c
+        self._map = _mapping(mapping, "spectrum", Charge, "spectrum keys must be charges")
 
     def coefficient(self, charge: Charge) -> Fraction:
         return self._map.get(charge, Fraction(0))
@@ -180,8 +174,11 @@ class PbwAlgebra:
         self.trunc = trunc
         if members is None:
             members, chart = _cone(lattice, z, q, sector, trunc)
-        else:
-            chart = _check_members(lattice, z, sector, trunc, members)
+        else:  # held to what _cone gives, but for the ker Z check
+            chart = _checked_chart(lattice, z, q, sector, trunc)
+            for ch in members:
+                if not isinstance(ch, Charge) or len(ch) != lattice.rank or chart.height(ch.coords) is None:
+                    raise ValidationError(f"member {ch!r} is not a charge in the truncated sector")
         self.members = tuple(members)
         self._cutoff = trunc.cutoff
         self._chamber = _Chamber(lattice, self.members)
@@ -473,20 +470,6 @@ class PbwAlgebra:
     def _require_same(self, element: "AlgebraElement") -> None:
         if element.algebra.signature != self.signature:
             raise ValidationError("element belongs to a different algebra")
-
-
-def _check_members(lattice, z, sector, trunc, members) -> _Chart:
-    """Hold explicit members to what cone_enumerate gives: charges of the
-    lattice rank with a nonzero Z value in the closed sector and a height
-    (so positive) within the cutoff.  Returns the chart they were tested on."""
-    _check_geometry(lattice=lattice, z=z, sector=sector, trunc=trunc)
-    if z.rank != lattice.rank:
-        raise ValidationError("central charge rank must match the lattice")
-    chart = _Chart(z, sector, trunc)
-    for ch in members:
-        if not isinstance(ch, Charge) or len(ch) != lattice.rank or chart.height(ch.coords) is None:
-            raise ValidationError(f"member {ch!r} is not a charge in the truncated sector")
-    return chart
 
 
 def _collect(parts) -> dict:

@@ -11,6 +11,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,8 +27,9 @@ from .lattice import (
     QuadraticForm,
     Sector,
     TruncationSet,
+    _GEOMETRY,
     _charge_set,
-    _check_geometry,
+    _checker,
     _cone,
     _dot,
     _exact,
@@ -61,7 +63,6 @@ class StabilityStructure:
     refinement: Optional[QuadraticRefinement] = None
     members: tuple[Charge, ...] = field(init=False, repr=False)
     _algebra: PbwAlgebra = field(init=False, repr=False)
-    _product: Optional[AlgebraElement] = field(init=False, repr=False, default=None)
     _transports: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -89,11 +90,10 @@ class StabilityStructure:
         """The algebra over this structure's cone, on its enumeration's chart."""
         return self._algebra
 
-    def _sector_product(self) -> AlgebraElement:
+    @functools.cached_property
+    def _product(self) -> AlgebraElement:
         """The spectrum's ray product, which every transport refactorizes."""
-        if self._product is None:
-            object.__setattr__(self, "_product", self.algebra().ray_product(self.spectrum))
-        return self._product
+        return self._algebra.ray_product(self.spectrum)
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,9 @@ class VariationPath:
             tuple(x + s * (y - x) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)))
 
 
+_check_args = _checker({**_GEOMETRY, "path": VariationPath, "struct": StabilityStructure})
+
+
 @dataclass(frozen=True)
 class WallEvent:
     t_lo: Fraction
@@ -153,9 +156,10 @@ def _quadratic_events(
     """Sign-changing roots of a + b s + c s^2 on [0, 1] as rational intervals.
 
     A double root grazes zero without changing sign, so inside a segment it
-    is not an event.  Irrational roots are bracketed to width <= tol,
-    shrinking further until the bracket is clear of 0 and 1 so clipping
-    cannot lose the root."""
+    is not an event.  Two irrational roots lie one on each side of the
+    vertex, where the value is not 0, and strictly within the Cauchy bound,
+    so each half changes sign.  Each is bisected to width <= tol and on
+    until clear of 0 and 1: a bracket that meets [0, 1] lies inside it."""
     if c == 0:
         if b == 0:
             return []
@@ -177,8 +181,6 @@ def _quadratic_events(
     out = []
     for lo, hi in ((min(-bound, vertex - 1), vertex), (vertex, max(bound, vertex + 1))):
         flo = value(lo)
-        if flo * value(hi) > 0:
-            continue
         while hi - lo > tol or lo < 0 < hi or lo < 1 < hi:
             mid = (lo + hi) / 2
             # mid is rational and the roots are not, so value(mid) != 0
@@ -186,10 +188,9 @@ def _quadratic_events(
                 hi = mid
             else:
                 lo, flo = mid, value(mid)
-        if hi <= 0 or lo >= 1:
-            continue
-        out.append((max(lo, Fraction(0)), min(hi, Fraction(1))))
-    return sorted(out)
+        if 0 < hi and lo < 1:
+            out.append((lo, hi))
+    return out
 
 
 def _crossing(u0, du, v0, dv) -> tuple[int, int, int]:
@@ -207,7 +208,9 @@ def _segment_events(
     A root on an interior keyframe is decided once, on the segment that
     starts there; before is the previous segment's polynomial.  Next to a
     root s0 the sign is that of b + 2 c s0 just above and the opposite just
-    below, or sign(c) on both sides at a double root.
+    below, or sign(c) on both sides at a double root.  Neither sign is 0:
+    they vanish only for a zero poly or before (whose value at 1 is a = 0),
+    and the caller rejects those, or skips them as u0 is off the open ray.
 
     The other roots are those of every nonzero multiple of poly, so memo,
     one per segment, keeps their sets under poly over its gcd, signed to
@@ -262,9 +265,7 @@ def detect_walls(
     nonzero integer factor: at rank 2, cross(Z b1, Z b2) is det Z times
     det[b1 b2], so every pair shares one.  Each pair still makes its own
     keyframe sign test and its own checks."""
-    if not isinstance(path, VariationPath):
-        raise ValidationError(f"path must be a VariationPath, got {path!r}")
-    _check_geometry(sector=sector)
+    _check_args(path=path, sector=sector)
     mset = _charge_set(charges, path.keyframes[0].rank)
     charge_list = sorted(mset, key=lambda ch: ch.coords)
     m = path.segment_count
@@ -361,8 +362,7 @@ def transport_spectrum(
     once per distinct target order and heights, kept in the structure's
     _transports; a target keyed like the source factorizes the product
     without converting it."""
-    if not isinstance(struct, StabilityStructure):
-        raise ValidationError(f"struct must be a StabilityStructure, got {struct!r}")
+    _check_args(struct=struct)
     members_new, chart = _cone(struct.lattice, z_new, struct.q, struct.sector, struct.trunc)
     if set(members_new) != set(struct.members):
         raise ValidationError(
@@ -381,7 +381,7 @@ def transport_spectrum(
     key = _transport_key(alg_new)
     spectrum = struct._transports.get(key)
     if spectrum is None:
-        product = struct._sector_product()
+        product = struct._product
         if key != _transport_key(struct.algebra()):
             product = alg_new.convert(product)
         spectrum = struct._transports[key] = alg_new.factorize(product)
@@ -478,10 +478,7 @@ def check_variation(
     only its ordered factorization changes, so no intermediate structure
     is needed, and samples that sort the members alike share one
     factorization."""
-    if not isinstance(path, VariationPath):
-        raise ValidationError(f"path must be a VariationPath, got {path!r}")
-    if not isinstance(struct, StabilityStructure):
-        raise ValidationError(f"struct must be a StabilityStructure, got {struct!r}")
+    _check_args(path=path, struct=struct)
     if path.keyframes[0] != struct.z:
         raise ValidationError(
             "structure central charge must match the start of the path"
@@ -504,23 +501,17 @@ def check_variation(
             "wall events touch an end of the path; cannot sample around them"
         )
 
-    current = struct.spectrum
-    jumps: list[SpectrumJump] = []
-    for k, (lo, hi) in enumerate(spans):
-        gap = (hi - lo) / 3
-        stepped = transport_spectrum(struct, path.z_at(lo + gap))
-        if k == 0:
-            if stepped != current:
-                raise ValidationError("spectrum changed between detected walls")
-        else:
-            cl = clusters[k - 1]
-            witnesses = tuple(
-                (ev.beta1, ev.beta2) for ev in cl.events if ev.kind == "first_type"
-            )
-            jumps.append(SpectrumJump(cl.lo, cl.hi, current, stepped, witnesses))
+    # a third of each wall-free stretch in from either end, then t = 1; the
+    # first sample past a cluster carries it
+    samples = [(t, c) for cl, (lo, hi) in zip([None, *clusters], spans)
+               for t, c in ((lo + (hi - lo) / 3, cl), (hi - (hi - lo) / 3, None))]
+    current, jumps = struct.spectrum, []
+    for t, cl in [*samples, (Fraction(1), None)]:
+        stepped = transport_spectrum(struct, path.z_at(t))
+        if cl is not None:
+            jumps.append(SpectrumJump(cl.lo, cl.hi, current, stepped, tuple(
+                (ev.beta1, ev.beta2) for ev in cl.events if ev.kind == "first_type")))
             current = stepped
-        if transport_spectrum(struct, path.z_at(hi - gap)) != current:
+        elif stepped != current:
             raise ValidationError("spectrum changed between detected walls")
-    if transport_spectrum(struct, path.z_at(Fraction(1))) != current:
-        raise ValidationError("spectrum changed between detected walls")
     return VariationReport(struct.spectrum, current, tuple(events), tuple(jumps))

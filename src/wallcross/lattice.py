@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,8 +72,7 @@ class Charge:
     __rsub__ = __radd__
 
     def __rmul__(self, k: int) -> "Charge":
-        # a number scales, and Charge checks the coordinates it gives
-        if isinstance(k, bool) or not isinstance(k, numbers.Number):
+        if isinstance(k, bool) or not isinstance(k, int):
             raise ValidationError(f"charge multiplier must be an integer, got {k!r}")
         return Charge(k * a for a in self.coords)
 
@@ -120,12 +118,20 @@ def _sequence(values, message: str) -> tuple:
         raise ValidationError(f"{message}, got {values!r}") from None
 
 
-def _mapping(mapping, what: str) -> dict:
-    """The pairs as a dict; neither a mapping nor pairs fails."""
+def _mapping(mapping, what: str, key: type, keys: str) -> dict:
+    """The pairs as a dict from keys of class key to exact nonzero values;
+    neither a mapping nor pairs fails, and so does a key of another class."""
     try:
-        return dict(mapping)
+        pairs = dict(mapping)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be a mapping, got {mapping!r}") from None
+    out = {}
+    for k, c in pairs.items():
+        if not isinstance(k, key):
+            raise ValidationError(f"{keys}, got {k!r}")
+        if c := _exact(c):
+            out[k] = c
+    return out
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
@@ -552,23 +558,32 @@ def cone_enumerate(
     return _cone(lattice, z, q, sector, trunc)[0]
 
 
-def _check_geometry(**args) -> None:
-    """Reject a geometry argument that is not of its class, by name."""
-    for name, value in args.items():
-        if not isinstance(value, _GEOMETRY[name]):
-            raise ValidationError(f"{name} must be a {_GEOMETRY[name].__name__}, got {value!r}")
+def _checker(classes: dict):
+    """A check that rejects, by name, each argument not an instance of classes[name]."""
+    def check(**args) -> None:
+        for name, value in args.items():
+            if not isinstance(value, cls := classes[name]):
+                article = "an" if cls.__name__[0] in "AEIOU" else "a"
+                raise ValidationError(f"{name} must be {article} {cls.__name__}, got {value!r}")
+    return check
 
 
 _GEOMETRY = {"lattice": ChargeLattice, "z": CentralCharge, "q": QuadraticForm,
-             "sector": Sector, "trunc": TruncationSet}
+             "sector": Sector, "trunc": TruncationSet, "surface": SurfaceModel}
+_check_geometry = _checker(_GEOMETRY)
+
+
+def _checked_chart(lattice, z, q, sector, trunc) -> _Chart:
+    """The chart, once each argument has its class and Z and Q the lattice rank."""
+    _check_geometry(lattice=lattice, z=z, q=q, sector=sector, trunc=trunc)
+    if z.rank != lattice.rank or q.rank != lattice.rank:
+        raise ValidationError("central charge / quadratic form rank must match the lattice")
+    return _Chart(z, sector, trunc)
 
 
 def _cone(lattice, z, q, sector, trunc) -> tuple[tuple[Charge, ...], _Chart]:
     """cone_enumerate's members and the chart they were found on."""
-    _check_geometry(lattice=lattice, z=z, q=q, sector=sector, trunc=trunc)
-    if z.rank != lattice.rank or q.rank != lattice.rank:
-        raise ValidationError("central charge / quadratic form rank must match the lattice")
-    chart = _Chart(z, sector, trunc)
+    chart = _checked_chart(lattice, z, q, sector, trunc)
     check_kernel_definiteness(z, q)
     qm = _scaled(q.matrix)[1]
     gens: list[tuple[tuple[int, ...], int]] = []

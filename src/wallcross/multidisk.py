@@ -22,7 +22,8 @@ from .lattice import (
     Charge,
     ChargeLattice,
     SurfaceModel,
-    _check_geometry,
+    _GEOMETRY,
+    _checker,
     _exact,
     _integers,
     _mapping,
@@ -245,12 +246,16 @@ class NiceChain:
         return tuple(v.charge for v in self.vertices)
 
 
+_check_args = _checker({**_GEOMETRY, "chain": NiceChain, "forest": DecoratedForest,
+                        "v1": ChainVertex, "v2": ChainVertex})
+
+
 def make_chain(
     lattice: ChargeLattice,
     items: Iterable[tuple[Fraction, Charge | Sequence[int]]],
 ) -> NiceChain:
     """Chain from (height, charge) pairs; boundary classes are filled in."""
-    _check_geometry(lattice=lattice)
+    _check_args(lattice=lattice)
     try:
         pairs = [(theta, ch) for theta, ch in items]
     except (TypeError, ValueError):
@@ -270,13 +275,7 @@ class ChainCombination:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[NiceChain, Fraction] = ()):
-        self._terms = {}
-        for chain, c in _mapping(terms, "chain combination").items():
-            if not isinstance(chain, NiceChain):
-                raise ValidationError(f"combination keys must be chains, got {chain!r}")
-            c = _exact(c)
-            if c != 0:
-                self._terms[chain] = c
+        self._terms = _mapping(terms, "chain combination", NiceChain, "combination keys must be chains")
 
     @classmethod
     def from_chain(cls, chain: NiceChain, coeff=1) -> "ChainCombination":
@@ -322,6 +321,7 @@ def link(
     central charge values; otherwise the full intersection number of the
     lower curve with the higher one.  Parallel central charges are only
     legal when the intersection number vanishes."""
+    _check_args(v1=v1, v2=v2, z=z, surface=surface)
     if v1.theta == v2.theta:
         raise ValidationError("linking needs distinct heights")
     z1 = z.evaluate(v1.charge)
@@ -346,6 +346,7 @@ def multilink_forest(
     surface: SurfaceModel,
 ) -> Fraction:
     """Product of the edge links, divided by the factorial of the edge count."""
+    _check_args(chain=chain, forest=forest, z=z, surface=surface)
     if forest.vertex_charges != chain.to_monomial():
         raise ValidationError(
             "forest vertices must carry the chain charges in height order"
@@ -368,6 +369,7 @@ def multilink_total(
     read it.  The integer link products are summed per edge count over the
     acyclic edge sets, with no forest built, and each sum is divided by the
     factorial of its count at the end."""
+    _check_args(chain=chain, z=z, surface=surface)
     verts = chain.vertices
     pairs = itertools.combinations(range(len(verts)), 2)
     links = {(i, j): link(verts[i], verts[j], z, surface) for i, j in pairs}
@@ -386,6 +388,7 @@ def crossing_rewrite(
     """Exchange the heights of vertices j and j+1 (in height order) and add
     the pairing-weighted merged chain, with the merged vertex at the height
     midpoint.  Any height in the gap would do; only the order matters."""
+    _check_args(chain=chain, surface=surface)
     j, = _integers((j,), "rewrite position")
     verts = chain.vertices
     if not 0 <= j < len(verts) - 1:

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 from .algebra import AlgebraElement, BracketMode, Spectrum
 from .errors import ValidationError
-from .lattice import ChargeLattice, SurfaceModel, _integers
+from .lattice import _GEOMETRY, ChargeLattice, SurfaceModel, _checker, _integers
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,10 @@ class CohomologyAction:
         return QuadraticRefinement(sigma.surface, signs)
 
 
+_check_args = _checker({**_GEOMETRY, "sigma": QuadraticRefinement, "action": CohomologyAction,
+                        "spectrum": Spectrum, "element": AlgebraElement})
+
+
 def all_refinements(surface: SurfaceModel) -> Iterator[QuadraticRefinement]:
     for signs in itertools.product((1, -1), repeat=surface.dim):
         yield QuadraticRefinement(surface, signs)
@@ -94,6 +98,7 @@ def twist_spectrum(
 
     The result is independent of the chosen refinement when the input
     transforms covariantly under the cohomology action."""
+    _check_args(sigma=sigma, lattice=lattice, spectrum=spectrum)
     return Spectrum(
         {ch: Fraction(sigma.evaluate(lattice.boundary_of(ch))) * c for ch, c in spectrum.items()}
     )
@@ -104,18 +109,17 @@ def covariant_spectrum(
 ) -> Spectrum:
     """Companion spectrum for the acted refinement: flip the weight sign
     wherever the action is odd on the charge boundary."""
-    out = {}
-    for ch, c in spectrum.items():
-        if action.evaluate(lattice.boundary_of(ch)):
-            c = -c
-        out[ch] = c
-    return Spectrum(out)
+    _check_args(action=action, lattice=lattice, spectrum=spectrum)
+    return Spectrum(
+        {ch: -c if action.evaluate(lattice.boundary_of(ch)) else c for ch, c in spectrum.items()}
+    )
 
 
 def to_twisted(sigma: QuadraticRefinement, element: AlgebraElement) -> AlgebraElement:
     """Algebra morphism from plain to twisted mode: each generator picks up
     the refinement sign of its boundary.  The generator order does not
     depend on the mode, so each normal word keeps its letter positions."""
+    _check_args(sigma=sigma, element=element)
     alg = element.algebra
     if alg.mode is not BracketMode.PLAIN:
         raise ValidationError("to_twisted expects an element in plain mode")

@@ -33,6 +33,7 @@ from .lattice import (
     Sector,
     SurfaceModel,
     TruncationSet,
+    _checker,
     check_kernel_definiteness,
 )
 from .multidisk import NiceChain, make_chain
@@ -277,6 +278,7 @@ def _fmt_matrix(rows) -> str:
 
 def format_scenario(sc: Scenario) -> str:
     """Canonical text for a scenario; parsing it back gives an equal value."""
+    _checker({"sc": Scenario})(sc=sc)
     genus = sc.lattice.surface.dim // 2
     out = [
         "[lattice]",

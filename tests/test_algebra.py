@@ -128,6 +128,17 @@ def test_generator_order_larger_cone():
     assert tuple(ch.coords for ch in alg.order.charges) == REF_ORDER_4
 
 
+def test_reprs_and_negation():
+    alg = make_algebra()
+    g1, g2 = _ch(1, 0), _ch(0, 1)
+    assert repr(Spectrum({g1: -1, g2: Fraction(1, 2)})) == "Spectrum({(0, 1): 1/2, (1, 0): -1})"
+    assert repr(alg.zero()) == "AlgebraElement(0)"
+    x = alg.one() + Fraction(1, 2) * alg.normal_form((g1, g2))
+    assert repr(x) == "AlgebraElement(1 + 1/2*e(1, 1) + 1/2*e(0, 1) e(1, 0))"
+    assert repr(-x) == "AlgebraElement(-1 + -1/2*e(1, 1) + -1/2*e(0, 1) e(1, 0))"
+    assert -x == (-1) * x and (-x + x).is_zero()
+
+
 # ----------------------------------------------------------------------
 # normal form
 # ----------------------------------------------------------------------

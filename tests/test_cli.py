@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import subprocess
@@ -13,12 +14,11 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-import wallcross.algebra as algebra_module
 import wallcross.engine as engine
 import wallcross.lattice as lattice
-from conftest import ray_invariants
+from conftest import build_setup, ray_invariants
 from wallcross.algebra import PbwAlgebra, Spectrum
-from wallcross.cli import COMMANDS, cmd_cone, main
+from wallcross.cli import COMMANDS, cmd_cone, main, run
 from wallcross.errors import ValidationError
 from wallcross.lattice import CentralCharge, TruncationSet, cone_enumerate
 from wallcross.scenario import parse_scenario
@@ -522,6 +522,32 @@ def _call_counts(monkeypatch, *targets) -> Counter:
     return counts
 
 
+def _count_member_checks(monkeypatch, counts: Counter) -> None:
+    """Count under "member checks" each algebra built from explicit members:
+    the one path that checks members it did not enumerate itself."""
+    original = PbwAlgebra.__init__
+    signature = inspect.signature(original)
+
+    def counted(*args, **kwargs):
+        if signature.bind(*args, **kwargs).arguments.get("members") is not None:
+            counts["member checks"] += 1
+        original(*args, **kwargs)
+
+    monkeypatch.setattr(PbwAlgebra, "__init__", counted)
+
+
+def test_member_check_counter_sees_explicit_members(monkeypatch):
+    # the counter behind the two tests below: members given by keyword or
+    # by position are counted, an enumerated cone is not
+    counts = Counter()
+    _count_member_checks(monkeypatch, counts)
+    s = build_setup()
+    PbwAlgebra(s.lattice, s.z, s.q, s.sector, s.trunc)
+    PbwAlgebra(s.lattice, s.z, s.q, s.sector, s.trunc, members=(s.g1,))
+    PbwAlgebra(s.lattice, s.z, s.q, s.sector, s.trunc, "plain", (s.g1,))
+    assert counts == {"member checks": 2}
+
+
 def test_product_builds_one_chart_and_checks_the_covector_once(capsys, monkeypatch):
     # the fixed path of one product call: the parse checks the covector on
     # the sector and ker Z, and the structure's enumeration builds a chart
@@ -547,9 +573,9 @@ def test_cross_and_walls_build_one_chart_per_central_charge(capsys, monkeypatch)
     counts = _call_counts(
         monkeypatch,
         (lattice._Chart, "__init__", "charts"),
-        (algebra_module, "_check_members", "member checks"),
         (engine, "transport_spectrum", "transports"),
     )
+    _count_member_checks(monkeypatch, counts)
     for command, expected in (("cross", {"charts": 6, "transports": 5}), ("walls", {"charts": 1})):
         counts.clear()
         code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", command,
@@ -580,11 +606,8 @@ def test_selftest_builds_two_charts_and_checks_no_members(capsys, monkeypatch):
     # the selftest's algebra enumerates the cone on its own chart and one
     # more enumeration checks that the cone is repeatable; the members the
     # algebra enumerated are not checked again
-    counts = _call_counts(
-        monkeypatch,
-        (lattice._Chart, "__init__", "charts"),
-        (algebra_module, "_check_members", "member checks"),
-    )
+    counts = _call_counts(monkeypatch, (lattice._Chart, "__init__", "charts"))
+    _count_member_checks(monkeypatch, counts)
     code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", "selftest")
     assert (code, err) == (0, "") and out.endswith("selftest passed\n")
     assert counts == {"charts": 2}
@@ -598,6 +621,14 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "(0, 1) height 1"
+
+
+def test_walls_on_a_constant_path_reports_no_events():
+    # the keyframe repeats the central charge, so no phases ever meet
+    text = (SCENARIOS / "crossing.scn").read_text(encoding="utf-8")
+    constant = text.replace("keyframe = 1 -1 ; 1 1", "keyframe = -3 -1 ; 1 1")
+    assert constant != text
+    assert run("walls", parse_scenario(constant)) == "no wall events\n"
 
 
 def test_missing_sections_for_command(capsys):

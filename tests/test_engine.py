@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import wallcross.engine as engine
 from conftest import build_setup, ray_invariants
@@ -97,6 +97,14 @@ def test_structure_members_and_checks():
     wrong = QuadraticRefinement(SurfaceModel.standard(2), (1, 1, 1, 1))
     with pytest.raises(ValidationError):
         make_structure(s, primitive_spectrum(), refinement=wrong)
+
+
+def test_structure_takes_a_dict_spectrum():
+    s = crossing_setup()
+    spectrum = {G1: 1, G2: Fraction(-1, 2), G1 + G2: 0}
+    struct = StabilityStructure(s.lattice, s.z, s.q, s.sector, s.trunc, spectrum)
+    assert type(struct.spectrum) is Spectrum
+    assert struct.spectrum == Spectrum({G1: 1, G2: Fraction(-1, 2)})
 
 
 def test_variation_path_interpolation():
@@ -424,6 +432,58 @@ def test_quadratic_events_same_for_every_nonzero_integer_multiple(a, b, c, k, ne
     k = -k if negate else k
     tol = Fraction(1, 64)
     assert _quadratic_events(a * k, b * k, c * k, tol) == _quadratic_events(a, b, c, tol)
+
+
+def _monotone_root_count(p, vertex) -> int:
+    """Sign changes of p on [0, 1] for a quadratic with irrational roots,
+    from the signs at the ends of each monotone half clipped to [0, 1]."""
+    halves = ((Fraction(0), min(vertex, Fraction(1))), (max(vertex, Fraction(0)), Fraction(1)))
+    return sum(lo < hi and p(lo) * p(hi) < 0 for lo, hi in halves)
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from((0, 1)), st.integers(-96, 96).filter(bool),
+    st.fractions(Fraction(1, 64), 2, max_denominator=64),
+    st.sampled_from((Fraction(1, 64), Fraction(1, 1024))),
+    st.integers(-5, 5).filter(bool),
+)
+def test_quadratic_events_bracket_roots_next_to_the_segment_ends(end, step, d, tol, k):
+    # p(s) = k ((s - m)^2 - d) with an irrational root m + sqrt(d) within
+    # tol of the end 0 or 1, just inside or just outside, by a rational
+    # approximation w of sqrt(d) to 1/10^9.  The exact oracle: each
+    # bracket changes the sign of p and lies in [0, 1], and there is one
+    # bracket per monotone half of p that changes sign on [0, 1]
+    assume(engine._fraction_sqrt(d) is None)
+    w = Fraction(math.isqrt(d.numerator * 10**18 // d.denominator), 10**9)
+    m = end + tol * Fraction(step, 97) - w
+    a, b, c = k * (m * m - d), -2 * k * m, k
+
+    def p(s):
+        return a + s * (b + s * c)
+
+    events = _quadratic_events(a, b, c, tol)
+    assert len(events) == _monotone_root_count(p, m)
+    assert events == sorted(events)
+    for lo, hi in events:
+        assert 0 <= lo < hi <= 1 and hi - lo <= tol
+        assert p(lo) * p(hi) < 0
+
+
+@pytest.mark.parametrize("a, inside", [(51032429, False), (50967571, True)])
+def test_detect_walls_root_next_to_the_path_end(a, inside):
+    # cross(Z_t(g1), Z_t(g2)) = a - 18000000 t - 33000000 t^2 has an
+    # irrational root 3.9e-4 past t = 1 or 3.9e-4 short of it, less than
+    # the default tolerance 1/1024 either way: an event only when inside
+    b, c = -18000000, -33000000
+    assert engine._fraction_sqrt(Fraction(b * b - 4 * a * c)) is None
+    path = VariationPath((zmat(((1, 0), (0, a))), zmat(((1, -c), (1, a + b)))))
+    events = detect_walls(path, (G1, G2), wide_sector())
+    assert len(events) == inside
+    for ev in events:
+        assert ev.t_hi <= 1 and ev.t_hi - ev.t_lo <= Fraction(1, 1024)
+        values = [a + t * (b + t * c) for t in (ev.t_lo, ev.t_hi)]
+        assert values[0] * values[1] < 0
 
 
 def _per_pair_walls(path, charges, sector, tol=Fraction(1, 1024)):

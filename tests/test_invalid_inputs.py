@@ -34,9 +34,23 @@ from wallcross.lattice import (
     cone_enumerate,
     wall_first_type,
 )
-from wallcross.multidisk import ChainVertex, DecoratedForest, make_chain
-from wallcross.refinement import CohomologyAction, QuadraticRefinement
-from wallcross.scenario import parse_scenario
+from wallcross.multidisk import (
+    ChainVertex,
+    DecoratedForest,
+    crossing_rewrite,
+    link,
+    make_chain,
+    multilink_forest,
+    multilink_total,
+)
+from wallcross.refinement import (
+    CohomologyAction,
+    QuadraticRefinement,
+    covariant_spectrum,
+    to_twisted,
+    twist_spectrum,
+)
+from wallcross.scenario import format_scenario, parse_scenario
 
 CROSSING = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text(encoding="utf-8")
 
@@ -55,6 +69,22 @@ def _rank3_members():
     s = build_setup()
     PbwAlgebra(s.lattice, CentralCharge(((1, 0, 0), (0, 1, 0))), s.q, s.sector, s.trunc,
                members=(s.g1,))
+
+
+def _members_with_q(q):
+    def build():
+        s = build_setup()
+        PbwAlgebra(s.lattice, s.z, q, s.sector, s.trunc, members=(s.g1,))
+    return build
+
+
+def _chain():
+    s = build_setup()
+    return make_chain(s.lattice, [(Fraction(1, 3), (1, 0)), (Fraction(2, 3), (0, 1))])
+
+
+def _sigma():
+    return QuadraticRefinement(SurfaceModel.standard(1), (1, 1))
 
 
 def _factorize_non_product():
@@ -113,7 +143,16 @@ CASES = {
         ValidationError, "coefficient expects a word of charges"),
     "members-with-rank3-z": (
         _rank3_members,
-        ValidationError, "central charge rank must match the lattice"),
+        ValidationError, "central charge / quadratic form rank must match the lattice"),
+    "members-with-q-none": (
+        _members_with_q(None),
+        ValidationError, "q must be a QuadraticForm, got None"),
+    "members-with-q-junk": (
+        _members_with_q("junk"),
+        ValidationError, "q must be a QuadraticForm, got 'junk'"),
+    "members-with-rank1-q": (
+        _members_with_q(QuadraticForm(((1,),))),
+        ValidationError, "central charge / quadratic form rank must match the lattice"),
     "factorize-non-product": (
         _factorize_non_product,
         ReconstructionError, "element is not a clockwise sector product"),
@@ -180,7 +219,10 @@ CASES = {
         ValidationError, "charge arithmetic needs a charge, got 0"),
     "charge-times-fraction": (
         lambda: Charge((1, 0)) * Fraction(1, 2),
-        ValidationError, "charge coordinates must be integers, got Fraction(1, 2)"),
+        ValidationError, "charge multiplier must be an integer, got Fraction(1, 2)"),
+    "integral-fraction-times-charge": (
+        lambda: Fraction(2) * Charge((1, 2)),
+        ValidationError, "charge multiplier must be an integer, got Fraction(2, 1)"),
     "charge-times-bool": (
         lambda: Charge((1, 2)) * True,
         ValidationError, "charge multiplier must be an integer, got True"),
@@ -209,6 +251,18 @@ CASES = {
     "make-chain-lattice-none": (
         lambda: make_chain(None, [(Fraction(1, 2), (1, 0))]),
         ValidationError, "lattice must be a ChargeLattice, got None"),
+    "link-vertex-int": (
+        lambda: link(5, _chain().vertices[1], build_setup().z, SurfaceModel.standard(1)),
+        ValidationError, "v1 must be a ChainVertex, got 5"),
+    "multilink-forest-none": (
+        lambda: multilink_forest(_chain(), None, build_setup().z, SurfaceModel.standard(1)),
+        ValidationError, "forest must be a DecoratedForest, got None"),
+    "multilink-total-chain-none": (
+        lambda: multilink_total(None, build_setup().z, SurfaceModel.standard(1)),
+        ValidationError, "chain must be a NiceChain, got None"),
+    "crossing-rewrite-surface-int": (
+        lambda: crossing_rewrite(_chain(), 0, 5),
+        ValidationError, "surface must be a SurfaceModel, got 5"),
     # refinement
     "refinement-surface-none": (
         lambda: QuadraticRefinement(None, (1, 1)),
@@ -219,7 +273,19 @@ CASES = {
     "action-apply-length": (
         lambda: CohomologyAction((1,)).apply(QuadraticRefinement(SurfaceModel.standard(1), (1, 1))),
         ValidationError, "action length does not match surface"),
+    "twist-spectrum-sigma-none": (
+        lambda: twist_spectrum(None, build_setup().lattice, Spectrum({})),
+        ValidationError, "sigma must be a QuadraticRefinement, got None"),
+    "covariant-spectrum-of-a-dict": (
+        lambda: covariant_spectrum(CohomologyAction((1, 0)), build_setup().lattice, {}),
+        ValidationError, "spectrum must be a Spectrum, got {}"),
+    "to-twisted-element-int": (
+        lambda: to_twisted(_sigma(), 5),
+        ValidationError, "element must be an AlgebraElement, got 5"),
     # scenario, on crossing.scn
+    "format-scenario-none": (
+        lambda: format_scenario(None),
+        ValidationError, "sc must be a Scenario, got None"),
     "scenario-text-not-a-str": (
         lambda: parse_scenario(5),
         ValidationError, "scenario text must be a str, got 5"),

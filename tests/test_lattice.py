@@ -500,6 +500,25 @@ def test_charge_arithmetic():
         Charge((Fraction(1, 2), 1))
 
 
+def test_charge_is_immutable_and_iterates_its_coordinates():
+    a = _ch(1, 2)
+    with pytest.raises(AttributeError, match="Charge is immutable"):
+        a.coords = (3, 4)
+    x, y = a
+    assert (x, y) == (1, 2) and list(a) == [1, 2] and a.coords == (1, 2)
+
+
+def test_boundary_ray_names_each_ray_and_nothing_off_them(setup):
+    # the sector runs clockwise from start (-1, 1) to end (1, 1)
+    assert setup.sector.boundary_ray((-2, 2)) == "start"
+    assert setup.sector.boundary_ray((3, 3)) == "end"
+    assert setup.sector.boundary_ray((0, 1)) is None  # inside, on no ray
+    # outside: on the lines of the rays but opposite them, and below
+    assert setup.sector.boundary_ray((1, -1)) is None
+    assert setup.sector.boundary_ray((-1, -1)) is None
+    assert setup.sector.boundary_ray((0, -1)) is None
+
+
 def _algebra() -> PbwAlgebra:
     s = build_setup()
     return PbwAlgebra(s.lattice, s.z, s.q, s.sector, s.trunc)

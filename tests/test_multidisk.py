@@ -329,6 +329,14 @@ def test_chain_combination_arithmetic():
     assert ChainCombination.from_chain(c1, 0) == ChainCombination()
 
 
+
+def test_chain_combination_len_and_repr():
+    chain = make_chain(build_setup().lattice, [(Fraction(1, 3), G1)])
+    other = make_chain(build_setup().lattice, [(Fraction(1, 4), G2)])
+    combination = ChainCombination({chain: 2, other: 0})
+    assert len(combination) == 1 and len(ChainCombination()) == 0
+    assert repr(combination) == f"ChainCombination({{{chain!r}: Fraction(2, 1)}})"
+
 # -- linking -----------------------------------------------------------------
 
 
