@@ -30,8 +30,9 @@ import enum
 import functools
 import math
 import operator
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 from .errors import (
     FirstTypeWallError,
@@ -47,10 +48,12 @@ from .lattice import (
     TruncationSet,
     _Chart,
     _checked_chart,
+    _checker,
     _cone,
     _dot,
     _exact,
     _mapping,
+    _sequence,
     charges_parallel,
     cross,
 )
@@ -109,6 +112,7 @@ class Spectrum:
         return [(ch, self._map[ch]) for ch in self.support()]
 
     def restrict(self, keep) -> "Spectrum":
+        _check_args(keep=keep)
         return Spectrum({ch: c for ch, c in self._map.items() if keep(ch)})
 
     def __eq__(self, other) -> bool:
@@ -176,6 +180,7 @@ class PbwAlgebra:
             members, chart = _cone(lattice, z, q, sector, trunc)
         else:  # held to what _cone gives, but for the ker Z check
             chart = _checked_chart(lattice, z, q, sector, trunc)
+            members = _sequence(members, "members must be a sequence of charges")
             for ch in members:
                 if not isinstance(ch, Charge) or len(ch) != lattice.rank or chart.height(ch.coords) is None:
                     raise ValidationError(f"member {ch!r} is not a charge in the truncated sector")
@@ -234,6 +239,7 @@ class PbwAlgebra:
     def from_terms(
         self, terms: Mapping[Sequence[Charge], Fraction]
     ) -> "AlgebraElement":
+        _check_args(terms=terms)
         out: dict[tuple[int, ...], Fraction] = {}
         for word, coeff in terms.items():
             idxs = tuple(self.order.position(ch) for ch in word)
@@ -245,6 +251,7 @@ class PbwAlgebra:
     ) -> "AlgebraElement":
         if strategy not in ("leftmost", "rightmost"):
             raise ValidationError(f"unknown rewrite strategy {strategy!r}")
+        word = _sequence(word, "word must be a sequence of charges")
         idxs = tuple(self.order.position(ch) for ch in word)
         out: dict[tuple[int, ...], Fraction] = {}
         self._normalize_into(out, idxs, _exact(coeff), strategy)
@@ -307,8 +314,8 @@ class PbwAlgebra:
     # -- products and series ---------------------------------------------
 
     def multiply(self, left: "AlgebraElement", right: "AlgebraElement") -> "AlgebraElement":
-        self._require_same(left)
-        self._require_same(right)
+        self._require_same(left, "left")
+        self._require_same(right, "right")
         out: dict[tuple[int, ...], Fraction] = {}
         cutoff = self._cutoff
         right_items = [
@@ -324,7 +331,7 @@ class PbwAlgebra:
 
     def exponential(self, x: "AlgebraElement") -> "AlgebraElement":
         """Finite exponential series; requires zero constant term."""
-        self._require_same(x)
+        self._require_same(x, "x")
         if x.coefficient(()) != 0:
             raise ValidationError("exponential requires zero constant term")
         result = self.one()
@@ -363,6 +370,7 @@ class PbwAlgebra:
         multiplied first ray first.  Non-proportional charges sharing a ray
         are a first-type wall and rejected.
         """
+        _check_args(spectrum=spectrum)
         result, index = self.one(), self.order.index
         for group in self._ray_groups(spectrum):
             x = AlgebraElement(self, {(index[ch],): spectrum.coefficient(ch) for ch in group})
@@ -430,6 +438,7 @@ class PbwAlgebra:
         D, so the sum is collected in ints and divided by D once per output
         word.
         """
+        _check_args(element=element)
         src = element.algebra
         # (boundary, intersection, mode) and the members in coordinate order
         if src.signature[:3] != self.signature[:3] or src._chamber.charges != self._chamber.charges:
@@ -467,7 +476,9 @@ class PbwAlgebra:
     def with_mode(self, mode: BracketMode | str) -> "PbwAlgebra":
         return copy.copy(self)._ordered_by(self.z, mode, self._chart)
 
-    def _require_same(self, element: "AlgebraElement") -> None:
+    def _require_same(self, element: "AlgebraElement", name: str = "element") -> None:
+        if not isinstance(element, AlgebraElement):  # one test on the hot path
+            _check_args(**{name: element})
         if element.algebra.signature != self.signature:
             raise ValidationError("element belongs to a different algebra")
 
@@ -493,7 +504,7 @@ class AlgebraElement:
     def coefficient(self, word: Sequence[Charge] | tuple[int, ...]) -> Fraction:
         """Coefficient of a normal-form basis word."""
         idxs: tuple[int, ...] = ()
-        for ch in word:
+        for ch in _sequence(word, "word must be a sequence of charges"):
             if isinstance(ch, Charge):
                 idxs += (self.algebra.order.position(ch),)
             else:
@@ -511,7 +522,7 @@ class AlgebraElement:
         return not self._terms
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self.algebra._require_same(other)
+        self.algebra._require_same(other, "other")
         out = dict(self._terms)
         for w, c in other._terms.items():
             total = out.get(w, Fraction(0)) + c
@@ -558,3 +569,7 @@ class AlgebraElement:
                 letters = " ".join("e" + str(ch.coords) for ch in word)
                 parts.append(f"{coeff}*{letters}")
         return "AlgebraElement(" + " + ".join(parts) + ")"
+
+
+_check_args = _checker({name: AlgebraElement for name in ("element", "left", "right", "x", "other")}
+                       | {"spectrum": Spectrum, "terms": Mapping, "keep": Callable})

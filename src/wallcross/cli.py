@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import random
 import sys
 from fractions import Fraction
@@ -48,10 +49,13 @@ def cmd_cone(sc: Scenario) -> list[str]:
     if not members:
         return ["(empty)"]
     # the chart's int heights are the exact ones times its scale
-    return [
-        f"{ch.coords} height {Fraction(_dot(chart.hrow, ch.coords), chart.scale)}"
-        for ch in members
-    ]
+    return [f"{ch.coords} height {_ratio(_dot(chart.hrow, ch.coords), chart.scale)}" for ch in members]
+
+
+def _ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = math.gcd(n, d)
+    return f"{n // g}" if g == d else f"{n // g}/{d // g}"
 
 
 def _word_str(word) -> str:

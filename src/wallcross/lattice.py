@@ -137,8 +137,8 @@ def _mapping(mapping, what: str, key: type, keys: str) -> dict:
 def _integers(values, what: str) -> tuple[int, ...]:
     """The entries as a tuple, each an int that is not a bool."""
     out = _sequence(values, f"{what} must be a sequence of integers")
-    for x in out:
-        if not isinstance(x, int) or isinstance(x, bool):
+    for x in out:  # an exact int passes the first test
+        if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
             raise ValidationError(f"{what} must be integers, got {x!r}")
     return out
 
@@ -171,7 +171,7 @@ def _exact(x) -> Fraction:
 def _freeze_fraction_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
     rows = _sequence(rows, "a matrix must be a sequence of rows")
     return tuple(
-        tuple(_exact(x) for x in _sequence(row, "matrix entries must be a sequence of rationals"))
+        tuple(map(_exact, _sequence(row, "matrix entries must be a sequence of rationals")))
         for row in rows
     )
 
@@ -201,7 +201,7 @@ def _check_square(mat, what: str, sign: int) -> None:
     transpose: symmetric for sign 1, skew-symmetric for sign -1."""
     if any(len(row) != len(mat) for row in mat):
         raise ValidationError(f"{what} matrix must be square")
-    if mat != tuple(tuple(sign * x for x in col) for col in zip(*mat)):
+    if mat != tuple(zip(*mat) if sign > 0 else (tuple(-x for x in col) for col in zip(*mat))):
         raise ValidationError(f"{what} matrix must be {'skew-' if sign < 0 else ''}symmetric")
 
 
@@ -353,10 +353,11 @@ class Sector:
         object.__setattr__(self, "end", end)
         if start == (0, 0) or end == (0, 0):
             raise ValidationError("sector boundary directions must be nonzero")
-        if cross(start, end) >= 0:
+        if cross(*_scaled((start, end))[1]) >= 0:  # on ints, one positive scale
             raise ValidationError("sector not strictly convex")
 
     def contains(self, v) -> bool:
+        v = _plane(v, "v")
         if v[0] == 0 and v[1] == 0:
             raise ValidationError("sector membership is undefined for the zero vector")
         return cross(self.start, v) <= 0 and cross(v, self.end) <= 0
@@ -397,12 +398,15 @@ class TruncationSet:
             raise ValidationError("scan_box must be a positive integer")
 
     def height(self, z_value) -> Fraction:
-        return self.covector[0] * z_value[0] + self.covector[1] * z_value[1]
+        x, y = _plane(z_value, "z_value")
+        return self.covector[0] * x + self.covector[1] * y
 
     def validate_for(self, sector: Sector) -> None:
-        # positivity on both boundary rays gives positivity on the whole
-        # closed sector, which is spanned by them with >= 0 coefficients
-        if self.height(sector.start) <= 0 or self.height(sector.end) <= 0:
+        # positivity on both boundary rays gives positivity on the whole closed
+        # sector, which is spanned by them with >= 0 coefficients; on scaled ints
+        _check_geometry(sector=sector)
+        _, (start, end, cov) = _scaled((sector.start, sector.end, self.covector))
+        if _dot(cov, start) <= 0 or _dot(cov, end) <= 0:
             raise ValidationError("truncation covector must be positive on the closed sector")
 
 
@@ -584,30 +588,33 @@ def _checked_chart(lattice, z, q, sector, trunc) -> _Chart:
 def _cone(lattice, z, q, sector, trunc) -> tuple[tuple[Charge, ...], _Chart]:
     """cone_enumerate's members and the chart they were found on."""
     chart = _checked_chart(lattice, z, q, sector, trunc)
-    check_kernel_definiteness(z, q)
-    qm = _scaled(q.matrix)[1]
-    gens: list[tuple[tuple[int, ...], int]] = []
+    if _kernel_rows(chart.zx, chart.zy):  # ker Z from the chart's rows is not 0: check Q on it
+        check_kernel_definiteness(z, q)
+    qm = [x for row in _scaled(q.matrix)[1] for x in row]  # Q(p) = qm . (p_i p_j)
+    # heights are positive ints, so a member sums at most cut generators from the box: its
+    # coordinates stay within box * cut, and its key in base 2 * box * cut + 1 is unique
+    powers = [(2 * trunc.scan_box * chart.cut + 1) ** i for i in range(lattice.rank)]
+    gens: list[tuple[int, tuple[int, ...], int]] = []
     for point in chart.scan(trunc.scan_box):
-        h = chart.height(point)
-        if h is None or _dot(point, [_dot(row, point) for row in qm]) < 0:
-            continue
-        gens.append((point, h))
-    gens.sort(key=operator.itemgetter(1))  # heights add up along the closure
-    members = dict(gens)
-    frontier = gens
+        h = _dot(chart.hrow, point)  # scan keeps the sector below the cutoff: h = 0 only at Z = 0
+        if h and _dot(qm, [a * b for a in point for b in point]) >= 0:
+            gens.append((_dot(powers, point), point, h))
+    gens.sort(key=operator.itemgetter(2))  # heights add up along the closure
+    members = {k: (h, g) for k, g, h in gens}
+    frontier, cut, add = gens, chart.cut, operator.add
     while frontier:
         fresh = []
-        for m, hm in frontier:
-            for g, hg in gens:
+        for km, m, hm in frontier:
+            for kg, g, hg in gens:
                 h = hm + hg
-                if h > chart.cut:
+                if h > cut:
                     break
-                s = tuple(map(operator.add, m, g))
-                if s not in members:
-                    members[s] = h
-                    fresh.append((s, h))
+                if (k := km + kg) not in members:
+                    s = tuple(map(add, m, g))
+                    members[k] = h, s
+                    fresh.append((k, s, h))
         frontier = fresh
-    return tuple(Charge(c) for _, c in sorted((h, c) for c, h in members.items())), chart
+    return tuple(Charge(c) for _, c in sorted(members.values())), chart
 
 
 def wall_first_type(

@@ -215,7 +215,7 @@ class ChainVertex:
     def __post_init__(self):
         object.__setattr__(self, "theta", _exact(self.theta))
         object.__setattr__(self, "boundary", _integers(self.boundary, "boundary entries"))
-        if not 0 < self.theta < 1:
+        if not 0 < self.theta.numerator < self.theta.denominator:  # 0 < theta < 1
             raise ValidationError("chain heights live strictly between 0 and 1")
         if not isinstance(self.charge, Charge):
             raise ValidationError(f"chain vertex needs a charge, got {self.charge!r}")
@@ -234,8 +234,8 @@ class NiceChain:
                 raise ValidationError(f"chain vertex expected, got {v!r}")
         verts = tuple(sorted(verts, key=lambda v: v.theta))
         object.__setattr__(self, "vertices", verts)
-        thetas = [v.theta for v in verts]
-        if len(set(thetas)) != len(thetas):
+        thetas = [v.theta for v in verts]  # sorted, so equal ones are neighbours
+        if any(a == b for a, b in zip(thetas, thetas[1:])):
             raise ValidationError("chain heights must be pairwise distinct")
 
     def __len__(self) -> int:
@@ -244,10 +244,6 @@ class NiceChain:
     def to_monomial(self) -> tuple[Charge, ...]:
         """Word of charges read off in increasing height."""
         return tuple(v.charge for v in self.vertices)
-
-
-_check_args = _checker({**_GEOMETRY, "chain": NiceChain, "forest": DecoratedForest,
-                        "v1": ChainVertex, "v2": ChainVertex})
 
 
 def make_chain(
@@ -288,6 +284,7 @@ class ChainCombination:
         return [(chain, self._terms[chain]) for chain in sorted(self._terms, key=key)]
 
     def __add__(self, other: "ChainCombination") -> "ChainCombination":
+        _check_args(other=other)
         out = dict(self._terms)
         for chain, c in other._terms.items():
             out[chain] = out.get(chain, Fraction(0)) + c
@@ -307,6 +304,10 @@ class ChainCombination:
 
     def __repr__(self) -> str:
         return f"ChainCombination({self._terms!r})"
+
+
+_check_args = _checker({**_GEOMETRY, "chain": NiceChain, "forest": DecoratedForest,
+                        "v1": ChainVertex, "v2": ChainVertex, "other": ChainCombination})
 
 
 # -- linking ---------------------------------------------------------------

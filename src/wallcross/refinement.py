@@ -87,8 +87,9 @@ _check_args = _checker({**_GEOMETRY, "sigma": QuadraticRefinement, "action": Coh
 
 
 def all_refinements(surface: SurfaceModel) -> Iterator[QuadraticRefinement]:
-    for signs in itertools.product((1, -1), repeat=surface.dim):
-        yield QuadraticRefinement(surface, signs)
+    _check_args(surface=surface)  # checked at the call, not at the first item
+    return (QuadraticRefinement(surface, signs)
+            for signs in itertools.product((1, -1), repeat=surface.dim))
 
 
 def twist_spectrum(

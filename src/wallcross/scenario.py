@@ -20,6 +20,7 @@ the offending line number.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -75,19 +76,20 @@ _REQUIRED = (
     "sector", "truncation", "mode", "spectrum",
 )
 
+# ASCII integers apart by whitespace, and an ASCII p or p/q, of at most 640 digits (int()'s
+# least limit): int() reads these as Fraction would; '_' or a non-ASCII digit takes parse
+_INTEGERS = re.compile(r"\s*[+-]?[0-9]{1,640}(?:\s+[+-]?[0-9]{1,640})*\s*", re.ASCII).fullmatch
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]{1,640})(?:/([0-9]{1,640}))?\s*", re.ASCII).fullmatch
+
 
 def _fail(lineno: int, message: str):
     raise ValidationError(f"line {lineno}: {message}")
 
 
 def _fraction(token: str, lineno: int) -> Fraction:
-    # an ASCII integer skips Fraction's string parser; int() alone would
-    # also take '_', spaces and non-ASCII digits
-    digits = token[1:] if token[:1] in ("+", "-") else token
-    if digits.isascii() and digits.isdigit():
-        return Fraction(int(token))
     try:
-        return Fraction(token)
+        m = _RATIONAL(token)
+        return Fraction(int(m[1]), int(m[2] or 1)) if m else Fraction(token)
     except (ValueError, ZeroDivisionError):
         _fail(lineno, f"malformed rational {token!r}")
 
@@ -100,10 +102,12 @@ def _int(token: str, lineno: int) -> int:
 
 
 def _row(value: str, lineno: int, parse=_fraction) -> tuple:
-    """The whitespace-separated tokens, each read by parse."""
+    """The whitespace-separated tokens, each read by parse (ASCII integers by int())."""
     parts = value.split()
     if not parts:
         _fail(lineno, "empty vector")
+    if _INTEGERS(value):
+        return tuple(map(int, parts))  # every value type makes its ints exact
     return tuple(parse(p, lineno) for p in parts)
 
 
@@ -134,16 +138,16 @@ def _collect(text: str) -> dict[str, _Section]:
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             name = line[1:-1].strip()
             if name not in _SCHEMA:
                 _fail(lineno, f"unknown section [{name}]")
             if name in sections:
                 _fail(lineno, f"duplicate section [{name}]")
-            sections[name] = _Section(lineno)
-            current = name
+            section = sections[name] = _Section(lineno)
+            current, (repeatable, single) = name, _SCHEMA[name]
             continue
         if "=" not in line:
             _fail(lineno, "expected 'key = value' or a [section] header")
@@ -151,13 +155,12 @@ def _collect(text: str) -> dict[str, _Section]:
             _fail(lineno, "key outside a section")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        repeatable, single = _SCHEMA[current]
         if key in repeatable:
-            sections[current].repeated.append((lineno, key, value))
+            section.repeated.append((lineno, key, value))
         elif key in single:
-            if key in sections[current].single:
+            if key in section.single:
                 _fail(lineno, f"duplicate key {key!r} in [{current}]")
-            sections[current].single[key] = (lineno, value)
+            section.single[key] = (lineno, value)
         else:
             _fail(lineno, f"unknown key {key!r} in [{current}]")
     for name in _REQUIRED:
@@ -257,8 +260,7 @@ def parse_scenario(text: str) -> Scenario:
             _fail(sections["central_charge"].lineno, "keyframe rank must match the lattice")
     if q.rank != rank:
         _fail(sections["quadratic_form"].lineno, "quadratic form rank must match the lattice")
-    tln = sections["truncation"].lineno
-    _build(tln, trunc.validate_for, sector)
+    _build(sections["truncation"].lineno, trunc.validate_for, sector)
     _build(sections["quadratic_form"].lineno, check_kernel_definiteness, z, q)
 
     return Scenario(

@@ -18,7 +18,7 @@ import wallcross.engine as engine
 import wallcross.lattice as lattice
 from conftest import build_setup, ray_invariants
 from wallcross.algebra import PbwAlgebra, Spectrum
-from wallcross.cli import COMMANDS, cmd_cone, main, run
+from wallcross.cli import COMMANDS, _ratio, cmd_cone, main, run
 from wallcross.errors import ValidationError
 from wallcross.lattice import CentralCharge, TruncationSet, cone_enumerate
 from wallcross.scenario import parse_scenario
@@ -236,6 +236,13 @@ def test_cone_heights_equal_the_height_of_z(entries, c0, lift, cutoff):
         assume(False)
     expected = [f"{ch.coords} height {trunc.height(z.evaluate(ch))}" for ch in members]
     assert cmd_cone(sc) == (expected or ["(empty)"])
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 10**12), st.integers(1, 10**6))
+def test_cone_height_text_is_str_of_the_fraction(h, scale):
+    # cone prints each height from the chart's int height and scale
+    assert _ratio(h, scale) == str(Fraction(h, scale))
 
 
 def test_selftest_golden(capsys):

@@ -29,12 +29,14 @@ from wallcross.lattice import (
     Charge,
     ChargeLattice,
     QuadraticForm,
+    Sector,
     SurfaceModel,
     TruncationSet,
     cone_enumerate,
     wall_first_type,
 )
 from wallcross.multidisk import (
+    ChainCombination,
     ChainVertex,
     DecoratedForest,
     crossing_rewrite,
@@ -46,6 +48,7 @@ from wallcross.multidisk import (
 from wallcross.refinement import (
     CohomologyAction,
     QuadraticRefinement,
+    all_refinements,
     covariant_spectrum,
     to_twisted,
     twist_spectrum,
@@ -69,6 +72,11 @@ def _rank3_members():
     s = build_setup()
     PbwAlgebra(s.lattice, CentralCharge(((1, 0, 0), (0, 1, 0))), s.q, s.sector, s.trunc,
                members=(s.g1,))
+
+
+def _members(members):
+    s = build_setup()
+    return PbwAlgebra(s.lattice, s.z, s.q, s.sector, s.trunc, members=members)
 
 
 def _members_with_q(q):
@@ -156,6 +164,42 @@ CASES = {
     "factorize-non-product": (
         _factorize_non_product,
         ReconstructionError, "element is not a clockwise sector product"),
+    "members-int": (
+        lambda: _members(5),
+        ValidationError, "members must be a sequence of charges, got 5"),
+    "coefficient-int": (
+        lambda: _algebra().one().coefficient(5),
+        ValidationError, "word must be a sequence of charges, got 5"),
+    "normal-form-int": (
+        lambda: _algebra().normal_form(5),
+        ValidationError, "word must be a sequence of charges, got 5"),
+    "element-plus-int": (
+        lambda: _algebra().one() + 5,
+        ValidationError, "other must be an AlgebraElement, got 5"),
+    "multiply-left-none": (
+        lambda: _algebra().multiply(None, _algebra().one()),
+        ValidationError, "left must be an AlgebraElement, got None"),
+    "multiply-right-none": (
+        lambda: _algebra().multiply(_algebra().one(), None),
+        ValidationError, "right must be an AlgebraElement, got None"),
+    "exponential-none": (
+        lambda: _algebra().exponential(None),
+        ValidationError, "x must be an AlgebraElement, got None"),
+    "factorize-none": (
+        lambda: _algebra().factorize(None),
+        ValidationError, "element must be an AlgebraElement, got None"),
+    "convert-none": (
+        lambda: _algebra().convert(None),
+        ValidationError, "element must be an AlgebraElement, got None"),
+    "from-terms-int": (
+        lambda: _algebra().from_terms(5),
+        ValidationError, "terms must be a Mapping, got 5"),
+    "ray-product-of-a-dict": (
+        lambda: _algebra().ray_product({}),
+        ValidationError, "spectrum must be a Spectrum, got {}"),
+    "spectrum-restrict-int": (
+        lambda: Spectrum({}).restrict(5),
+        ValidationError, "keep must be a Callable, got 5"),
     # lattice
     "surface-odd": (
         lambda: SurfaceModel(((0,),)),
@@ -190,6 +234,21 @@ CASES = {
     "form-evaluate-length": (
         lambda: build_setup().q.evaluate((1, 2, 3)),
         ValidationError, "charge length does not match quadratic form rank"),
+    "sector-contains-none": (
+        lambda: build_setup().sector.contains(None),
+        ValidationError, "v must be a pair of rationals, got None"),
+    "sector-contains-one-entry": (
+        lambda: build_setup().sector.contains((1,)),
+        ValidationError, "v must be a pair of rationals, got (1,)"),
+    "truncation-height-none": (
+        lambda: build_setup().trunc.height(None),
+        ValidationError, "z_value must be a pair of rationals, got None"),
+    "truncation-zero-on-a-ray": (
+        lambda: TruncationSet((1, 0), 2, 4).validate_for(Sector((0, 1), (1, 1))),
+        ValidationError, "truncation covector must be positive on the closed sector"),
+    "truncation-validate-for-none": (
+        lambda: build_setup().trunc.validate_for(None),
+        ValidationError, "sector must be a Sector, got None"),
     "scan-box-0": (
         lambda: TruncationSet((0, 1), 2, 0),
         ValidationError, "scan_box must be a positive integer"),
@@ -248,6 +307,12 @@ CASES = {
     "chain-vertex-tuple-charge": (
         lambda: ChainVertex(Fraction(1, 2), (1, 0), (1, 0)),
         ValidationError, "chain vertex needs a charge, got (1, 0)"),
+    "chain-vertex-height-0": (
+        lambda: ChainVertex(Fraction(0), Charge((1, 0)), (1, 0)),
+        ValidationError, "chain heights live strictly between 0 and 1"),
+    "chain-vertex-height-1": (
+        lambda: ChainVertex(Fraction(1), Charge((1, 0)), (1, 0)),
+        ValidationError, "chain heights live strictly between 0 and 1"),
     "make-chain-lattice-none": (
         lambda: make_chain(None, [(Fraction(1, 2), (1, 0))]),
         ValidationError, "lattice must be a ChargeLattice, got None"),
@@ -260,6 +325,9 @@ CASES = {
     "multilink-total-chain-none": (
         lambda: multilink_total(None, build_setup().z, SurfaceModel.standard(1)),
         ValidationError, "chain must be a NiceChain, got None"),
+    "chain-combination-plus-int": (
+        lambda: ChainCombination() + 5,
+        ValidationError, "other must be a ChainCombination, got 5"),
     "crossing-rewrite-surface-int": (
         lambda: crossing_rewrite(_chain(), 0, 5),
         ValidationError, "surface must be a SurfaceModel, got 5"),
@@ -267,6 +335,9 @@ CASES = {
     "refinement-surface-none": (
         lambda: QuadraticRefinement(None, (1, 1)),
         ValidationError, "refinement surface must be a SurfaceModel, got None"),
+    "all-refinements-none": (
+        lambda: all_refinements(None),
+        ValidationError, "surface must be a SurfaceModel, got None"),
     "action-evaluate-length": (
         lambda: CohomologyAction((1, 0)).evaluate((1, 0, 0)),
         ValidationError, "homology vector length does not match action"),
@@ -298,6 +369,12 @@ CASES = {
     "scenario-int-token": (
         _scenario("boundary = 1 0 ; 0 1", "boundary = 1 0 ; 0 1/2"),
         ValidationError, "line 7: expected an integer, got '1/2'"),
+    "scenario-rational-past-int-digit-limit": (
+        _scenario("cutoff = 2", "cutoff = " + "1" * 5000),
+        ValidationError, "line 25: malformed rational '111"),
+    "scenario-int-past-int-digit-limit": (
+        _scenario("boundary = 1 0 ; 0 1", "boundary = 1 0 ; 0 " + "1" * 5000),
+        ValidationError, "line 7: expected an integer, got '111"),
     "scenario-int-intersection": (
         _scenario("genus = 1", "genus = 1\nintersection = 0 1 ; -1 x"),
         ValidationError, "line 11: expected an integer, got 'x'"),

@@ -290,6 +290,10 @@ _TOKEN_PIECES = st.sampled_from(
 @settings(derandomize=True, database=None, max_examples=400)
 @given(st.lists(_TOKEN_PIECES, max_size=5).map("".join))
 def test_fraction_token_agrees_with_fraction(token):
+    _agrees_with_fraction(token)
+
+
+def _agrees_with_fraction(token):
     try:
         expected = Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -299,3 +303,140 @@ def test_fraction_token_agrees_with_fraction(token):
     else:
         got = _fraction(token, 3)
         assert got == expected and type(got) is Fraction
+
+
+@pytest.mark.parametrize("token", [
+    "1/-2", "1/+2", "-1/2", "+1/2", "1 / 2", "1/ 2", "1/0", "-0/5", "007/010", "+0",
+    "1/2/3", "1_0/2", "\u0661/2", "1/\u0662", "9" * 641, "9" * 640 + "/7", "1/" + "9" * 641,
+])
+def test_fraction_edge_token_agrees_with_fraction(token):
+    # signed and spaced denominators, zero ones, leading zeros, and tokens
+    # at and past the 640 digits that int() always reads
+    _agrees_with_fraction(token)
+
+
+# -- generated texts in every spelling the format allows ----------------------
+
+# whitespace between tokens: ASCII, and two Unicode spaces that str.split()
+# splits on but the parser's ASCII integer pattern does not take
+_GAPS = st.sampled_from([" ", "  ", "\t", " \t ", "\u00a0", "\u2003 "])
+
+
+@st.composite
+def _spelled(draw, value: Fraction) -> str:
+    """One token for value: a sign or '+', leading zeros, and p/q unreduced
+    by a common factor, or an integer without a denominator."""
+    k = draw(st.integers(1, 4))
+    num, den = abs(value.numerator) * k, value.denominator * k
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    zeros = draw(st.sampled_from(["", "0", "00"]))
+    if den == k and draw(st.booleans()):  # an integer, spelt without '/'
+        return f"{sign}{zeros}{num // k}"
+    return f"{sign}{zeros}{num}/{draw(st.sampled_from(['', '0']))}{den}"
+
+
+@st.composite
+def _spelled_int(draw, value: int) -> str:
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    return f"{sign}{draw(st.sampled_from(['', '0', '00']))}{abs(value)}"
+
+
+@st.composite
+def _spelled_scenarios(draw):
+    """(text, tokens): a valid rank-2 scenario text whose every number is
+    spelt at random, with comments, blank lines and odd spacing, and the
+    tokens of each rational field."""
+    def gap():
+        return draw(_GAPS)
+
+    def frac(lo, hi, den=6):
+        return draw(st.fractions(lo, hi, max_denominator=den))
+
+    def row(tokens):
+        return gap().join(tokens)
+
+    def matrix(rows):
+        return f"{gap()};{gap()}".join(row(r) for r in rows)
+
+    z = [[draw(_spelled(frac(-4, 4))) for _ in range(2)] for _ in range(2)]
+    keyframes = [
+        [[draw(_spelled(frac(-4, 4))) for _ in range(2)] for _ in range(2)]
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    # a negative definite Q passes the kernel check for every Z
+    q_diag = [draw(st.integers(-3, -1)) for _ in range(2)]
+    q = [[draw(_spelled(Fraction(q_diag[i] if i == j else 0))) for j in range(2)] for i in range(2)]
+    # rays (-a, b) and (c, d) with a, b, c, d > 0, and a covector (x, y) with
+    # y >= 4 > 3 |x|, positive on both rays since a, c <= 3 and b, d >= 1
+    a, c = (frac(Fraction(1, 3), 3) for _ in range(2))
+    b, d = (frac(1, 3) for _ in range(2))
+    start = [draw(_spelled(-a)), draw(_spelled(b))]
+    end = [draw(_spelled(c)), draw(_spelled(d))]
+    covector = [draw(_spelled(frac(-1, 1, 4))), draw(_spelled(Fraction(draw(st.integers(4, 6)))))]
+    cutoff = draw(_spelled(frac(0, 6, 3)))
+    charges = draw(st.lists(st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
+                            min_size=1, max_size=4, unique=True))
+    weights = [draw(_spelled(frac(-3, 3, 4))) for _ in charges]
+    thetas = [
+        [draw(_spelled(t)) for t in draw(st.lists(
+            st.fractions(0, 1, max_denominator=12).filter(lambda t: 0 < t < 1),
+            min_size=1, max_size=3, unique=True))]
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    tokens = dict(z=z, keyframes=keyframes, q=q, start=start, end=end,
+                  covector=covector, cutoff=cutoff, weights=weights, thetas=thetas)
+
+    def key(name, value):
+        return f"{draw(st.sampled_from(['', '  ', chr(9)]))}{name}{gap()}={gap()}{value}{gap()}"
+
+    sections = [
+        ("lattice", [key("rank", draw(_spelled_int(2))),
+                     key("boundary", matrix([[draw(_spelled_int(x)) for x in r] for r in ((1, 0), (0, 1))]))]),
+        ("surface", [key("genus", draw(_spelled_int(1)))]),
+        ("central_charge", [key("matrix", matrix(z))] + [key("keyframe", matrix(kf)) for kf in keyframes]),
+        ("quadratic_form", [key("matrix", matrix(q))]),
+        ("sector", [key("start", row(start)), key("end", row(end))]),
+        ("truncation", [key("covector", row(covector)), key("cutoff", cutoff),
+                        key("scan_box", draw(_spelled_int(draw(st.integers(1, 4)))))]),
+        ("mode", [key("value", draw(st.sampled_from(["plain", "twisted"])))]),
+        ("spectrum", [
+            key("entry", f"{row([draw(_spelled_int(x)) for x in ch])}{gap()}:{gap()}{w}")
+            for ch, w in zip(charges, weights)]),
+        ("refinement", [key("signs", row([draw(_spelled_int(s)) for s in (1, -1)]))]),
+    ]
+    if thetas:
+        sections.append(("chains", [
+            key("chain", f"{gap()},{gap()}".join(
+                f"{t}{gap()}:{gap()}{row([draw(_spelled_int(x)) for x in (1, 0)])}" for t in chain))
+            for chain in thetas]))
+    lines = []
+    for name, body in sections:
+        lines.append(f"{gap()}[{draw(st.sampled_from(['', ' ']))}{name}]")
+        for line in body:
+            lines += draw(st.lists(st.sampled_from(["", gap(), "# a comment", "  #" + gap()]), max_size=2))
+            lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"])), tokens
+
+
+def _exact(rows):
+    return tuple(tuple(Fraction(t) for t in r) for r in rows)
+
+
+@settings(max_examples=50)
+@given(_spelled_scenarios())
+def test_every_spelling_parses_to_fraction_of_its_token(case):
+    text, tokens = case
+    sc = parse_scenario(text)
+    assert sc.z.matrix == _exact(tokens["z"])
+    assert tuple(kf.matrix for kf in sc.keyframes) == tuple(_exact(kf) for kf in tokens["keyframes"])
+    assert sc.q.matrix == _exact(tokens["q"])
+    assert (sc.sector.start, sc.sector.end) == _exact((tokens["start"], tokens["end"]))
+    assert sc.trunc.covector == _exact((tokens["covector"],))[0]
+    assert sc.trunc.cutoff == Fraction(tokens["cutoff"])
+    assert sorted(c for _, c in sc.spectrum.items()) == sorted(
+        w for w in map(Fraction, tokens["weights"]) if w)
+    assert [[v.theta for v in chain.vertices] for chain in sc.chains] == [
+        sorted(map(Fraction, chain)) for chain in tokens["thetas"]]
+    for value in (*sc.z.matrix[0], sc.trunc.cutoff, *sc.sector.start):
+        assert type(value) is Fraction
+    assert parse_scenario(format_scenario(sc)) == sc
