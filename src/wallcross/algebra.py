@@ -19,17 +19,16 @@ Clockwise-ordered ray products concatenate words that are already sorted,
 which is what makes factorization of a sector product exact and unique:
 `factorize` certifies an element by equality with its closed form.
 
-The central charge sets only the generator order: the tables of c(a, b)
-and a + b depend on the lattice, the members and (for the sign) the mode.
+The central charge sets only the generator order.  Each order reads the
+bracket of a pair, c(a, b) and the position of a + b, from the lattice
+and the members on the pair's first rewrite, and memoizes it.
 """
 
 from __future__ import annotations
 
 import copy
 import enum
-import functools
 import math
-import operator
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from typing import Optional
@@ -128,39 +127,11 @@ class Spectrum:
         return f"Spectrum({{{inner}}})"
 
 
-class _Chamber:
-    """Members in coordinate order and, built on the first rewrite, their
-    plain pairing image(a)^T I image(b) and sum index (n: a sum outside them)."""
-
-    def __init__(self, lattice: ChargeLattice, members: tuple[Charge, ...]):
-        self.lattice, self.charges = lattice, sorted(set(members), key=lambda ch: ch.coords)
-
-    @functools.cached_property
-    def tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        charges, n = self.charges, len(self.charges)
-        images = [self.lattice.boundary_of(ch) for ch in charges]
-        columns = tuple(zip(*self.lattice.surface.intersection))
-        rows = [[_dot(x, col) for col in columns] for x in images]
-        index = {ch.coords: i for i, ch in enumerate(charges)}
-        pairing = [[0] * n for _ in range(n)]
-        merge = [[n] * n for _ in range(n)]
-        for i, a in enumerate(charges):  # each unordered pair once: the pairing is skew
-            merge[i][i] = index.get(tuple(2 * x for x in a.coords), n)
-            for j in range(i + 1, n):
-                p = _dot(rows[i], images[j])
-                pairing[i][j], pairing[j][i] = p, -p
-                merge[i][j] = merge[j][i] = index.get(
-                    tuple(map(operator.add, a.coords, charges[j].coords)), n
-                )
-        return pairing, merge
-
-
 class PbwAlgebra:
     """Enveloping algebra truncated to words with total height <= cutoff.
 
-    Z sets only the generator order: the pairings and sums of the members
-    (the chamber) do not depend on it, so `with_mode` and transports
-    re-sort a copy that shares the chamber."""
+    Z sets only the generator order, so `with_mode` and transports re-sort
+    a copy; each order memoizes the brackets its rewrites read."""
 
     def __init__(
         self,
@@ -186,13 +157,12 @@ class PbwAlgebra:
                     raise ValidationError(f"member {ch!r} is not a charge in the truncated sector")
         self.members = tuple(members)
         self._cutoff = trunc.cutoff
-        self._chamber = _Chamber(lattice, self.members)
         self._ordered_by(z, mode, chart)
 
     def _ordered_by(self, z: CentralCharge, mode: BracketMode | str, chart: _Chart) -> "PbwAlgebra":
-        """Sort the chamber's members by z, on z's chart; returns self."""
+        """Sort the members by z, on z's chart, with a fresh bracket memo; returns self."""
         self.z, self.mode, self._chart = z, BracketMode.coerce(mode), chart
-        charges, (c0, c1) = self._chamber.charges, chart.cov
+        charges, (c0, c1) = sorted(set(self.members), key=lambda ch: ch.coords), chart.cov
         zvals = [chart.value(ch.coords) for ch in charges]
         heights = [_dot(chart.hrow, ch.coords) for ch in charges]
         # cross(Z, covector) / height (> 0 on the sector) grows clockwise,
@@ -203,26 +173,20 @@ class PbwAlgebra:
             (zvals[i][0] * c1 - zvals[i][1] * c0) * (lcm // heights[i]), heights[i]))
         self.order = GeneratorOrder(tuple(charges[i] for i in perm))
         self._heights = [Fraction(heights[i], chart.scale) for i in perm]
-        self._perm = perm
-        for table in ("_cstr", "_merge"):  # a copy's tables from its old order
-            vars(self).pop(table, None)
+        self._brackets: dict[tuple[int, int], tuple[int, int | None]] = {}
         self.signature = (self.lattice.boundary, self.lattice.surface.intersection,
                           self.mode, self.order.charges)
         return self
 
-    @functools.cached_property
-    def _cstr(self) -> list[list[int]]:
-        """c(a, b) in this order: the pairing, odd ones flipped in twisted mode."""
-        pairing, perm = self._chamber.tables[0], self._perm
-        odd = int(self.mode is BracketMode.TWISTED)  # p & odd: p is odd, in twisted mode
-        return [[-p if p & odd else p for p in map(pairing[i].__getitem__, perm)] for i in perm]
-
-    @functools.cached_property
-    def _merge(self) -> list[list[int | None]]:
-        """Position of a + b in this order, None outside the members."""
-        merge, perm = self._chamber.tables[1], self._perm
-        position = sorted(range(len(perm)), key=perm.__getitem__) + [None]  # perm inverted
-        return [[position[merge[i][j]] for j in perm] for i in perm]
+    def _bracket(self, a: int, b: int) -> tuple[int, int | None]:
+        """c(a, b), the pairing with odd ones flipped in twisted mode, and
+        the position of a + b (None outside the members), memoized."""
+        ca, cb = self.order.charges[a], self.order.charges[b]
+        k = self.lattice.pairing(ca, cb)
+        if k & 1 and self.mode is BracketMode.TWISTED:
+            k = -k
+        got = self._brackets[a, b] = (k, self.order.index.get(ca + cb))
+        return got
 
     # -- element constructors -------------------------------------------
 
@@ -258,7 +222,8 @@ class PbwAlgebra:
         return AlgebraElement(self, out)
 
     def structure_constant(self, a: Charge, b: Charge) -> int:
-        return self._cstr[self.order.position(a)][self.order.position(b)]
+        i, j = self.order.position(a), self.order.position(b)
+        return (self._brackets.get((i, j)) or self._bracket(i, j))[0]
 
     # -- rewriting core --------------------------------------------------
 
@@ -278,8 +243,7 @@ class PbwAlgebra:
     def _rewrite_into(self, out: dict[tuple[int, ...], Fraction], word: tuple[int, ...],
                       coeff: Fraction, strategy: str = "leftmost") -> None:
         """Add coeff times word's normal form to out; the word is within the cutoff."""
-        left_first = strategy == "leftmost"
-        cstr = None  # the tables, fetched at the first unsorted pair
+        left_first, brackets = strategy == "leftmost", self._brackets
         stack = [(word, coeff)]
         while stack:
             w, c = stack.pop()
@@ -300,11 +264,8 @@ class PbwAlgebra:
                 continue
             a, b = w[pos], w[pos + 1]
             stack.append((w[:pos] + (b, a) + w[pos + 2 :], c))
-            if cstr is None:
-                cstr, merge = self._cstr, self._merge
-            k = cstr[a][b]
+            k, tgt = brackets.get((a, b)) or self._bracket(a, b)
             if k:
-                tgt = merge[a][b]
                 if tgt is None:
                     raise ValidationError(
                         "merged letter left the truncated cone during rewriting"
@@ -440,8 +401,8 @@ class PbwAlgebra:
         """
         _check_args(element=element)
         src = element.algebra
-        # (boundary, intersection, mode) and the members in coordinate order
-        if src.signature[:3] != self.signature[:3] or src._chamber.charges != self._chamber.charges:
+        # (boundary, intersection, mode) and the member set
+        if src.signature[:3] != self.signature[:3] or src.order.index.keys() != self.order.index.keys():
             raise ValidationError("elements can only be converted between algebras "
                                   "sharing lattice, members and mode")
         d = math.lcm(*(c.denominator for c in element._terms.values()))
@@ -466,10 +427,11 @@ class PbwAlgebra:
         if got is None:
             b, rest = u[0], u[1:]
             parts = [(self._insert(b, v, memo), k) for v, k in self._insert(a, rest, memo).items()]
-            if k := self._cstr[a][b]:
-                if self._merge[a][b] is None:
+            k, tgt = self._brackets.get((a, b)) or self._bracket(a, b)
+            if k:
+                if tgt is None:
                     raise ValidationError("merged letter left the truncated cone during rewriting")
-                parts.append((self._insert(self._merge[a][b], rest, memo), k))
+                parts.append((self._insert(tgt, rest, memo), k))
             got = memo[a, u] = _collect(parts)
         return got
 

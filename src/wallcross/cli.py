@@ -191,16 +191,16 @@ def run(command: str, sc: Scenario) -> str:
 
 
 def _apply_overrides(sc: Scenario, cutoff: str | None, mode: str | None) -> Scenario:
+    changes = {}
     if cutoff is not None:
         try:
             value = Fraction(cutoff)
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"malformed rational {cutoff!r}") from None
-        trunc = dataclasses.replace(sc.trunc, cutoff=value)
-        sc = dataclasses.replace(sc, trunc=trunc)
+        changes["trunc"] = dataclasses.replace(sc.trunc, cutoff=value)
     if mode is not None:
-        sc = dataclasses.replace(sc, mode=BracketMode(mode))
-    return sc
+        changes["mode"] = BracketMode(mode)
+    return dataclasses.replace(sc, **changes) if changes else sc
 
 
 # built once: parse_args keeps no state between calls

@@ -2,14 +2,15 @@
 
 The format is line based so golden outputs stay diff friendly:
 
-    # full-line comments and blank lines are ignored
+    # full-line comments and blank lines are ignored; no comment after a value
     [lattice]
     rank = 2
     boundary = 1 0 ; 0 1
 
     [central_charge]
     matrix = 1 -1 ; 1 1
-    keyframe = -3 -1 ; 1 1     # optional, repeatable
+    # optional, repeatable
+    keyframe = -3 -1 ; 1 1
 
 Matrices are rows of whitespace-separated rationals joined by ';'.
 Spectrum entries read ``entry = <coords> : <weight>`` and chains read

@@ -65,6 +65,15 @@ MUTANTS = [
      "if self._word_height(idxs) > self._cutoff:\n                continue",
      "if self._word_height(idxs) >= self._cutoff:\n                continue",
      "convert drops the words exactly at the cutoff"),
+    # -- the bracket memo of a generator order
+    ("bracket-memo-key", ALGEBRA,
+     "k, tgt = brackets.get((a, b)) or self._bracket(a, b)",
+     "k, tgt = brackets.get((b, a)) or self._bracket(a, b)",
+     "a rewrite reads the memoized bracket of the reversed pair"),
+    ("bracket-twisted-flip", ALGEBRA,
+     "if k & 1 and self.mode is BracketMode.TWISTED:\n            k = -k",
+     "if False:\n            k = -k",
+     "twisted mode brackets by the plain pairing"),
     # -- the transport memo and the second-type guard
     ("transport-key", ENGINE,
      "return alg.order.charges, tuple(alg._heights)",

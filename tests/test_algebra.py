@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_setup
-import wallcross.algebra as algebra_module
 from wallcross.algebra import AlgebraElement, BracketMode, PbwAlgebra, Spectrum
 from wallcross.engine import VariationPath
 from wallcross.errors import (
@@ -653,8 +652,39 @@ def test_factorize_builds_no_product(monkeypatch, mode):
     assert calls == []
 
 
+def chamber_tables(alg: PbwAlgebra) -> tuple[list[list[int]], list[list[int | None]]]:
+    """c(a, b) and the position of a + b for every pair, as whole n x n tables:
+    the plain pairing image(a)^T I image(b) and the sum index over the members
+    in coordinate order, then permuted into alg's order, odd pairings flipped
+    in twisted mode."""
+    charges = sorted(set(alg.members), key=lambda ch: ch.coords)
+    n, lattice = len(charges), alg.lattice
+    images = [lattice.boundary_of(ch) for ch in charges]
+    columns = tuple(zip(*lattice.surface.intersection))
+    rows = [[sum(x * y for x, y in zip(image, col)) for col in columns] for image in images]
+    index = {ch.coords: i for i, ch in enumerate(charges)}
+    pairing = [[0] * n for _ in range(n)]
+    merge = [[n] * n for _ in range(n)]
+    for i, a in enumerate(charges):  # each unordered pair once: the pairing is skew
+        merge[i][i] = index.get(tuple(2 * x for x in a.coords), n)
+        for j in range(i + 1, n):
+            p = sum(x * y for x, y in zip(rows[i], images[j]))
+            pairing[i][j], pairing[j][i] = p, -p
+            merge[i][j] = merge[j][i] = index.get(
+                tuple(x + y for x, y in zip(a.coords, charges[j].coords)), n)
+    perm = [index[ch.coords] for ch in alg.order.charges]
+    position = sorted(range(n), key=perm.__getitem__) + [None]  # perm inverted
+    odd = int(alg.mode is BracketMode.TWISTED)
+    cstr = [[-p if p & odd else p for p in map(pairing[i].__getitem__, perm)] for i in perm]
+    return cstr, [[position[merge[i][j]] for j in perm] for i in perm]
+
+
 def test_tables_follow_pairing_and_charge_sums():
+    # every pair's bracket against whole tables built the direct way, on
+    # random genus-2 lattices in both modes; then each two-letter word of
+    # the memoized algebra rewrites by its own bracket, not its reverse's
     rng = random.Random(43)
+    outside = 0
     for mode in ("plain", "twisted"):
         for _ in range(5):
             boundary = tuple(tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(4))
@@ -667,12 +697,26 @@ def test_tables_follow_pairing_and_charge_sums():
                 TruncationSet((0, 1), 4, 8),
                 mode,
             )
-            for (i, a), (j, b) in itertools.product(enumerate(alg.order.charges), repeat=2):
-                p = lattice.pairing(a, b)
-                if mode == "twisted" and p % 2:
-                    p = -p
-                assert alg._cstr[i][j] == p
-                assert alg._merge[i][j] == alg.order.index.get(a + b)
+            cstr, merge = chamber_tables(alg)
+            pairs = list(itertools.product(range(len(alg.members)), repeat=2))
+            for i, j in pairs:
+                assert alg._bracket(i, j) == (cstr[i][j], merge[i][j])
+                outside += merge[i][j] is None
+            charges = alg.order.charges
+            for i, j in pairs:
+                a, b = charges[i], charges[j]
+                assert alg.structure_constant(a, b) == cstr[i][j]
+                if i <= j or alg._word_height((i, j)) > alg.trunc.cutoff:
+                    continue
+                if cstr[i][j] and merge[i][j] is None:
+                    with pytest.raises(ValidationError, match="left the truncated cone"):
+                        alg.normal_form((a, b))
+                    continue
+                expected = {(b.coords, a.coords): 1}
+                if cstr[i][j]:
+                    expected[((a + b).coords,)] = cstr[i][j]
+                assert as_dict(alg.normal_form((a, b))) == expected
+    assert outside > 0
 
 
 def crossing_scenario():
@@ -686,8 +730,12 @@ def resorted(alg: PbwAlgebra, z: CentralCharge, mode) -> PbwAlgebra:
 
 
 def tables(alg: PbwAlgebra) -> tuple:
+    """alg's order, heights, chart and signature, and every pair's bracket as
+    the rewrites read it: from the memo, else through `_bracket`."""
     chart = tuple(getattr(alg._chart, name) for name in alg._chart.__slots__)
-    return alg.order.charges, alg._cstr, alg._merge, alg._heights, chart, alg.signature
+    brackets = [alg._brackets.get(pair) or alg._bracket(*pair)
+                for pair in itertools.product(range(len(alg.order.charges)), repeat=2)]
+    return alg.order.charges, brackets, alg._heights, chart, alg.signature
 
 
 def test_reordered_copy_matches_a_fresh_algebra():
@@ -716,9 +764,10 @@ def test_reordered_copy_matches_a_fresh_algebra():
 
 @pytest.mark.parametrize("mode", ["plain", "twisted"])
 def test_copies_before_and_after_the_first_rewrite_agree(mode):
-    # crossing.scn at cutoff 6: one copy is taken before any table exists,
-    # one after the first rewrite built them; re-sorted copies of both, by
-    # the path's last keyframe and by the other mode, share one chamber
+    # crossing.scn at cutoff 6: one copy is taken before any bracket is
+    # read, one after the first rewrites memoized some; re-sorted copies of
+    # both, by the path's last keyframe and by the other mode, rewrite as a
+    # fresh algebra does, not by the brackets of their source's order
     sc = crossing_scenario()
     trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(6))
     z_end = sc.path_keyframes()[-1]
@@ -738,31 +787,26 @@ def test_copies_before_and_after_the_first_rewrite_agree(mode):
             assert [moved.normal_form(word) for word in words] == [
                 fresh.normal_form(word) for word in words]
             assert tables(moved) == tables(fresh)
-            assert moved._chamber is alg._chamber
-    assert early._chamber.tables is late._chamber.tables
 
 
-def _count_table_builds(monkeypatch) -> Counter:
-    """Count every build of the chamber's tables and of an order's rewrite
-    tables, by wrapping the function behind each cached property."""
-    builds: Counter = Counter()
-    for owner, name in ((algebra_module._Chamber, "tables"), (PbwAlgebra, "_cstr"),
-                        (PbwAlgebra, "_merge")):
-        prop = vars(owner)[name]
+def _count_bracket_reads(monkeypatch) -> list:
+    """Every (algebra, a, b) whose bracket is read past the memo."""
+    reads = []
+    read = PbwAlgebra._bracket
 
-        def counted(instance, _name=name, _build=prop.func):
-            builds[_name] += 1
-            return _build(instance)
+    def counted(alg, a, b):
+        reads.append((alg, a, b))
+        return read(alg, a, b)
 
-        monkeypatch.setattr(prop, "func", counted)
-    return builds
+    monkeypatch.setattr(PbwAlgebra, "_bracket", counted)
+    return reads
 
 
 @pytest.mark.parametrize("mode", ["plain", "twisted"])
 def test_sorted_products_build_no_table(monkeypatch, mode):
     # one primitive letter per ray: every product concatenates sorted words,
-    # so ray_product and factorize never rewrite
-    builds = _count_table_builds(monkeypatch)
+    # so ray_product and factorize never rewrite and read no bracket
+    reads = _count_bracket_reads(monkeypatch)
     sc = crossing_scenario()
     trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(8))
     alg = PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, trunc, mode)
@@ -770,15 +814,17 @@ def test_sorted_products_build_no_table(monkeypatch, mode):
     spectrum = random_spectrum(random.Random(67), primitive)
     assert len(spectrum) >= 5
     assert alg.factorize(alg.ray_product(spectrum)) == spectrum
-    assert builds == Counter()
-    # the wrapped builds are live: one unsorted pair builds each table once,
-    # and a copy in the other mode permutes the chamber's tables it shares
+    assert reads == []
+    # the wrapped read is live: one unsorted pair reads one bracket, once,
+    # and a copy in the other mode reads its own
     unsorted = tuple(sorted(alg.members[:2], key=alg.order.position, reverse=True))
+    pair = tuple(map(alg.order.position, unsorted))
     alg.normal_form(unsorted)
     alg.normal_form(unsorted)
-    assert builds == Counter({"tables": 1, "_cstr": 1, "_merge": 1})
-    alg.with_mode("plain" if mode == "twisted" else "twisted").normal_form(unsorted)
-    assert builds == Counter({"tables": 1, "_cstr": 2, "_merge": 2})
+    assert reads == [(alg, *pair)]
+    other = alg.with_mode("plain" if mode == "twisted" else "twisted")
+    other.normal_form(unsorted)
+    assert reads == [(alg, *pair), (other, *pair)]
 
 
 def fraction_order(members, z: CentralCharge, trunc: TruncationSet) -> tuple[Charge, ...]:

@@ -17,8 +17,8 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 import wallcross.engine as engine
 import wallcross.lattice as lattice
 from conftest import build_setup, ray_invariants
-from wallcross.algebra import PbwAlgebra, Spectrum
-from wallcross.cli import COMMANDS, _ratio, cmd_cone, main, run
+from wallcross.algebra import BracketMode, PbwAlgebra, Spectrum
+from wallcross.cli import COMMANDS, _apply_overrides, _ratio, cmd_cone, main, run
 from wallcross.errors import ValidationError
 from wallcross.lattice import CentralCharge, TruncationSet, cone_enumerate
 from wallcross.scenario import parse_scenario
@@ -209,6 +209,22 @@ def test_lambda_override_shrinks_the_cone(capsys):
     )
     assert code == 0
     assert out == "(empty)\n"
+
+
+
+def test_overrides_rebuild_the_scenario_once(monkeypatch):
+    sc = parse_scenario(Path(CROSSING).read_text(encoding="utf-8"))
+    assert _apply_overrides(sc, None, None) is sc
+    rebuilt = []
+    replace = dataclasses.replace
+    monkeypatch.setattr(dataclasses, "replace", lambda obj, **changes: (
+        rebuilt.append(type(obj).__name__) or replace(obj, **changes)))
+    both = _apply_overrides(sc, "3/2", "twisted")
+    assert rebuilt == ["TruncationSet", "Scenario"]
+    trunc = replace(sc.trunc, cutoff=Fraction(3, 2))
+    assert both == replace(sc, trunc=trunc, mode=BracketMode.TWISTED)
+    with pytest.raises(ValidationError, match="malformed rational '1/0'"):
+        _apply_overrides(sc, "1/0", "twisted")
 
 
 _RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))

@@ -89,6 +89,21 @@ def test_parse_print_round_trip():
         assert format_scenario(parse_scenario(printed)) == printed
 
 
+def test_readme_scenario_example_parses():
+    # the documented syntax, every section of it, is a scenario the parser reads
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    sc = parse_scenario(blocks[0])
+    assert sc.lattice.rank == 2
+    assert len(sc.keyframes) == 1
+    assert sc.sector.end == (1, 1)
+    assert len(sc.spectrum) == 1
+    assert sc.refinement is not None
+    assert len(sc.chains) == 1
+    assert parse_scenario(format_scenario(sc)) == sc
+
+
 def test_format_crossing_golden():
     sc = parse_scenario((SCENARIOS / "crossing.scn").read_text(encoding="utf-8"))
     assert format_scenario(sc) == """\
