@@ -26,7 +26,6 @@ and the members on the pair's first rewrite, and memoizes it.
 
 from __future__ import annotations
 
-import copy
 import enum
 import math
 from collections.abc import Callable, Mapping, Sequence
@@ -45,7 +44,6 @@ from .lattice import (
     QuadraticForm,
     Sector,
     TruncationSet,
-    _Chart,
     _checked_chart,
     _checker,
     _cone,
@@ -130,8 +128,8 @@ class Spectrum:
 class PbwAlgebra:
     """Enveloping algebra truncated to words with total height <= cutoff.
 
-    Z sets only the generator order, so `with_mode` and transports re-sort
-    a copy; each order memoizes the brackets its rewrites read."""
+    Z sets only the generator order, so `with_mode` and transports build a
+    new algebra; each memoizes the brackets its rewrites read."""
 
     def __init__(
         self,
@@ -157,10 +155,6 @@ class PbwAlgebra:
                     raise ValidationError(f"member {ch!r} is not a charge in the truncated sector")
         self.members = tuple(members)
         self._cutoff = trunc.cutoff
-        self._ordered_by(z, mode, chart)
-
-    def _ordered_by(self, z: CentralCharge, mode: BracketMode | str, chart: _Chart) -> "PbwAlgebra":
-        """Sort the members by z, on z's chart, with a fresh bracket memo; returns self."""
         self.z, self.mode, self._chart = z, BracketMode.coerce(mode), chart
         charges, (c0, c1) = sorted(set(self.members), key=lambda ch: ch.coords), chart.cov
         zvals = [chart.value(ch.coords) for ch in charges]
@@ -176,7 +170,6 @@ class PbwAlgebra:
         self._brackets: dict[tuple[int, int], tuple[int, int | None]] = {}
         self.signature = (self.lattice.boundary, self.lattice.surface.intersection,
                           self.mode, self.order.charges)
-        return self
 
     def _bracket(self, a: int, b: int) -> tuple[int, int | None]:
         """c(a, b), the pairing with odd ones flipped in twisted mode, and
@@ -436,7 +429,7 @@ class PbwAlgebra:
         return got
 
     def with_mode(self, mode: BracketMode | str) -> "PbwAlgebra":
-        return copy.copy(self)._ordered_by(self.z, mode, self._chart)
+        return PbwAlgebra(self.lattice, self.z, self.q, self.sector, self.trunc, mode, self.members)
 
     def _require_same(self, element: "AlgebraElement", name: str = "element") -> None:
         if not isinstance(element, AlgebraElement):  # one test on the hot path
@@ -463,7 +456,7 @@ class AlgebraElement:
         self.algebra = algebra
         self._terms = terms
 
-    def coefficient(self, word: Sequence[Charge] | tuple[int, ...]) -> Fraction:
+    def coefficient(self, word: Sequence[Charge]) -> Fraction:
         """Coefficient of a normal-form basis word."""
         idxs: tuple[int, ...] = ()
         for ch in _sequence(word, "word must be a sequence of charges"):

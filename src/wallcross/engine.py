@@ -10,7 +10,6 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -30,7 +29,6 @@ from .lattice import (
     _GEOMETRY,
     _charge_set,
     _checker,
-    _cone,
     _dot,
     _exact,
     _scaled,
@@ -353,9 +351,9 @@ def transport_spectrum(
 ) -> Spectrum:
     """Refactorize the sector product of the spectrum under a new order.
 
-    The product is formed in the source algebra, re-expressed in a copy of
-    it re-sorted by the new central charge, and read back off.  The element
-    itself never changes; only the ordered factorization does.
+    The product is formed in the source algebra, re-expressed in an algebra
+    on the same cone sorted by the new central charge, and read back off.
+    The element itself never changes; only the ordered factorization does.
 
     Every call checks the membership, the first-type wall and the
     second-type guard under z_new.  The conversion and factorization run
@@ -363,7 +361,8 @@ def transport_spectrum(
     _transports; a target keyed like the source factorizes the product
     without converting it."""
     _check_args(struct=struct)
-    members_new, chart = _cone(struct.lattice, z_new, struct.q, struct.sector, struct.trunc)
+    alg_new = PbwAlgebra(struct.lattice, z_new, struct.q, struct.sector, struct.trunc, struct.mode)
+    members_new = alg_new.members
     if set(members_new) != set(struct.members):
         raise ValidationError(
             "transport requires the same truncated cone membership under "
@@ -375,7 +374,6 @@ def transport_spectrum(
             "target central charge lies on a first-type wall: "
             f"{witness[0].coords} ~ {witness[1].coords}"
         )
-    alg_new = copy.copy(struct.algebra())._ordered_by(z_new, struct.mode, chart)
     for alg in (struct.algebra(), alg_new):
         _guard_second_type(alg, members_new)
     key = _transport_key(alg_new)

@@ -187,6 +187,13 @@ def parse_scenario(text: str) -> Scenario:
     genus = _int(val, ln)
     inter = sections["surface"].single.get("intersection")
     if inter is None:
+        if genus >= 0:  # the lattice's rank and row checks, before the 2g x 2g form is built
+            bln, bval = need("lattice", "boundary")
+            rows = len(_matrix(bval, bln, _int))
+            if rank < 1:
+                _fail(bln, "lattice rank must be positive")
+            if rows != 2 * genus:
+                _fail(bln, "boundary matrix must have one row per homology basis vector")
         surface = _build(ln, SurfaceModel.standard, genus)
     else:
         surface = _build(inter[0], SurfaceModel, _matrix(inter[1], inter[0], _int))

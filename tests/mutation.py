@@ -79,10 +79,20 @@ MUTANTS = [
      "return alg.order.charges, tuple(alg._heights)",
      "return alg.order.charges, ()",
      "two targets of one order but other heights share a transport"),
+    ("transport-target-z", ENGINE,
+     "alg_new = PbwAlgebra(struct.lattice, z_new,", "alg_new = PbwAlgebra(struct.lattice, struct.z,",
+     "a transport sorts its target algebra by the source central charge"),
     ("second-type-guard", ENGINE,
      "if all(_dot(row, b1.coords) for row, _ in rays):",
      "if any(_dot(row, b1.coords) for row, _ in rays):",
      "the guard skips the members on a boundary ray and tests the others"),
+    # -- with_mode: a fresh algebra on the same members
+    ("with-mode-members", ALGEBRA,
+     "self.trunc, mode, self.members)", "self.trunc, mode)",
+     "with_mode widens an algebra on explicit members to the whole cone"),
+    ("with-mode-mode", ALGEBRA,
+     "self.trunc, mode, self.members)", "self.trunc, self.mode, self.members)",
+     "with_mode keeps the source's bracket mode"),
     # -- the kernel check
     ("kernel-pivot-sign", LATTICE,
      "if pivot * sign <= 0:", "if pivot * sign < 0:",

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import itertools
@@ -32,7 +31,6 @@ from wallcross.lattice import (
     Sector,
     SurfaceModel,
     TruncationSet,
-    _Chart,
     cross,
 )
 from wallcross.scenario import parse_scenario
@@ -725,8 +723,8 @@ def crossing_scenario():
 
 
 def resorted(alg: PbwAlgebra, z: CentralCharge, mode) -> PbwAlgebra:
-    """A copy of alg re-sorted by z, on z's chart, as a transport makes it."""
-    return copy.copy(alg)._ordered_by(z, mode, _Chart(z, alg.sector, alg.trunc))
+    """An algebra on alg's members sorted by z, as `with_mode` builds one."""
+    return PbwAlgebra(alg.lattice, z, alg.q, alg.sector, alg.trunc, mode, alg.members)
 
 
 def tables(alg: PbwAlgebra) -> tuple:
@@ -764,29 +762,29 @@ def test_reordered_copy_matches_a_fresh_algebra():
 
 @pytest.mark.parametrize("mode", ["plain", "twisted"])
 def test_copies_before_and_after_the_first_rewrite_agree(mode):
-    # crossing.scn at cutoff 6: one copy is taken before any bracket is
-    # read, one after the first rewrites memoized some; re-sorted copies of
-    # both, by the path's last keyframe and by the other mode, rewrite as a
-    # fresh algebra does, not by the brackets of their source's order
+    # crossing.scn at cutoff 6: algebras on alg's members, sorted by the
+    # path's last keyframe and by the other mode, are built once before any
+    # bracket of alg is read and once after its first rewrites memoized
+    # some; all rewrite as a fresh algebra does, not by alg's brackets
     sc = crossing_scenario()
     trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(6))
-    z_end = sc.path_keyframes()[-1]
-    other = "plain" if mode == "twisted" else "twisted"
+    targets = ((sc.path_keyframes()[-1], mode), (sc.z, "plain" if mode == "twisted" else "twisted"))
     alg = PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, trunc, mode)
-    early = copy.copy(alg)
+    early = [resorted(alg, z, m) for z, m in targets]
+    # three letters of height <= 2 each stay within the cutoff
+    low = [ch for ch, h in zip(alg.order.charges, alg._heights) if h <= 2]
     rng = random.Random(61)
-    words = [tuple(rng.choice(alg.members) for _ in range(3)) for _ in range(20)]
-    forms = [alg.normal_form(word) for word in words]
-    late = copy.copy(alg)
-    for copied in (early, late):
-        assert [copied.normal_form(word) for word in words] == forms
-        assert tables(copied) == tables(alg)
-        for z, m in ((z_end, mode), (sc.z, other)):
-            fresh = PbwAlgebra(sc.lattice, z, sc.q, sc.sector, trunc, m)
-            moved = resorted(copied, z, m)
-            assert [moved.normal_form(word) for word in words] == [
-                fresh.normal_form(word) for word in words]
-            assert tables(moved) == tables(fresh)
+    words = [tuple(rng.choice(low) for _ in range(3)) for _ in range(20)]
+    assert alg._brackets == {}
+    for word in words:
+        alg.normal_form(word)
+    assert alg._brackets
+    late = [resorted(alg, z, m) for z, m in targets]
+    for moved, (z, m) in zip(early + late, targets * 2):
+        fresh = PbwAlgebra(sc.lattice, z, sc.q, sc.sector, trunc, m)
+        assert [moved.normal_form(word) for word in words] == [
+            fresh.normal_form(word) for word in words]
+        assert tables(moved) == tables(fresh)
 
 
 def _count_bracket_reads(monkeypatch) -> list:
@@ -816,7 +814,7 @@ def test_sorted_products_build_no_table(monkeypatch, mode):
     assert alg.factorize(alg.ray_product(spectrum)) == spectrum
     assert reads == []
     # the wrapped read is live: one unsorted pair reads one bracket, once,
-    # and a copy in the other mode reads its own
+    # and the algebra with_mode builds in the other mode reads its own
     unsorted = tuple(sorted(alg.members[:2], key=alg.order.position, reverse=True))
     pair = tuple(map(alg.order.position, unsorted))
     alg.normal_form(unsorted)

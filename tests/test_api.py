@@ -175,8 +175,7 @@ PINNED = {
                            'with_mode': "(self, mode: 'BracketMode | str') -> "
                                         '"\'PbwAlgebra\'"',
                            'zero': '(self) -> "\'AlgebraElement\'"'},
-    'AlgebraElement methods': {'coefficient': "(self, word: 'Sequence[Charge] | tuple[int, "
-                                              "...]') -> 'Fraction'",
+    'AlgebraElement methods': {'coefficient': "(self, word: 'Sequence[Charge]') -> 'Fraction'",
                                'is_zero': "(self) -> 'bool'",
                                'terms': "(self) -> 'list[tuple[tuple[Charge, ...], Fraction]]'"},
     'Spectrum methods': {'coefficient': "(self, charge: 'Charge') -> 'Fraction'",

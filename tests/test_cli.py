@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -358,6 +359,23 @@ def test_parse_error_reports_line_number(tmp_path, capsys):
     assert "line 3: unknown key 'range'" in err
 
 
+@pytest.mark.parametrize("rank, message", [
+    ("2", "line 7: boundary matrix must have one row per homology basis vector"),
+    ("0", "line 7: lattice rank must be positive"),
+])
+def test_huge_genus_is_rejected_before_its_form_is_built(tmp_path, capsys, rank, message):
+    # the standard form of this genus would not fit in memory; the lattice's
+    # checks on the boundary rows reject it first
+    text = (SCENARIOS / "crossing.scn").read_text(encoding="utf-8")
+    bad = tmp_path / "huge.scn"
+    bad.write_text(text.replace("genus = 1", "genus = 99999999999").replace(
+        "rank = 2", f"rank = {rank}"), encoding="utf-8")
+    began = time.perf_counter()
+    code, out, err = run_cli(capsys, "--scenario", str(bad), "--command", "cone")
+    assert time.perf_counter() - began < 0.5
+    assert (code, out, err) == (2, "", f"error: validation: {message}\n")
+
+
 SECOND_TYPE = """\
 [lattice]
 rank = 2
@@ -591,8 +609,8 @@ def test_product_builds_one_chart_and_checks_the_covector_once(capsys, monkeypat
 def test_cross_and_walls_build_one_chart_per_central_charge(capsys, monkeypatch):
     # crossing.scn at lambda 8: the structure orders its algebra on the
     # chart its enumeration built and checks none of the members it just
-    # enumerated; each of cross's 5 transports orders its target copy on
-    # the chart of its own enumeration
+    # enumerated; each of cross's 5 transports builds its target algebra
+    # on the chart of its own enumeration
     counts = _call_counts(
         monkeypatch,
         (lattice._Chart, "__init__", "charts"),

@@ -197,6 +197,23 @@ def test_to_twisted_rejects_twisted_input():
         to_twisted(plus_refinement(1), twisted.one())
 
 
+def test_with_mode_keeps_explicit_members():
+    # an algebra on three of the cone's five members: its twisted algebra,
+    # and so to_twisted, stay on those three
+    s, cone = make_plain_algebra()
+    members = (s.g1, s.g2, s.g1 + s.g2)
+    alg = PbwAlgebra(s.lattice, s.z, s.q, s.sector, s.trunc, members=members)
+    assert len(cone.members) == 5
+    twisted = alg.with_mode(BracketMode.TWISTED)
+    assert twisted.members == members
+    assert twisted.order.charges == alg.order.charges
+    assert twisted.signature[3] == alg.signature[3] == alg.order.charges
+    sigma = plus_refinement(1)
+    spectrum = Spectrum({s.g1: Fraction(1), s.g2: Fraction(-1, 2), s.g1 + s.g2: Fraction(2)})
+    assert to_twisted(sigma, alg.ray_product(spectrum)) == twisted.ray_product(
+        twist_spectrum(sigma, s.lattice, spectrum))
+
+
 def test_to_twisted_is_algebra_morphism():
     _, alg = make_plain_algebra(cutoff=3)
     rng = random.Random(23)
