@@ -37,7 +37,7 @@ from .lattice import (
     cross,
     wall_first_type,
 )
-from .refinement import QuadraticRefinement
+from .refinement import QuadraticRefinement, _check_surface
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +81,8 @@ class StabilityStructure:
                 "central charge lies on a first-type wall for the spectrum "
                 f"support: {witness[0].coords} ~ {witness[1].coords}"
             )
-        if self.refinement is not None and self.refinement.surface != self.lattice.surface:
-            raise ValidationError("refinement surface does not match the lattice")
+        if self.refinement is not None:
+            _check_surface(self.refinement, self.lattice)
 
     def algebra(self) -> PbwAlgebra:
         """The algebra over this structure's cone, on its enumeration's chart."""

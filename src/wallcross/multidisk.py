@@ -70,20 +70,6 @@ class DecoratedForest:
             raise ValidationError("graph has a cycle; only forests are allowed")
 
     @classmethod
-    def _unchecked(
-        cls,
-        vertex_charges: tuple[Charge, ...],
-        attach: tuple[int, ...],
-        involution: tuple[int, ...],
-    ) -> "DecoratedForest":
-        """A forest from fields the caller has already validated."""
-        forest = object.__new__(cls)
-        object.__setattr__(forest, "vertex_charges", vertex_charges)
-        object.__setattr__(forest, "attach", attach)
-        object.__setattr__(forest, "involution", involution)
-        return forest
-
-    @classmethod
     def from_edge_list(
         cls,
         vertex_charges: Sequence[Charge],
@@ -187,20 +173,11 @@ def _forest_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
 def enumerate_forests(
     vertex_charges: Sequence[Charge],
 ) -> tuple[DecoratedForest, ...]:
-    """All forests on the labeled vertex set, by edge count then edge order.
-
-    The decorations are checked once; each edge subset is checked for
-    cycles once, and a subset that passes is a valid forest as it stands,
-    so it is built without the constructor's checks."""
+    """All forests on the labeled vertex set, by edge count then edge order,
+    each built by the checked constructor as a hand-built forest is."""
     charges = _charges(vertex_charges)
-    n = len(charges)
-    involutions = [tuple(h ^ 1 for h in range(2 * k)) for k in range(n or 1)]
-    build = DecoratedForest._unchecked
-    flatten = itertools.chain.from_iterable
-    return tuple(
-        build(charges, tuple(flatten(subset)), involutions[len(subset)])
-        for subset in _forest_edge_sets(n)
-    )
+    return tuple(DecoratedForest.from_edge_list(charges, subset)
+                 for subset in _forest_edge_sets(len(charges)))
 
 
 # -- height-ordered chains -------------------------------------------------

@@ -86,6 +86,12 @@ _check_args = _checker({**_GEOMETRY, "sigma": QuadraticRefinement, "action": Coh
                         "spectrum": Spectrum, "element": AlgebraElement})
 
 
+def _check_surface(sigma: QuadraticRefinement, lattice: ChargeLattice) -> None:
+    """A refinement of another surface's form would not respect this one's."""
+    if sigma.surface != lattice.surface:
+        raise ValidationError("refinement surface does not match the lattice")
+
+
 def all_refinements(surface: SurfaceModel) -> Iterator[QuadraticRefinement]:
     _check_args(surface=surface)  # checked at the call, not at the first item
     return (QuadraticRefinement(surface, signs)
@@ -100,6 +106,7 @@ def twist_spectrum(
     The result is independent of the chosen refinement when the input
     transforms covariantly under the cohomology action."""
     _check_args(sigma=sigma, lattice=lattice, spectrum=spectrum)
+    _check_surface(sigma, lattice)
     return Spectrum(
         {ch: Fraction(sigma.evaluate(lattice.boundary_of(ch))) * c for ch, c in spectrum.items()}
     )
@@ -124,6 +131,7 @@ def to_twisted(sigma: QuadraticRefinement, element: AlgebraElement) -> AlgebraEl
     alg = element.algebra
     if alg.mode is not BracketMode.PLAIN:
         raise ValidationError("to_twisted expects an element in plain mode")
+    _check_surface(sigma, alg.lattice)
     signs = [sigma.evaluate(alg.lattice.boundary_of(ch)) for ch in alg.order.charges]
     return AlgebraElement(alg.with_mode(BracketMode.TWISTED), {
         word: coeff * math.prod(map(signs.__getitem__, word))

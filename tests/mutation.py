@@ -108,6 +108,13 @@ MUTANTS = [
     ("multilink-last-count", MULTIDISK,
      "for k, s in enumerate(by_count))", "for k, s in enumerate(by_count[:-1]))",
      "the sum leaves out the count of n edges"),
+    # -- the forest edge sets that multilink_total and enumerate_forests share
+    ("forest-spanning-trees", MULTIDISK,
+     "for k in range(n or 1):", "for k in range(max(n - 1, 1)):",
+     "the edge sets stop short of the spanning trees"),
+    ("forest-cycle-filter", MULTIDISK,
+     "if _acyclic(n, subset):", "if True:",
+     "every edge subset passes as a forest, cycles included"),
     # -- root isolation and clustering
     ("roots-double-root", ENGINE,
      "if disc <= 0:\n        return []", "if disc < 0:\n        return []",

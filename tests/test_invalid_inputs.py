@@ -95,6 +95,11 @@ def _sigma():
     return QuadraticRefinement(SurfaceModel.standard(1), (1, 1))
 
 
+def _foreign_sigma():
+    """A refinement of another genus-1 form than the lattice's surface."""
+    return QuadraticRefinement(SurfaceModel(((0, 2), (-2, 0))), (1, 1))
+
+
 def _factorize_non_product():
     alg = _algebra()
     g1 = alg.generator(Charge((1, 0)))
@@ -111,9 +116,10 @@ def _walls_at_zero_tolerance():
     detect_walls(VariationPath((s.z, s.z)), (s.g1, s.g2), s.sector, tolerance=0)
 
 
-def _structure():
+def _structure(refinement=None):
     s = build_setup()
-    return StabilityStructure(s.lattice, s.z, s.q, s.sector, s.trunc, Spectrum({s.g1: 1}))
+    return StabilityStructure(s.lattice, s.z, s.q, s.sector, s.trunc, Spectrum({s.g1: 1}),
+                              refinement=refinement)
 
 
 def _constant_path():
@@ -347,12 +353,18 @@ CASES = {
     "twist-spectrum-sigma-none": (
         lambda: twist_spectrum(None, build_setup().lattice, Spectrum({})),
         ValidationError, "sigma must be a QuadraticRefinement, got None"),
+    "twist-spectrum-foreign-surface": (
+        lambda: twist_spectrum(_foreign_sigma(), build_setup().lattice, Spectrum({})),
+        ValidationError, "refinement surface does not match the lattice"),
     "covariant-spectrum-of-a-dict": (
         lambda: covariant_spectrum(CohomologyAction((1, 0)), build_setup().lattice, {}),
         ValidationError, "spectrum must be a Spectrum, got {}"),
     "to-twisted-element-int": (
         lambda: to_twisted(_sigma(), 5),
         ValidationError, "element must be an AlgebraElement, got 5"),
+    "to-twisted-foreign-surface": (
+        lambda: to_twisted(_foreign_sigma(), _algebra().one()),
+        ValidationError, "refinement surface does not match the lattice"),
     # scenario, on crossing.scn
     "format-scenario-none": (
         lambda: format_scenario(None),
@@ -412,6 +424,9 @@ CASES = {
     "walls-path-none": (
         lambda: detect_walls(None, (Charge((1, 0)),), build_setup().sector),
         ValidationError, "path must be a VariationPath, got None"),
+    "structure-foreign-surface": (
+        lambda: _structure(refinement=_foreign_sigma()),
+        ValidationError, "refinement surface does not match the lattice"),
     "transport-structure-none": (
         lambda: transport_spectrum(None, build_setup().z),
         ValidationError, "struct must be a StabilityStructure, got None"),

@@ -211,11 +211,17 @@ def test_enumerate_forests_checks_each_subset_once():
     with mock.patch.object(multidisk, "_acyclic", wraps=multidisk._acyclic) as acyclic, \
             mock.patch.object(DecoratedForest, "__post_init__", counted_init):
         forests = enumerate_forests(charges)
-        assert acyclic.call_count == 4944  # sum of C(15, k) for k < 6
-        assert built == []
-        DecoratedForest.from_edge_list(charges, [(0, 1)])
     assert len(forests) == 2932
-    assert len(built) == 1  # the patch does see the public constructor
+    assert built == list(forests)  # every forest passes the constructor's checks
+    # sum of C(15, k) for k < 6 subset checks, then one check per built forest
+    assert acyclic.call_count == 4944 + 2932
+
+
+def test_enumerate_forests_rejects_a_cyclic_edge_set():
+    triangle = ((0, 1), (1, 2), (0, 2))
+    with mock.patch.object(multidisk, "_forest_edge_sets", return_value=iter([triangle])):
+        with pytest.raises(ValidationError, match="graph has a cycle; only forests are allowed"):
+            enumerate_forests((G1, G2, G1))
 
 
 def test_enumerate_forests_rejects_non_charge_up_front():
@@ -506,7 +512,7 @@ def test_multilink_total_matches_forest_oracle(spec):
     with mock.patch.object(multidisk, "link", wraps=multidisk.link) as counted, \
             mock.patch.object(multidisk, "multilink_forest") as per_forest, \
             mock.patch.object(multidisk, "enumerate_forests") as forests, \
-            mock.patch.object(DecoratedForest, "_unchecked") as built:
+            mock.patch.object(DecoratedForest, "__post_init__") as built:
         fast = _outcome(multilink_total, chain, z, surface)
     assert counted.call_count <= n * (n - 1) // 2
     per_forest.assert_not_called()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from wallcross.refinement import (
     to_twisted,
     twist_spectrum,
 )
+from wallcross.scenario import parse_scenario
 
 
 def plus_refinement(genus: int) -> QuadraticRefinement:
@@ -195,6 +197,24 @@ def test_to_twisted_rejects_twisted_input():
     twisted = alg.with_mode(BracketMode.TWISTED)
     with pytest.raises(ValidationError):
         to_twisted(plus_refinement(1), twisted.one())
+
+
+def test_refinement_of_another_surface_is_rejected():
+    # crossing.scn's surface has the form ((0, 1), (-1, 0)); a refinement of
+    # ((0, 2), (-2, 0)) has the same dimension, but its signs break the
+    # morphism: e(0,1) e(1,0) would map to -e(1,1) + e(1,0) e(0,1), the
+    # product of the images to e(1,1) + e(1,0) e(0,1)
+    sc = parse_scenario((Path(__file__).resolve().parent.parent / "scenarios"
+                         / "crossing.scn").read_text(encoding="utf-8"))
+    alg = PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc, sc.mode)
+    a, b = alg.generator(Charge((0, 1))), alg.generator(Charge((1, 0)))
+    own = QuadraticRefinement(sc.lattice.surface, (1, 1))
+    assert to_twisted(own, a * b) == to_twisted(own, a) * to_twisted(own, b)
+    foreign = QuadraticRefinement(SurfaceModel(((0, 2), (-2, 0))), (1, 1))
+    for call in (lambda: to_twisted(foreign, a * b),
+                 lambda: twist_spectrum(foreign, sc.lattice, sc.spectrum)):
+        with pytest.raises(ValidationError, match="^refinement surface does not match the lattice$"):
+            call()
 
 
 def test_with_mode_keeps_explicit_members():
