@@ -9,8 +9,9 @@ brings every word to normal form.  Rewriting preserves the total charge of
 a word, so truncation only ever drops whole words: a word survives exactly
 when its total height stays within the cutoff.
 
-The stack rewrite `_rewrite_into` drives `multiply`, which holds each
-pair's height sum to the cutoff itself, and, behind the cutoff drop of
+The stack rewrite `_rewrite_into` drives `multiply`, which visits only
+the pairs within the cutoff (the right words by height, up to the first
+that does not fit), and, behind the cutoff drop of
 `_normalize_into`, `normal_form(strategy=...)` and `from_terms`.
 `_normalize_into` is the oracle for `convert`, which inserts each word's
 letters right to left into a normal word u, memoizing e_a u.
@@ -268,18 +269,26 @@ class PbwAlgebra:
     # -- products and series ---------------------------------------------
 
     def multiply(self, left: "AlgebraElement", right: "AlgebraElement") -> "AlgebraElement":
+        """Product in normal form, truncated to the cutoff.
+
+        The right operand's words are sorted by height once; each left word
+        walks them up to the first that no longer fits in the room its own
+        height leaves under the cutoff.  So the work is the kept pairs'
+        rewrites plus one failed comparison per left word, and each word's
+        height is summed once.
+        """
         self._require_same(left, "left")
         self._require_same(right, "right")
         out: dict[tuple[int, ...], Fraction] = {}
         cutoff = self._cutoff
-        right_items = [
-            (wb, cb, self._word_height(wb)) for wb, cb in right._terms.items()
-        ]
+        right_items = sorted(
+            [(wb, cb, self._word_height(wb)) for wb, cb in right._terms.items()],
+            key=lambda item: item[2])
         for wa, ca in left._terms.items():
-            ha = self._word_height(wa)
+            room = cutoff - self._word_height(wa)
             for wb, cb, hb in right_items:
-                if ha + hb > cutoff:
-                    continue
+                if hb > room:
+                    break
                 self._rewrite_into(out, wa + wb, ca * cb)
         return AlgebraElement(self, out)
 

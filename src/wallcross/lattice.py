@@ -230,7 +230,11 @@ class SurfaceModel:
         if genus < 0:
             raise ValidationError("genus must be non-negative")
         dim = 2 * genus
-        rows = [[0] * dim for _ in range(dim)]
+        try:
+            rows = [[0] * dim for _ in range(dim)]
+        except MemoryError:
+            raise ValidationError(f"genus {genus} is too large: its {dim} x {dim} "
+                                  "intersection form does not fit in memory") from None
         for i in range(genus):
             rows[i][genus + i] = 1
             rows[genus + i][i] = -1

@@ -43,6 +43,19 @@ MUTANTS = [
     ("closed-form-coefficient", ALGEBRA,
      "n, d = n * an, d * ad * k", "n, d = n * an, d * ad",
      "the closed form forgets the 1/k! of a repeated letter"),
+    # -- multiply: the right words by height, up to the first over the cutoff
+    ("multiply-cutoff", ALGEBRA,
+     "if hb > room:", "if hb >= room:",
+     "multiply drops the pairs exactly at the cutoff"),
+    ("multiply-unsorted", ALGEBRA,
+     "right_items = sorted(\n"
+     "            [(wb, cb, self._word_height(wb)) for wb, cb in right._terms.items()],\n"
+     "            key=lambda item: item[2])",
+     "right_items = [(wb, cb, self._word_height(wb)) for wb, cb in right._terms.items()]",
+     "the walk stops at the first word over the cutoff and skips later ones that fit"),
+    ("multiply-no-early-exit", ALGEBRA,
+     "if hb > room:\n                    break", "if hb > room:\n                    continue",
+     "every left word tests every right word"),
     # -- the chart: its scan interval and its integer cutoff
     ("scan-upper-bound", LATTICE,
      "hi = min(hi, rest // c)", "hi = min(hi, rest // c - 1)",
@@ -184,6 +197,7 @@ MUTANTS = [
 EQUIVALENT = {
     "multilink-last-count": "by_count[n] is always 0: a forest on n vertices has at most n - 1 edges",
     "insert-memo-miss": "a memo that always misses only makes convert slower",
+    "multiply-no-early-exit": "only slower; item 14's work goldens will kill it",
     "token-row-unicode-digits": (
         "int() reads non-ASCII digits and strips Unicode whitespace as the "
         "per-token readers do, so the row's values are the same"),

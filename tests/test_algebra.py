@@ -258,7 +258,7 @@ def rechecked_multiply(alg: PbwAlgebra, left: AlgebraElement, right: AlgebraElem
 @settings(max_examples=80, derandomize=True, database=None)
 @given(data=st.data())
 def test_multiply_matches_the_rechecked_product(data):
-    alg = certificate_algebra(data.draw(st.sampled_from(("small", "crossing"))),
+    alg = certificate_algebra(data.draw(st.sampled_from(("small", "crossing", "halves"))),
                               data.draw(st.sampled_from(("plain", "twisted"))))
     # words in any order, normalized by from_terms, over letters up to a
     # drawn height: low letters make unsorted concatenations within the
@@ -273,6 +273,9 @@ def test_multiply_matches_the_rechecked_product(data):
     got, want = (outcome(lambda a, pair: fn(a, *pair), alg, (left, right))
                  for fn in (PbwAlgebra.multiply, rechecked_multiply))
     assert got == want
+    # the product does not depend on the order the right words were inserted in
+    reversed_right = AlgebraElement(alg, dict(reversed(right._terms.items())))
+    assert outcome(lambda a, pair: a.multiply(*pair), alg, (left, reversed_right)) == got
 
 
 @pytest.mark.parametrize("mode", ["plain", "twisted"])
@@ -466,7 +469,13 @@ def certificate_algebra(cone: str, mode: str) -> PbwAlgebra:
         return make_algebra(cutoff=3, mode=mode)
     text = (Path(__file__).resolve().parent.parent / "scenarios" / "crossing.scn").read_text(encoding="utf-8")
     sc = parse_scenario(text)
-    trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(6))
+    if cone == "halves":
+        # covector (0, 1/2): chart scale 2, heights k/2 against cutoff 7/2,
+        # so the room a word leaves is a non-integral Fraction for even k
+        # and the pairs with heights summing to 7 halves sit at the cutoff
+        trunc = dataclasses.replace(sc.trunc, covector=(0, Fraction(1, 2)), cutoff=Fraction(7, 2))
+    else:
+        trunc = dataclasses.replace(sc.trunc, cutoff=Fraction(6))
     return PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, trunc, mode)
 
 

@@ -490,11 +490,11 @@ def test_tangential_keyframe_crossing(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("lam", [2, 4, 6])
+@pytest.mark.parametrize("lam", [2, 4, 6, 8])
 def test_command_grid_matches_bench_golden(capsys, lam):
     """Every command on both scenarios in both modes gives the exit code,
-    stdout digest and stderr recorded in the benchmark's golden file
-    (lambda 8 is left to the benchmark, which runs it too)."""
+    stdout digest and stderr recorded in the benchmark's golden file, at
+    each of the benchmark's cutoffs."""
     golden = json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))
     mismatched = []
     for scenario, digest in golden["scenario_sha256"].items():

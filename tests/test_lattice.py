@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -700,6 +703,28 @@ def test_scan_box_is_an_int_not_a_bool(box):
 def test_rank_and_genus_are_ints_not_bools(build, message):
     with pytest.raises(ValidationError, match=message):
         build()
+
+
+def test_standard_surface_too_large_to_allocate_is_a_validation_error():
+    # under a 2 GiB address-space limit the 2g x 2g form of genus 10**11
+    # cannot be allocated; the failure names the genus, not a MemoryError
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "from wallcross.errors import ValidationError\n"
+        "from wallcross.lattice import SurfaceModel\n"
+        "try:\n"
+        "    SurfaceModel.standard(10**11)\n"
+        "except ValidationError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, encoding="utf-8",
+        cwd=Path(__file__).resolve().parent.parent / "src", timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("genus 100000000000 is too large: its 200000000000 x 200000000000 "
+                           "intersection form does not fit in memory\n")
 
 
 @pytest.mark.parametrize("build, message", [
