@@ -20,9 +20,11 @@ Clockwise-ordered ray products concatenate words that are already sorted,
 which is what makes factorization of a sector product exact and unique:
 `factorize` certifies an element by equality with its closed form.
 
-The central charge sets only the generator order.  Each order reads the
-bracket of a pair, c(a, b) and the position of a + b, from the lattice
-and the members on the pair's first rewrite, and memoizes it.
+The central charge sets only the generator order.  Each order keeps one
+int ray key per member, equal exactly on the members of one ray, which
+`_ray_groups` reads; and it reads the bracket of a pair, c(a, b) and the
+position of a + b, from the lattice and the members on the pair's first
+rewrite, and memoizes it.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .lattice import (
     _mapping,
     _sequence,
     charges_parallel,
-    cross,
 )
 
 
@@ -154,19 +155,22 @@ class PbwAlgebra:
             for ch in members:
                 if not isinstance(ch, Charge) or len(ch) != lattice.rank or chart.height(ch.coords) is None:
                     raise ValidationError(f"member {ch!r} is not a charge in the truncated sector")
+            if len(set(members)) < len(members):
+                raise ValidationError("members must not repeat a charge")
         self.members = tuple(members)
         self._cutoff = trunc.cutoff
         self.z, self.mode, self._chart = z, BracketMode.coerce(mode), chart
-        charges, (c0, c1) = sorted(set(self.members), key=lambda ch: ch.coords), chart.cov
-        zvals = [chart.value(ch.coords) for ch in charges]
+        charges, (c0, c1) = sorted(self.members, key=lambda ch: ch.coords), chart.cov
         heights = [_dot(chart.hrow, ch.coords) for ch in charges]
-        # cross(Z, covector) / height (> 0 on the sector) grows clockwise,
-        # and times the lcm of the heights it is an int.  Parallel members
-        # follow by height, then by coordinates, the sort being stable
+        # cross(Z, covector) / height (> 0 on the sector) grows clockwise; times
+        # the lcm of the heights it is an int, equal exactly on one ray's members.
+        # Parallel members follow by height, then by coordinates (a stable sort)
         lcm = math.lcm(*heights)
-        perm = sorted(range(len(charges)), key=lambda i: (
-            (zvals[i][0] * c1 - zvals[i][1] * c0) * (lcm // heights[i]), heights[i]))
+        rays = [(_dot(chart.zx, ch.coords) * c1 - _dot(chart.zy, ch.coords) * c0) * (lcm // h)
+                for ch, h in zip(charges, heights)]
+        perm = sorted(range(len(charges)), key=lambda i: (rays[i], heights[i]))
         self.order = GeneratorOrder(tuple(charges[i] for i in perm))
+        self._rays = [rays[i] for i in perm]
         self._heights = [Fraction(heights[i], chart.scale) for i in perm]
         self._brackets: dict[tuple[int, int], tuple[int, int | None]] = {}
         self.signature = (self.lattice.boundary, self.lattice.surface.intersection,
@@ -200,6 +204,7 @@ class PbwAlgebra:
         _check_args(terms=terms)
         out: dict[tuple[int, ...], Fraction] = {}
         for word, coeff in terms.items():
+            word = _sequence(word, "word must be a sequence of charges")
             idxs = tuple(self.order.position(ch) for ch in word)
             self._normalize_into(out, idxs, _exact(coeff))
         return AlgebraElement(self, out)
@@ -314,9 +319,9 @@ class PbwAlgebra:
         for ch in support:
             if ch not in self.order.index:
                 raise ValidationError(f"spectrum support outside the truncated cone: {ch!r}")
-        value, groups = self._chart.value, []
-        for ch in sorted(support, key=self.order.position):
-            if groups and cross(value(groups[-1][-1].coords), value(ch.coords)) == 0:
+        index, rays, groups = self.order.index, self._rays, []
+        for ch in sorted(support, key=index.__getitem__):
+            if groups and rays[index[groups[-1][-1]]] == rays[index[ch]]:
                 if not charges_parallel(groups[-1][-1], ch):
                     raise FirstTypeWallError(
                         f"first-type wall in spectrum support: {groups[-1][-1]!r} and {ch!r}"

@@ -82,6 +82,7 @@ class StabilityStructure:
                 f"support: {witness[0].coords} ~ {witness[1].coords}"
             )
         if self.refinement is not None:
+            _check_args(refinement=self.refinement)
             _check_surface(self.refinement, self.lattice)
 
     def algebra(self) -> PbwAlgebra:
@@ -125,7 +126,8 @@ class VariationPath:
             tuple(x + s * (y - x) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)))
 
 
-_check_args = _checker({**_GEOMETRY, "path": VariationPath, "struct": StabilityStructure})
+_check_args = _checker({**_GEOMETRY, "path": VariationPath, "struct": StabilityStructure,
+                        "refinement": QuadraticRefinement})
 
 
 @dataclass(frozen=True)
@@ -140,18 +142,8 @@ class WallEvent:
         return (self.t_lo, self.t_hi, self.kind, self.beta1.coords, self.beta2.coords)
 
 
-def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def _quadratic_events(
-    a: int | Fraction, b: int | Fraction, c: int | Fraction, tol: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """Sign-changing roots of a + b s + c s^2 on [0, 1] as rational intervals.
+def _quadratic_events(a: int, b: int, c: int, tol: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Sign-changing roots of a + b s + c s^2, a, b, c ints, on [0, 1] as rational intervals.
 
     A double root grazes zero without changing sign, so inside a segment it
     is not an event.  Two irrational roots lie one on each side of the
@@ -166,9 +158,9 @@ def _quadratic_events(
     disc = b * b - 4 * a * c
     if disc <= 0:
         return []
-    root = _fraction_sqrt(disc)
-    if root is not None:
-        pair = sorted(((-b - root) / (2 * c), (-b + root) / (2 * c)))
+    root = math.isqrt(disc)
+    if root * root == disc:
+        pair = sorted((Fraction(-b - root, 2 * c), Fraction(-b + root, 2 * c)))
         return [(r, r) for r in pair if 0 <= r <= 1]
 
     def value(s: Fraction) -> Fraction:

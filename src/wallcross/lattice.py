@@ -511,9 +511,6 @@ class _Chart:
             ([ey * x - ex * y for x, y in zip(self.zx, self.zy)], 0),
         )
 
-    def value(self, point) -> tuple[int, int]:
-        return _dot(self.zx, point), _dot(self.zy, point)
-
     def height(self, point) -> Optional[int]:
         """The point's height when its Z value is nonzero, in the closed
         sector and within the cutoff, else None."""

@@ -43,6 +43,11 @@ MUTANTS = [
     ("closed-form-coefficient", ALGEBRA,
      "n, d = n * an, d * ad * k", "n, d = n * an, d * ad",
      "the closed form forgets the 1/k! of a repeated letter"),
+    # -- the rays of a generator order: one int key per member
+    ("ray-key-test", ALGEBRA,
+     "if groups and rays[index[groups[-1][-1]]] == rays[index[ch]]:",
+     "if groups and rays[index[groups[-1][-1]]] != rays[index[ch]]:",
+     "letters on one ray split into rays and letters on two rays join"),
     # -- multiply: the right words by height, up to the first over the cutoff
     ("multiply-cutoff", ALGEBRA,
      "if hb > room:", "if hb >= room:",
@@ -132,6 +137,9 @@ MUTANTS = [
     ("roots-double-root", ENGINE,
      "if disc <= 0:\n        return []", "if disc < 0:\n        return []",
      "a grazing double root counts as an event"),
+    ("roots-integer-square", ENGINE,
+     "if root * root == disc:", "if root * root <= disc:",
+     "an irrational root pair is read as rational, on the floor of its square root"),
     ("roots-bisection-stop", ENGINE,
      "while hi - lo > tol or lo < 0 < hi or lo < 1 < hi:", "while hi - lo > tol:",
      "bisection stops at the width alone, before the bracket clears 0 and 1"),

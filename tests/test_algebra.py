@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import build_setup
 from wallcross.algebra import AlgebraElement, BracketMode, PbwAlgebra, Spectrum
@@ -31,6 +31,7 @@ from wallcross.lattice import (
     Sector,
     SurfaceModel,
     TruncationSet,
+    charges_parallel,
     cross,
 )
 from wallcross.scenario import parse_scenario
@@ -896,6 +897,67 @@ def test_integer_phase_key_matches_fraction_comparator():
         ties += sum(cross(*map(z.evaluate, pair)) == 0
                     for pair in zip(alg.order.charges, alg.order.charges[1:]))
     assert ties >= 100
+
+
+def fraction_ray_groups(alg: PbwAlgebra, spectrum: Spectrum):
+    """The support's rays by the Fraction rule the ray keys replaced: two
+    letters next in generator order share a ray when their Z values have
+    cross 0.  The groups, or the first-type error's message."""
+    groups = []
+    for ch in sorted(spectrum.support(), key=alg.order.position):
+        if groups and cross(alg.z.evaluate(groups[-1][-1]), alg.z.evaluate(ch)) == 0:
+            if not charges_parallel(groups[-1][-1], ch):
+                return f"first-type wall in spectrum support: {groups[-1][-1]!r} and {ch!r}"
+            groups[-1].append(ch)
+        else:
+            groups.append([ch])
+    return groups
+
+
+_SMALL = st.fractions(-3, 3, max_denominator=3)
+_CUTOFFS = st.fractions(1, 4, max_denominator=5)  # times p0's height
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_ray_keys_are_equal_exactly_on_one_ray(data):
+    # a rank-1 Z puts non-parallel charges on one ray, where _ray_groups
+    # meets a first-type wall.  The sector opens around v, the value of
+    # p0, to v + s w and v - t w (w is v turned a quarter), and the
+    # covector v + k w with |k| <= 1/3 is positive on both of its rays
+    rows = [[data.draw(_SMALL) for _ in range(2)]]
+    scale = data.draw(st.one_of(st.none(), _SMALL))
+    rows.append([scale * x for x in rows[0]] if scale is not None else
+                [data.draw(_SMALL) for _ in range(2)])
+    z = CentralCharge(rows)
+    p0 = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    v = z.evaluate(p0)
+    assume(v != (0, 0))
+    w = (-v[1], v[0])
+    s, t = (data.draw(st.fractions(Fraction(1, 4), 2, max_denominator=4)) for _ in range(2))
+    sector = Sector((v[0] + s * w[0], v[1] + s * w[1]), (v[0] - t * w[0], v[1] - t * w[1]))
+    k = data.draw(st.fractions(Fraction(-1, 3), Fraction(1, 3), max_denominator=6))
+    cov = (v[0] + k * w[0], v[1] + k * w[1])  # p0's height is v . v
+    trunc = TruncationSet(cov, data.draw(_CUTOFFS) * (v[0] ** 2 + v[1] ** 2), 1)
+    inside = [
+        Charge(p) for p in itertools.product(range(-3, 4), repeat=2)
+        if (zp := z.evaluate(p)) != (0, 0) and sector.contains(zp) and trunc.height(zp) <= trunc.cutoff
+    ]
+    members = tuple(data.draw(st.lists(st.sampled_from(inside), unique=True, min_size=1)))
+    mode, geometry = data.draw(st.sampled_from(("plain", "twisted"))), build_setup()
+    alg = PbwAlgebra(geometry.lattice, z, geometry.q, sector, trunc, mode, members=members)
+    values = [z.evaluate(ch) for ch in alg.order.charges]
+    for i, j in itertools.product(range(len(values)), repeat=2):
+        assert (alg._rays[i] == alg._rays[j]) == (cross(values[i], values[j]) == 0)
+    spectrum = Spectrum({
+        ch: data.draw(st.sampled_from((-2, -1, Fraction(1, 2), 1, 3)))
+        for ch in data.draw(st.lists(st.sampled_from(members), unique=True))
+    })
+    try:
+        got = alg._ray_groups(spectrum)
+    except FirstTypeWallError as err:
+        got = str(err)
+    assert got == fraction_ray_groups(alg, spectrum)
 
 
 @pytest.fixture

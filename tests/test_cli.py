@@ -513,21 +513,6 @@ def test_command_grid_matches_bench_golden(capsys, lam):
     assert mismatched == []
 
 
-@pytest.mark.parametrize("command", ["cross", "walls"])
-def test_wall_commands_at_lambda_8_match_bench_golden(capsys, command):
-    """The wall commands at the benchmark's largest cutoff, where crossing.scn
-    has 62 members and 1,821 events on one shared crossing polynomial."""
-    golden = json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))
-    for scenario in golden["scenario_sha256"]:
-        for mode in ("plain", "twisted"):
-            code, out, err = run_cli(
-                capsys, "--scenario", str(SCENARIOS / f"{scenario}.scn"),
-                "--command", command, "--lambda", "8", "--mode", mode,
-            )
-            got = [code, hashlib.sha256(out.encode()).hexdigest(), err.strip()]
-            assert got == golden["cli"][f"{command}:{scenario}:lambda=8:{mode}"]
-
-
 def test_main_parser_is_reused_between_calls(capsys, monkeypatch):
     # the parser is built once, at import: a run after a rejected argument
     # list prints what the first run did, and the rejection is unchanged

@@ -173,6 +173,9 @@ CASES = {
     "members-int": (
         lambda: _members(5),
         ValidationError, "members must be a sequence of charges, got 5"),
+    "members-repeated": (
+        lambda: _members((build_setup().g1, build_setup().g1)),
+        ValidationError, "members must not repeat a charge"),
     "coefficient-int": (
         lambda: _algebra().one().coefficient(5),
         ValidationError, "word must be a sequence of charges, got 5"),
@@ -200,6 +203,12 @@ CASES = {
     "from-terms-int": (
         lambda: _algebra().from_terms(5),
         ValidationError, "terms must be a Mapping, got 5"),
+    "from-terms-int-word": (
+        lambda: _algebra().from_terms({5: 1}),
+        ValidationError, "word must be a sequence of charges, got 5"),
+    "from-terms-none-word": (
+        lambda: _algebra().from_terms({None: 1}),
+        ValidationError, "word must be a sequence of charges, got None"),
     "ray-product-of-a-dict": (
         lambda: _algebra().ray_product({}),
         ValidationError, "spectrum must be a Spectrum, got {}"),
@@ -427,6 +436,9 @@ CASES = {
     "structure-foreign-surface": (
         lambda: _structure(refinement=_foreign_sigma()),
         ValidationError, "refinement surface does not match the lattice"),
+    "structure-refinement-int": (
+        lambda: _structure(refinement=5),
+        ValidationError, "refinement must be a QuadraticRefinement, got 5"),
     "transport-structure-none": (
         lambda: transport_spectrum(None, build_setup().z),
         ValidationError, "struct must be a StabilityStructure, got None"),

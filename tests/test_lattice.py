@@ -30,6 +30,7 @@ from wallcross.lattice import (
     SurfaceModel,
     TruncationSet,
     _Chart,
+    _dot,
     charges_parallel,
     check_kernel_definiteness,
     cone_enumerate,
@@ -783,7 +784,7 @@ def test_chart_is_the_rational_truncated_sector_scaled(data):
         assert (h is None) == outside
         if h is not None:
             heights.add(Fraction(h) / trunc.height(v))
-        x, y = chart.value(point)
+        x, y = _dot(chart.zx, point), _dot(chart.zy, point)
         if v == (0, 0):
             assert (x, y) == (0, 0)
         else:
