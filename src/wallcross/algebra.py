@@ -502,6 +502,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        self.algebra._require_same(other, "other")
         return self + (-1) * other
 
     def __neg__(self) -> "AlgebraElement":

@@ -44,12 +44,11 @@ from .refinement import QuadraticRefinement, _check_surface
 class StabilityStructure:
     """A central charge with a spectrum supported on its truncated cone.
 
-    _transports holds each transport's spectrum under its target algebra's
-    generator order and letter heights (the heights follow Z even where the
-    order does not).  The cutoff, the members, the mode and the sector
-    product are this structure's own, so that key fixes all that convert
-    and factorize read: every sample between two walls sorts the members
-    the same way and reuses one factorization."""
+    _transports maps each target generator order to the spectrum under it,
+    seeded with this spectrum under its own, whose ray product is already
+    normal.  The members are closed under sums within the cutoff and every
+    target has them, so a word fits under any target's heights exactly when
+    its charge is a member: the order alone keys the memo."""
 
     lattice: ChargeLattice
     z: CentralCharge
@@ -61,7 +60,7 @@ class StabilityStructure:
     refinement: Optional[QuadraticRefinement] = None
     members: tuple[Charge, ...] = field(init=False, repr=False)
     _algebra: PbwAlgebra = field(init=False, repr=False)
-    _transports: dict = field(init=False, repr=False, default_factory=dict)
+    _transports: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mode", BracketMode.coerce(self.mode))
@@ -84,6 +83,7 @@ class StabilityStructure:
         if self.refinement is not None:
             _check_args(refinement=self.refinement)
             _check_surface(self.refinement, self.lattice)
+        object.__setattr__(self, "_transports", {alg.order.charges: self.spectrum})
 
     def algebra(self) -> PbwAlgebra:
         """The algebra over this structure's cone, on its enumeration's chart."""
@@ -349,9 +349,7 @@ def transport_spectrum(
 
     Every call checks the membership, the first-type wall and the
     second-type guard under z_new.  The conversion and factorization run
-    once per distinct target order and heights, kept in the structure's
-    _transports; a target keyed like the source factorizes the product
-    without converting it."""
+    once per distinct target order, kept in the structure's _transports."""
     _check_args(struct=struct)
     alg_new = PbwAlgebra(struct.lattice, z_new, struct.q, struct.sector, struct.trunc, struct.mode)
     members_new = alg_new.members
@@ -368,20 +366,11 @@ def transport_spectrum(
         )
     for alg in (struct.algebra(), alg_new):
         _guard_second_type(alg, members_new)
-    key = _transport_key(alg_new)
+    key = alg_new.order.charges
     spectrum = struct._transports.get(key)
     if spectrum is None:
-        product = struct._product
-        if key != _transport_key(struct.algebra()):
-            product = alg_new.convert(product)
-        spectrum = struct._transports[key] = alg_new.factorize(product)
+        spectrum = struct._transports[key] = alg_new.factorize(alg_new.convert(struct._product))
     return spectrum
-
-
-def _transport_key(alg: PbwAlgebra) -> tuple:
-    """What convert and factorize read of a target algebra that its
-    structure does not fix: the generator order and the letter heights."""
-    return alg.order.charges, tuple(alg._heights)
 
 
 @dataclass(frozen=True)

@@ -100,9 +100,12 @@ def _operand_error(a: Charge, b) -> ValidationError:
 
 def charges_parallel(b1: Charge, b2: Charge) -> bool:
     """True when b1 and b2 are rational multiples of one another."""
-    n = len(b1.coords)
-    if n != len(b2.coords):
-        raise _operand_error(b1, b2)
+    try:
+        n = len(b1.coords)
+        if n != len(b2.coords):
+            raise _operand_error(b1, b2)
+    except AttributeError:
+        raise _operand_error(*((b1, b2) if isinstance(b1, Charge) else (b2, b1))) from None
     for i in range(n):
         for j in range(i + 1, n):
             if b1.coords[i] * b2.coords[j] != b1.coords[j] * b2.coords[i]:

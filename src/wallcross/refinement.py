@@ -74,6 +74,7 @@ class CohomologyAction:
         return sum(b * (g % 2) for b, g in zip(self.bits, gamma)) % 2
 
     def apply(self, sigma: QuadraticRefinement) -> QuadraticRefinement:
+        _check_args(sigma=sigma)
         if len(self.bits) != sigma.surface.dim:
             raise ValidationError("action length does not match surface")
         signs = tuple(

@@ -94,9 +94,11 @@ MUTANTS = [
      "twisted mode brackets by the plain pairing"),
     # -- the transport memo and the second-type guard
     ("transport-key", ENGINE,
-     "return alg.order.charges, tuple(alg._heights)",
-     "return alg.order.charges, ()",
-     "two targets of one order but other heights share a transport"),
+     "key = alg_new.order.charges", "key = tuple(alg_new.members)",
+     "every target reads the seeded spectrum of the source order"),
+    ("transport-seed", ENGINE,
+     "{alg.order.charges: self.spectrum}", "{}",
+     "the source order's spectrum is factorized again"),
     ("transport-target-z", ENGINE,
      "alg_new = PbwAlgebra(struct.lattice, z_new,", "alg_new = PbwAlgebra(struct.lattice, struct.z,",
      "a transport sorts its target algebra by the source central charge"),

@@ -613,8 +613,8 @@ def test_cross_and_walls_build_one_chart_per_central_charge(capsys, monkeypatch)
 @pytest.mark.parametrize("scenario", [CROSSING, KRONECKER], ids=["crossing", "kronecker"])
 def test_cross_converts_and_factorizes_once_per_generator_order(capsys, monkeypatch, scenario):
     # lambda 8: every transport still checks its own chart, but the 2
-    # samples before the wall keep the source order (no conversion) and
-    # the 3 after it share one order, so 2 factorizations serve all 5
+    # samples before the wall read the seeded spectrum of the source order
+    # and the 3 after it share one order, so 1 factorization serves all 5
     counts = _call_counts(
         monkeypatch,
         (lattice._Chart, "__init__", "charts"),
@@ -625,7 +625,7 @@ def test_cross_converts_and_factorizes_once_per_generator_order(capsys, monkeypa
     code, out, err = run_cli(capsys, "--scenario", scenario, "--command", "cross",
                              "--lambda", "8")
     assert (code, err) == (0, "") and out
-    assert counts == {"charts": 6, "transports": 5, "converts": 1, "factorizations": 2}
+    assert counts == {"charts": 6, "transports": 5, "converts": 1, "factorizations": 1}
 
 
 def test_selftest_builds_two_charts_and_checks_no_members(capsys, monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import wallcross.engine as engine
 from conftest import build_setup, ray_invariants
-from wallcross.algebra import PbwAlgebra, Spectrum
+from wallcross.algebra import BracketMode, PbwAlgebra, Spectrum
 from wallcross.engine import (
     StabilityStructure,
     VariationPath,
@@ -45,6 +45,7 @@ from wallcross.lattice import (
     charges_parallel,
     cone_enumerate,
     cross,
+    wall_first_type,
 )
 from wallcross.refinement import all_refinements, twist_spectrum
 from wallcross.scenario import parse_scenario
@@ -830,21 +831,22 @@ def test_transport_at_the_source_charge_converts_nothing(monkeypatch):
 
     monkeypatch.setattr(PbwAlgebra, "convert", counted)
     assert transport_spectrum(struct, struct.z) == struct.spectrum
-    assert calls == []
+    # the source order reads the seeded spectrum: no product is built
+    assert calls == [] and "_product" not in vars(struct)
 
 
-def test_transport_memo_keys_on_the_heights():
+def test_transport_memo_keys_on_the_generator_order():
     # cutoff 5/2 keeps the cone of crossing's geometry while the height row
-    # moves from (1, 1) to (1, 8/7): no two samples share their heights, so
-    # all 5 are factorized apart, over the 2 generator orders
+    # moves from (1, 1) to (1, 8/7): no two samples share their heights, yet
+    # the 5 samples read 2 entries, the seeded source order and the order
+    # after the wall
     s = crossing_setup()
     trunc = dataclasses.replace(s.trunc, cutoff=Fraction(5, 2))
     struct = StabilityStructure(s.lattice, s.z, s.q, s.sector, trunc,
                                 Spectrum(primitive_spectrum()))
     path = VariationPath((s.z, zmat(((1, -1), (1, Fraction(8, 7))))))
     report = check_variation(path, struct)
-    orders = [order for order, _ in struct._transports]
-    assert len(orders) == 5 and len(set(orders)) == 2
+    assert len(struct._transports) == 2
     assert report.final.coefficient(Charge((1, 1))) == 1
     unstored = StabilityStructure(s.lattice, s.z, s.q, s.sector, trunc,
                                   Spectrum(primitive_spectrum()))
@@ -857,8 +859,11 @@ KRONECKER_SCN = parse_scenario(
 
 # the second row of a keyframe: the height row under the covector (0, 1).
 # At cutoffs 5/2 and 7/2 every row here keeps the cone of (1, 1); at 2 and
-# 3 a moved row changes it, and the transport's rejection is compared too
-HEIGHT_ROWS = ((1, 1), (1, Fraction(8, 7)), (Fraction(8, 7), 1), (Fraction(15, 14), Fraction(8, 7)))
+# 3 only (13/14, 13/14) does, and under the others the transport's
+# rejection is compared too.  A ray key is the top row over the height row,
+# so (13/14, 13/14) keeps the generator order of (1, 1) under every top row
+HEIGHT_ROWS = ((1, 1), (1, Fraction(8, 7)), (Fraction(8, 7), 1), (Fraction(15, 14), Fraction(8, 7)),
+               (Fraction(13, 14), Fraction(13, 14)))
 
 
 @settings(max_examples=30)
@@ -886,6 +891,44 @@ def test_check_variation_matches_a_run_without_the_memo(data):
     # a second walk reads every transport from the memo
     assert _variation_outcome(path, struct) == expected
     assert _variation_outcome(path, struct) == expected
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_targets_of_one_generator_order_factorize_alike_whatever_the_heights(data):
+    # the members are closed under sums within the cutoff, so every word of
+    # a source product has a member as its charge and fits under the heights
+    # of any target with those members: convert drops none, and targets that
+    # differ only in their height rows read one spectrum
+    sc = data.draw(st.sampled_from((CROSSING_SCN, KRONECKER_SCN)))
+    cutoff = data.draw(st.sampled_from((Fraction(2), Fraction(5, 2), Fraction(3), Fraction(7, 2))))
+    mode = data.draw(st.sampled_from(tuple(BracketMode)))
+    trunc = dataclasses.replace(sc.trunc, cutoff=cutoff, scan_box=5)
+    source = PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, trunc, mode)
+    top = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    by_order = {}
+    for row in HEIGHT_ROWS:
+        z = zmat((top, row))
+        try:
+            target = PbwAlgebra(sc.lattice, z, sc.q, sc.sector, trunc, mode)
+        except WallcrossError:
+            continue
+        if set(target.members) == set(source.members) and wall_first_type(z, target.members) is None:
+            by_order.setdefault(target.order.charges, []).append(target)
+    groups = [targets for targets in by_order.values() if len(targets) > 1]
+    assume(groups)
+    targets = data.draw(st.sampled_from(groups))
+    weights = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    product = source.ray_product(Spectrum({ch: data.draw(weights) for ch in source.members}))
+    spectra = []
+    for target in targets:
+        converted = target.convert(product)
+        for element in (product, converted):
+            for word, _ in element.terms():
+                idxs = tuple(target.order.index[ch] for ch in word)
+                assert target._word_height(idxs) <= cutoff
+        spectra.append(target.factorize(converted))
+    assert all(spectrum == spectra[0] for spectrum in spectra)
 
 
 def test_event_lines_format_each_distinct_interval_once():

@@ -32,6 +32,7 @@ from wallcross.lattice import (
     Sector,
     SurfaceModel,
     TruncationSet,
+    charges_parallel,
     cone_enumerate,
     wall_first_type,
 )
@@ -185,6 +186,9 @@ CASES = {
     "element-plus-int": (
         lambda: _algebra().one() + 5,
         ValidationError, "other must be an AlgebraElement, got 5"),
+    "element-minus-none": (
+        lambda: _algebra().one() - None,
+        ValidationError, "other must be an AlgebraElement, got None"),
     "multiply-left-none": (
         lambda: _algebra().multiply(None, _algebra().one()),
         ValidationError, "left must be an AlgebraElement, got None"),
@@ -306,6 +310,9 @@ CASES = {
     "charge-times-charge": (
         lambda: Charge((1, 2)) * Charge((1, 2)),
         ValidationError, "charge multiplier must be an integer, got Charge(1, 2)"),
+    "parallel-of-none": (
+        lambda: charges_parallel(None, Charge((1, 2))),
+        ValidationError, "charge arithmetic needs a charge, got None"),
     "first-type-z-none": (
         lambda: wall_first_type(None, (Charge((1, 0)),)),
         ValidationError, "z must be a CentralCharge, got None"),
@@ -359,6 +366,9 @@ CASES = {
     "action-apply-length": (
         lambda: CohomologyAction((1,)).apply(QuadraticRefinement(SurfaceModel.standard(1), (1, 1))),
         ValidationError, "action length does not match surface"),
+    "action-apply-none": (
+        lambda: CohomologyAction((1, 0)).apply(None),
+        ValidationError, "sigma must be a QuadraticRefinement, got None"),
     "twist-spectrum-sigma-none": (
         lambda: twist_spectrum(None, build_setup().lattice, Spectrum({})),
         ValidationError, "sigma must be a QuadraticRefinement, got None"),
