@@ -47,9 +47,8 @@ from .lattice import (
     QuadraticForm,
     Sector,
     TruncationSet,
-    _checked_chart,
+    _Cone,
     _checker,
-    _cone,
     _dot,
     _exact,
     _mapping,
@@ -70,27 +69,6 @@ class BracketMode(enum.Enum):
             return cls(value)
         except ValueError:
             raise ValidationError(f"unknown bracket mode {value!r}") from None
-
-
-class GeneratorOrder:
-    """Total order on the truncated cone charges.
-
-    Primary key: clockwise phase of the central charge.  Ties (parallel
-    phases) break by height, then by lexicographic coordinates, so
-    proportional charges sit next to each other.
-    """
-
-    __slots__ = ("charges", "index")
-
-    def __init__(self, charges: tuple[Charge, ...]):
-        self.charges = charges
-        self.index = {ch: i for i, ch in enumerate(charges)}
-
-    def position(self, charge: Charge) -> int:
-        try:
-            return self.index[charge]
-        except KeyError:
-            raise ValidationError(f"letter outside the truncated cone: {charge!r}") from None
 
 
 class Spectrum:
@@ -130,8 +108,8 @@ class Spectrum:
 class PbwAlgebra:
     """Enveloping algebra truncated to words with total height <= cutoff.
 
-    Z sets only the generator order, so `with_mode` and transports build a
-    new algebra; each memoizes the brackets its rewrites read."""
+    Z sets only the generator order, read off the cone that `with_mode`
+    shares; each algebra memoizes the brackets its rewrites read."""
 
     def __init__(
         self,
@@ -143,38 +121,22 @@ class PbwAlgebra:
         mode: BracketMode | str = BracketMode.PLAIN,
         members: Optional[tuple[Charge, ...]] = None,
     ):
-        self.lattice = lattice
-        self.q = q
-        self.sector = sector
-        self.trunc = trunc
-        if members is None:
-            members, chart = _cone(lattice, z, q, sector, trunc)
-        else:  # held to what _cone gives, but for the ker Z check
-            chart = _checked_chart(lattice, z, q, sector, trunc)
-            members = _sequence(members, "members must be a sequence of charges")
-            for ch in members:
-                if not isinstance(ch, Charge) or len(ch) != lattice.rank or chart.height(ch.coords) is None:
-                    raise ValidationError(f"member {ch!r} is not a charge in the truncated sector")
-            if len(set(members)) < len(members):
-                raise ValidationError("members must not repeat a charge")
-        self.members = tuple(members)
-        self._cutoff = trunc.cutoff
-        self.z, self.mode, self._chart = z, BracketMode.coerce(mode), chart
-        charges, (c0, c1) = sorted(self.members, key=lambda ch: ch.coords), chart.cov
-        heights = [_dot(chart.hrow, ch.coords) for ch in charges]
-        # cross(Z, covector) / height (> 0 on the sector) grows clockwise; times
-        # the lcm of the heights it is an int, equal exactly on one ray's members.
-        # Parallel members follow by height, then by coordinates (a stable sort)
-        lcm = math.lcm(*heights)
-        rays = [(_dot(chart.zx, ch.coords) * c1 - _dot(chart.zy, ch.coords) * c0) * (lcm // h)
-                for ch, h in zip(charges, heights)]
-        perm = sorted(range(len(charges)), key=lambda i: (rays[i], heights[i]))
-        self.order = GeneratorOrder(tuple(charges[i] for i in perm))
-        self._rays = [rays[i] for i in perm]
-        self._heights = [Fraction(heights[i], chart.scale) for i in perm]
+        self._adopt(_Cone(lattice, z, q, sector, trunc, members), mode)
+
+    @classmethod
+    def _over(cls, cone: _Cone, mode: BracketMode | str) -> "PbwAlgebra":
+        """The algebra on a cone already built, and so already checked."""
+        return cls.__new__(cls)._adopt(cone, mode)
+
+    def _adopt(self, cone: _Cone, mode: BracketMode | str) -> "PbwAlgebra":
+        self._cone, self.mode, self.order = cone, BracketMode.coerce(mode), cone.order
+        self.lattice, self.z, self.q, self.sector, self.trunc, self.members = (
+            cone.lattice, cone.z, cone.q, cone.sector, cone.trunc, cone.members)
+        self._rays, self._heights, self._cutoff = self.order.rays, self.order.heights, self.trunc.cutoff
         self._brackets: dict[tuple[int, int], tuple[int, int | None]] = {}
         self.signature = (self.lattice.boundary, self.lattice.surface.intersection,
                           self.mode, self.order.charges)
+        return self
 
     def _bracket(self, a: int, b: int) -> tuple[int, int | None]:
         """c(a, b), the pairing with odd ones flipped in twisted mode, and
@@ -378,7 +340,7 @@ class PbwAlgebra:
         grows as an int numerator and denominator, reduced once per word
         by its Fraction.
         """
-        hrow, cap = self._chart.hrow, self._chart.cut
+        hrow, cap = self._cone.hrow, self._cone.cut
         words = [((), 1, 1, 0)]  # (word, numerator, denominator, height)
         for ch in (ch for group in self._ray_groups(spectrum) for ch in group):
             i, a, h = self.order.index[ch], spectrum.coefficient(ch), _dot(hrow, ch.coords)
@@ -443,7 +405,7 @@ class PbwAlgebra:
         return got
 
     def with_mode(self, mode: BracketMode | str) -> "PbwAlgebra":
-        return PbwAlgebra(self.lattice, self.z, self.q, self.sector, self.trunc, mode, self.members)
+        return PbwAlgebra._over(self._cone, mode)
 
     def _require_same(self, element: "AlgebraElement", name: str = "element") -> None:
         if not isinstance(element, AlgebraElement):  # one test on the hot path

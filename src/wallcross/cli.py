@@ -24,7 +24,7 @@ from .engine import (
     detect_walls,
 )
 from .errors import ReconstructionError, ValidationError, WallcrossError
-from .lattice import _cone, _dot, cone_enumerate
+from .lattice import _Cone, _dot, cone_enumerate
 from .multidisk import enumerate_forests, multilink_total
 from .refinement import all_refinements, twist_spectrum
 from .scenario import Scenario, parse_scenario
@@ -45,11 +45,11 @@ def _path(sc: Scenario) -> VariationPath:
 
 
 def cmd_cone(sc: Scenario) -> list[str]:
-    members, chart = _cone(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc)
-    if not members:
+    cone = _Cone(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc)
+    if not cone.members:
         return ["(empty)"]
-    # the chart's int heights are the exact ones times its scale
-    return [f"{ch.coords} height {_ratio(_dot(chart.hrow, ch.coords), chart.scale)}" for ch in members]
+    # the cone's int heights are the exact ones times its scale
+    return [f"{ch.coords} height {_ratio(_dot(cone.hrow, ch.coords), cone.scale)}" for ch in cone.members]
 
 
 def _ratio(n: int, d: int) -> str:

@@ -27,14 +27,15 @@ from .lattice import (
     Sector,
     TruncationSet,
     _GEOMETRY,
+    _Cone,
     _charge_set,
     _checker,
+    _cross,
     _dot,
     _exact,
     _scaled,
     _sequence,
     charges_parallel,
-    cross,
     wall_first_type,
 )
 from .refinement import QuadraticRefinement, _check_surface
@@ -59,18 +60,17 @@ class StabilityStructure:
     mode: BracketMode = BracketMode.PLAIN
     refinement: Optional[QuadraticRefinement] = None
     members: tuple[Charge, ...] = field(init=False, repr=False)
-    _algebra: PbwAlgebra = field(init=False, repr=False)
-    _transports: dict = field(init=False, repr=False)
+    _cone: _Cone = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mode", BracketMode.coerce(self.mode))
         if not isinstance(self.spectrum, Spectrum):
             object.__setattr__(self, "spectrum", Spectrum(self.spectrum))
-        alg = PbwAlgebra(self.lattice, self.z, self.q, self.sector, self.trunc, self.mode)
-        object.__setattr__(self, "_algebra", alg)
-        object.__setattr__(self, "members", alg.members)
+        object.__setattr__(self, "_cone", _Cone(self.lattice, self.z, self.q, self.sector, self.trunc))
+        object.__setattr__(self, "members", self._cone.members)
+        mset = set(self.members)
         for ch in self.spectrum.support():
-            if ch not in alg.order.index:
+            if ch not in mset:
                 raise ValidationError(
                     f"spectrum weight outside the truncated cone: {ch.coords}"
                 )
@@ -83,11 +83,18 @@ class StabilityStructure:
         if self.refinement is not None:
             _check_args(refinement=self.refinement)
             _check_surface(self.refinement, self.lattice)
-        object.__setattr__(self, "_transports", {alg.order.charges: self.spectrum})
 
     def algebra(self) -> PbwAlgebra:
-        """The algebra over this structure's cone, on its enumeration's chart."""
+        """The algebra over this structure's cone, built on first use."""
         return self._algebra
+
+    @functools.cached_property
+    def _algebra(self) -> PbwAlgebra:
+        return PbwAlgebra._over(self._cone, self.mode)
+
+    @functools.cached_property
+    def _transports(self) -> dict:
+        return {self._cone.order.charges: self.spectrum}
 
     @functools.cached_property
     def _product(self) -> AlgebraElement:
@@ -185,7 +192,7 @@ def _quadratic_events(a: int, b: int, c: int, tol: Fraction) -> list[tuple[Fract
 
 def _crossing(u0, du, v0, dv) -> tuple[int, int, int]:
     """(a, b, c) with cross(u0 + s du, v0 + s dv) = a + b s + c s^2."""
-    return cross(u0, v0), cross(u0, dv) + cross(du, v0), cross(du, dv)
+    return _cross(u0, v0), _cross(u0, dv) + _cross(du, v0), _cross(du, dv)
 
 
 def _segment_events(
@@ -322,9 +329,9 @@ def detect_walls(
     )
 
 
-def _guard_second_type(alg: PbwAlgebra, members) -> None:
-    """Reject a member sum with a part on a sector boundary ray under alg's Z."""
-    rays, mset = alg._chart.forms[1:], set(members)
+def _guard_second_type(cone: _Cone, members) -> None:
+    """Reject a member sum with a part on a sector boundary ray under cone's Z."""
+    rays, mset = cone.forms[1:], set(members)
     for b1 in members:
         if all(_dot(row, b1.coords) for row, _ in rays):  # members lie in the sector
             continue
@@ -348,28 +355,29 @@ def transport_spectrum(
     The element itself never changes; only the ordered factorization does.
 
     Every call checks the membership, the first-type wall and the
-    second-type guard under z_new.  The conversion and factorization run
-    once per distinct target order, kept in the structure's _transports."""
+    second-type guard on the cone under z_new.  The target algebra, the
+    conversion and the factorization come once per distinct target order."""
     _check_args(struct=struct)
-    alg_new = PbwAlgebra(struct.lattice, z_new, struct.q, struct.sector, struct.trunc, struct.mode)
-    members_new = alg_new.members
-    if set(members_new) != set(struct.members):
+    target = _Cone(struct.lattice, z_new, struct.q, struct.sector, struct.trunc)
+    members = target.members
+    if set(members) != set(struct.members):
         raise ValidationError(
             "transport requires the same truncated cone membership under "
             "both central charges"
         )
-    witness = wall_first_type(z_new, members_new)
+    witness = wall_first_type(z_new, members)
     if witness is not None:
         raise FirstTypeWallError(
             "target central charge lies on a first-type wall: "
             f"{witness[0].coords} ~ {witness[1].coords}"
         )
-    for alg in (struct.algebra(), alg_new):
-        _guard_second_type(alg, members_new)
-    key = alg_new.order.charges
+    for cone in (struct._cone, target):
+        _guard_second_type(cone, members)
+    key = target.order.charges
     spectrum = struct._transports.get(key)
     if spectrum is None:
-        spectrum = struct._transports[key] = alg_new.factorize(alg_new.convert(struct._product))
+        alg = PbwAlgebra._over(target, struct.mode)
+        spectrum = struct._transports[key] = alg.factorize(alg.convert(struct._product))
     return spectrum
 
 

@@ -7,6 +7,7 @@ determinant; no angles, no floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -19,9 +20,16 @@ from .errors import ValidationError
 Vec2 = tuple[Fraction, Fraction]
 
 
-def cross(u, v) -> Fraction:
-    """Cross determinant u_x v_y - u_y v_x.  Sign encodes relative phase."""
+def _cross(u, v):
+    """cross on entries already checked."""
     return u[0] * v[1] - u[1] * v[0]
+
+
+def cross(u, v) -> Fraction:
+    """Cross determinant u_x v_y - u_y v_x.  Sign encodes relative phase.
+    Each argument is a pair of exact rationals; ints and Fractions are
+    multiplied as given, so two int pairs give an int."""
+    return _cross(_pair(u, "u"), _pair(v, "v"))
 
 
 def phase_precedes(u, v) -> bool:
@@ -29,7 +37,7 @@ def phase_precedes(u, v) -> bool:
     clockwise sweep, i.e. cross(u, v) < 0.  Parallel rays never precede
     each other.  Only meaningful for vectors inside one strictly convex
     sector, where the clockwise sweep is a linear order on rays."""
-    return cross(u, v) < 0
+    return _cross(_pair(u, "u"), _pair(v, "v")) < 0
 
 
 class Charge:
@@ -179,12 +187,19 @@ def _freeze_fraction_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-def _plane(v, what: str) -> Vec2:
-    """An exact plane vector: exactly two rational entries."""
+def _pair(v, what: str) -> tuple:
+    """v's two exact rational entries: an int or a Fraction as given, any
+    other rational as its Fraction."""
     try:
         x, y = v
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be a pair of rationals, got {v!r}") from None
+    return tuple(a if isinstance(a, (int, Fraction)) else _exact(a) for a in (x, y))
+
+
+def _plane(v, what: str) -> Vec2:
+    """An exact plane vector: exactly two rational entries."""
+    x, y = _pair(v, what)
     return _exact(x), _exact(y)
 
 
@@ -360,23 +375,23 @@ class Sector:
         object.__setattr__(self, "end", end)
         if start == (0, 0) or end == (0, 0):
             raise ValidationError("sector boundary directions must be nonzero")
-        if cross(*_scaled((start, end))[1]) >= 0:  # on ints, one positive scale
+        if _cross(*_scaled((start, end))[1]) >= 0:  # on ints, one positive scale
             raise ValidationError("sector not strictly convex")
 
     def contains(self, v) -> bool:
         v = _plane(v, "v")
         if v[0] == 0 and v[1] == 0:
             raise ValidationError("sector membership is undefined for the zero vector")
-        return cross(self.start, v) <= 0 and cross(v, self.end) <= 0
+        return _cross(self.start, v) <= 0 and _cross(v, self.end) <= 0
 
     def boundary_ray(self, v) -> Optional[str]:
         """'start' or 'end' when v lies on that boundary ray, else None.
         Only meaningful for v inside the sector."""
         if not self.contains(v):
             return None
-        if cross(self.start, v) == 0:
+        if _cross(self.start, v) == 0:
             return "start"
-        if cross(v, self.end) == 0:
+        if _cross(v, self.end) == 0:
             return "end"
         return None
 
@@ -483,23 +498,47 @@ def check_kernel_definiteness(z: CentralCharge, q: QuadraticForm) -> None:
         raise ValidationError("quadratic form is not negative definite on ker Z")
 
 
-class _Chart:
-    """The integer picture of (Z, sector, truncation) that every exact test
-    reads: Z's rows, and the sector rays with the covector, each scaled by a
-    positive integer, which keeps every sign, phase order and height order.
-    The height row is the covector applied to Z's rows, so an int height is
-    the rational one times scale; cut is the cutoff times scale, rounded
-    down, which keeps every comparison of an int height with it.
+class GeneratorOrder:
+    """Total order on the truncated cone charges.
 
-    forms holds the half-planes row . point <= bound that height and scan
-    test: (hrow, cut), then cross(start, Z) and cross(Z, end) with bound 0.
+    Primary key: clockwise phase of the central charge.  Ties (parallel
+    phases) break by height, then by lexicographic coordinates, so
+    proportional charges sit next to each other.  rays and heights hold
+    each charge's int ray key, equal exactly on one ray, and height."""
 
-    Building one checks, on ints, that the covector is positive on the
-    sector, as TruncationSet.validate_for does."""
+    __slots__ = ("charges", "index", "rays", "heights")
 
-    __slots__ = ("zx", "zy", "cov", "hrow", "cut", "scale", "forms")
+    def __init__(self, charges: tuple[Charge, ...], rays: list[int], heights: list[Fraction]):
+        self.charges, self.rays, self.heights = charges, rays, heights
+        self.index = {ch: i for i, ch in enumerate(charges)}
 
-    def __init__(self, z: CentralCharge, sector: Sector, trunc: TruncationSet):
+    def position(self, charge: Charge) -> int:
+        try:
+            return self.index[charge]
+        except KeyError:
+            raise ValidationError(f"letter outside the truncated cone: {charge!r}") from None
+
+
+class _Cone:
+    """The truncated cone of one (lattice, Z, Q, sector, truncation) on the
+    integer chart that every exact test reads: Z's rows, and the sector
+    rays with the covector, each scaled by a positive integer, which keeps
+    every sign, phase order and height order.  The height row is the
+    covector applied to Z's rows, so an int height is the rational one
+    times scale; cut is the cutoff times scale, rounded down, which keeps
+    every comparison of an int height with it.  forms holds the half-planes
+    row . point <= bound that height and scan test: (hrow, cut), then
+    cross(start, Z) and cross(Z, end) with bound 0.
+
+    Building one checks each argument's class, Z and Q of the lattice rank
+    and the covector on the sector, then enumerates the members or checks
+    explicit ones (all but ker Z).  The order is sorted on first use."""
+
+    def __init__(self, lattice, z, q, sector, trunc, members=None):
+        _check_geometry(lattice=lattice, z=z, q=q, sector=sector, trunc=trunc)
+        if z.rank != lattice.rank or q.rank != lattice.rank:
+            raise ValidationError("central charge / quadratic form rank must match the lattice")
+        self.lattice, self.z, self.q, self.sector, self.trunc = lattice, z, q, sector, trunc
         dz, (self.zx, self.zy) = _scaled(z.matrix)
         dc, ((sx, sy), (ex, ey), self.cov) = _scaled((sector.start, sector.end, trunc.covector))
         c0, c1 = self.cov
@@ -513,15 +552,17 @@ class _Chart:
             ([sx * y - sy * x for x, y in zip(self.zx, self.zy)], 0),
             ([ey * x - ex * y for x, y in zip(self.zx, self.zy)], 0),
         )
-
-    def height(self, point) -> Optional[int]:
-        """The point's height when its Z value is nonzero, in the closed
-        sector and within the cutoff, else None."""
-        h, s, e = (_dot(row, point) for row, _ in self.forms)
-        # both ray forms vanish only at Z = 0, which lies in no sector
-        if h > self.cut or s > 0 or e > 0 or s == e == 0:
-            return None
-        return h
+        if members is None:
+            self.members = self._enumerate()
+            return
+        members = _sequence(members, "members must be a sequence of charges")
+        for ch in members:  # within the three half-planes, Z = 0 exactly where the height is 0
+            if (not isinstance(ch, Charge) or len(ch) != lattice.rank or not _dot(self.hrow, ch.coords)
+                    or any(_dot(row, ch.coords) > bound for row, bound in self.forms)):
+                raise ValidationError(f"member {ch!r} is not a charge in the truncated sector")
+        if len(set(members)) < len(members):
+            raise ValidationError("members must not repeat a charge")
+        self.members = members
 
     def scan(self, box: int):
         """The points of [-box, box]^rank on the inner side of the three
@@ -543,6 +584,52 @@ class _Chart:
                 for t in range(lo, hi + 1):
                     yield (*head, t)
 
+    def _enumerate(self) -> tuple[Charge, ...]:
+        """cone_enumerate's members, found on this chart."""
+        if _kernel_rows(self.zx, self.zy):  # ker Z from the chart's rows is not 0: check Q on it
+            check_kernel_definiteness(self.z, self.q)
+        box = self.trunc.scan_box
+        qm = [x for row in _scaled(self.q.matrix)[1] for x in row]  # Q(p) = qm . (p_i p_j)
+        # heights are positive ints, so a member sums at most cut generators from the box: its
+        # coordinates stay within box * cut, and its key in base 2 * box * cut + 1 is unique
+        powers = [(2 * box * self.cut + 1) ** i for i in range(self.lattice.rank)]
+        gens: list[tuple[int, tuple[int, ...], int]] = []
+        for point in self.scan(box):
+            h = _dot(self.hrow, point)  # scan keeps the sector below the cutoff: h = 0 only at Z = 0
+            if h and _dot(qm, [a * b for a in point for b in point]) >= 0:
+                gens.append((_dot(powers, point), point, h))
+        gens.sort(key=operator.itemgetter(2))  # heights add up along the closure
+        members = {k: (h, g) for k, g, h in gens}
+        frontier, cut, add = gens, self.cut, operator.add
+        while frontier:
+            fresh = []
+            for km, m, hm in frontier:
+                for kg, g, hg in gens:
+                    h = hm + hg
+                    if h > cut:
+                        break
+                    if (k := km + kg) not in members:
+                        s = tuple(map(add, m, g))
+                        members[k] = h, s
+                        fresh.append((k, s, h))
+            frontier = fresh
+        return tuple(Charge(c) for _, c in sorted(members.values()))
+
+    @functools.cached_property
+    def order(self) -> GeneratorOrder:
+        """The members in generator order.  cross(Z, covector) / height
+        (> 0 on the sector) grows clockwise; times the lcm of the heights it
+        is an int ray key, equal exactly on one ray's members, which follow
+        by height, then by coordinates (a stable sort)."""
+        charges, (c0, c1) = sorted(self.members, key=lambda ch: ch.coords), self.cov
+        heights = [_dot(self.hrow, ch.coords) for ch in charges]
+        lcm = math.lcm(*heights)
+        rays = [(_dot(self.zx, ch.coords) * c1 - _dot(self.zy, ch.coords) * c0) * (lcm // h)
+                for ch, h in zip(charges, heights)]
+        perm = sorted(range(len(charges)), key=lambda i: (rays[i], heights[i]))
+        return GeneratorOrder(tuple(charges[i] for i in perm), [rays[i] for i in perm],
+                              [Fraction(heights[i], self.scale) for i in perm])
+
 
 def cone_enumerate(
     lattice: ChargeLattice,
@@ -556,14 +643,11 @@ def cone_enumerate(
 
     Generators are the charges with central charge inside the sector and
     non-negative quadratic form, found in the integer box given by
-    trunc.scan_box.  Only the box points that `_Chart.scan` leaves (one
-    interval of the last coordinate per value of the others) take the
-    exact height and Q tests; they come in lexicographic order, as in a
-    full scan.  Heights of generators are strictly positive, so the
-    additive closure below the cutoff is finite.  Q is scaled by a
-    positive integer, like the chart's data, which keeps its sign.
+    trunc.scan_box: only the points that `_Cone.scan` leaves take the
+    exact Q test.  Heights of generators are strictly positive, so the
+    additive closure below the cutoff is finite.
     """
-    return _cone(lattice, z, q, sector, trunc)[0]
+    return _Cone(lattice, z, q, sector, trunc).members
 
 
 def _checker(classes: dict):
@@ -581,46 +665,6 @@ _GEOMETRY = {"lattice": ChargeLattice, "z": CentralCharge, "q": QuadraticForm,
 _check_geometry = _checker(_GEOMETRY)
 
 
-def _checked_chart(lattice, z, q, sector, trunc) -> _Chart:
-    """The chart, once each argument has its class and Z and Q the lattice rank."""
-    _check_geometry(lattice=lattice, z=z, q=q, sector=sector, trunc=trunc)
-    if z.rank != lattice.rank or q.rank != lattice.rank:
-        raise ValidationError("central charge / quadratic form rank must match the lattice")
-    return _Chart(z, sector, trunc)
-
-
-def _cone(lattice, z, q, sector, trunc) -> tuple[tuple[Charge, ...], _Chart]:
-    """cone_enumerate's members and the chart they were found on."""
-    chart = _checked_chart(lattice, z, q, sector, trunc)
-    if _kernel_rows(chart.zx, chart.zy):  # ker Z from the chart's rows is not 0: check Q on it
-        check_kernel_definiteness(z, q)
-    qm = [x for row in _scaled(q.matrix)[1] for x in row]  # Q(p) = qm . (p_i p_j)
-    # heights are positive ints, so a member sums at most cut generators from the box: its
-    # coordinates stay within box * cut, and its key in base 2 * box * cut + 1 is unique
-    powers = [(2 * trunc.scan_box * chart.cut + 1) ** i for i in range(lattice.rank)]
-    gens: list[tuple[int, tuple[int, ...], int]] = []
-    for point in chart.scan(trunc.scan_box):
-        h = _dot(chart.hrow, point)  # scan keeps the sector below the cutoff: h = 0 only at Z = 0
-        if h and _dot(qm, [a * b for a in point for b in point]) >= 0:
-            gens.append((_dot(powers, point), point, h))
-    gens.sort(key=operator.itemgetter(2))  # heights add up along the closure
-    members = {k: (h, g) for k, g, h in gens}
-    frontier, cut, add = gens, chart.cut, operator.add
-    while frontier:
-        fresh = []
-        for km, m, hm in frontier:
-            for kg, g, hg in gens:
-                h = hm + hg
-                if h > cut:
-                    break
-                if (k := km + kg) not in members:
-                    s = tuple(map(add, m, g))
-                    members[k] = h, s
-                    fresh.append((k, s, h))
-        frontier = fresh
-    return tuple(Charge(c) for _, c in sorted(members.values())), chart
-
-
 def wall_first_type(
     z: CentralCharge, charges: Iterable[Charge]
 ) -> Optional[tuple[Charge, Charge]]:
@@ -631,7 +675,7 @@ def wall_first_type(
     zx, zy = _scaled(z.matrix)[1]
     zs = [(_dot(zx, b.coords), _dot(zy, b.coords)) for b in cs]
     for (b1, v1), (b2, v2) in itertools.combinations(zip(cs, zs), 2):
-        if cross(v1, v2) == 0 and not charges_parallel(b1, b2):
+        if _cross(v1, v2) == 0 and not charges_parallel(b1, b2):
             return (b1, b2)
     return None
 

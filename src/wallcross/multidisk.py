@@ -24,12 +24,11 @@ from .lattice import (
     SurfaceModel,
     _GEOMETRY,
     _checker,
+    _cross,
     _exact,
     _integers,
     _mapping,
     _sequence,
-    cross,
-    phase_precedes,
 )
 
 
@@ -304,7 +303,7 @@ def link(
         raise ValidationError("linking needs distinct heights")
     z1 = z.evaluate(v1.charge)
     z2 = z.evaluate(v2.charge)
-    if cross(z1, z2) == 0:
+    if _cross(z1, z2) == 0:
         if surface.pairing_h1(v1.boundary, v2.boundary) != 0:
             raise FirstTypeWallError(
                 "first-type wall: parallel central charges with nonzero pairing"
@@ -312,7 +311,7 @@ def link(
         return 0
     if v1.theta > v2.theta:  # make v1 the lower curve
         v1, v2, z1, z2 = v2, v1, z2, z1
-    if phase_precedes(z1, z2):
+    if _cross(z1, z2) < 0:  # z1 precedes z2
         return 0
     return surface.pairing_h1(v1.boundary, v2.boundary)
 

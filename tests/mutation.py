@@ -61,7 +61,7 @@ MUTANTS = [
     ("multiply-no-early-exit", ALGEBRA,
      "if hb > room:\n                    break", "if hb > room:\n                    continue",
      "every left word tests every right word"),
-    # -- the chart: its scan interval and its integer cutoff
+    # -- the cone's chart: its scan interval and its integer cutoff
     ("scan-upper-bound", LATTICE,
      "hi = min(hi, rest // c)", "hi = min(hi, rest // c - 1)",
      "the scan loses the last point of each interval"),
@@ -94,31 +94,39 @@ MUTANTS = [
      "twisted mode brackets by the plain pairing"),
     # -- the transport memo and the second-type guard
     ("transport-key", ENGINE,
-     "key = alg_new.order.charges", "key = tuple(alg_new.members)",
+     "key = target.order.charges", "key = tuple(target.members)",
      "every target reads the seeded spectrum of the source order"),
     ("transport-seed", ENGINE,
-     "{alg.order.charges: self.spectrum}", "{}",
+     "{self._cone.order.charges: self.spectrum}", "{}",
      "the source order's spectrum is factorized again"),
     ("transport-target-z", ENGINE,
-     "alg_new = PbwAlgebra(struct.lattice, z_new,", "alg_new = PbwAlgebra(struct.lattice, struct.z,",
-     "a transport sorts its target algebra by the source central charge"),
+     "target = _Cone(struct.lattice, z_new,", "target = _Cone(struct.lattice, struct.z,",
+     "a transport builds its target cone under the source central charge"),
+    ("transport-source-cone", ENGINE,
+     "members = target.members", "members = struct._cone.members",
+     "the membership, first-type and second-type checks read the source's cone"),
     ("second-type-guard", ENGINE,
      "if all(_dot(row, b1.coords) for row, _ in rays):",
      "if any(_dot(row, b1.coords) for row, _ in rays):",
      "the guard skips the members on a boundary ray and tests the others"),
-    # -- with_mode: a fresh algebra on the same members
+    # -- with_mode: a twin on the same cone
     ("with-mode-members", ALGEBRA,
-     "self.trunc, mode, self.members)", "self.trunc, mode)",
+     "return PbwAlgebra._over(self._cone, mode)",
+     "return PbwAlgebra(self.lattice, self.z, self.q, self.sector, self.trunc, mode)",
      "with_mode widens an algebra on explicit members to the whole cone"),
     ("with-mode-mode", ALGEBRA,
-     "self.trunc, mode, self.members)", "self.trunc, self.mode, self.members)",
+     "return PbwAlgebra._over(self._cone, mode)", "return PbwAlgebra._over(self._cone, self.mode)",
      "with_mode keeps the source's bracket mode"),
+    # -- explicit members: the chart's half-planes and a nonzero Z
+    ("member-zero-charge", LATTICE,
+     "or not _dot(self.hrow, ch.coords)\n", "\n",
+     "an explicit member with Z = 0 passes"),
     # -- the kernel check
     ("kernel-pivot-sign", LATTICE,
      "if pivot * sign <= 0:", "if pivot * sign < 0:",
      "a singular form on ker Z passes as negative definite"),
     ("kernel-skip", LATTICE,
-     "if _kernel_rows(chart.zx, chart.zy):", "if False:",
+     "if _kernel_rows(self.zx, self.zy):", "if False:",
      "the cone no longer checks Q on ker Z"),
     # -- multilink
     ("multilink-factorial", MULTIDISK,
@@ -166,8 +174,8 @@ MUTANTS = [
      "if h and _dot(qm, [a * b for a in point for b in point]) > 0:",
      "the cone drops the generators with Q = 0"),
     ("cone-key-base", LATTICE,
-     "powers = [(2 * trunc.scan_box * chart.cut + 1) ** i for i in range(lattice.rank)]",
-     "powers = [(trunc.scan_box + 1) ** i for i in range(lattice.rank)]",
+     "powers = [(2 * box * self.cut + 1) ** i for i in range(self.lattice.rank)]",
+     "powers = [(box + 1) ** i for i in range(self.lattice.rank)]",
      "the member keys collide once a coordinate leaves the box"),
     ("cone-height-text", CLI,
      'return f"{n // g}" if g == d else f"{n // g}/{d // g}"',
@@ -178,7 +186,7 @@ MUTANTS = [
      "if mat != tuple(zip(*mat) if sign < 0 else",
      "the symmetric and skew tests swap"),
     ("sector-convexity", LATTICE,
-     "if cross(*_scaled((start, end))[1]) >= 0:", "if cross(*_scaled((start, end))[1]) > 0:",
+     "if _cross(*_scaled((start, end))[1]) >= 0:", "if _cross(*_scaled((start, end))[1]) > 0:",
      "a sector of parallel rays passes as strictly convex"),
     ("sector-positivity", LATTICE,
      "if _dot(cov, start) <= 0 or _dot(cov, end) <= 0:",

@@ -591,7 +591,7 @@ def test_sector_terms_match_ray_product(data):
 
 def fraction_sector_terms(alg: PbwAlgebra, spectrum: Spectrum, limit) -> dict | None:
     """The closed form with every coefficient step c * a / k in Fractions."""
-    hrow, cap = alg._chart.hrow, alg._chart.cut
+    hrow, cap = alg._cone.hrow, alg._cone.cut
     words = [((), Fraction(1), 0)]
     for ch in (ch for group in alg._ray_groups(spectrum) for ch in group):
         i, a = alg.order.index[ch], spectrum.coefficient(ch)
@@ -740,7 +740,7 @@ def resorted(alg: PbwAlgebra, z: CentralCharge, mode) -> PbwAlgebra:
 def tables(alg: PbwAlgebra) -> tuple:
     """alg's order, heights, chart and signature, and every pair's bracket as
     the rewrites read it: from the memo, else through `_bracket`."""
-    chart = tuple(getattr(alg._chart, name) for name in alg._chart.__slots__)
+    chart = tuple(getattr(alg._cone, name) for name in ("zx", "zy", "cov", "hrow", "cut", "scale", "forms"))
     brackets = [alg._brackets.get(pair) or alg._bracket(*pair)
                 for pair in itertools.product(range(len(alg.order.charges)), repeat=2)]
     return alg.order.charges, brackets, alg._heights, chart, alg.signature

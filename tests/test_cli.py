@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import inspect
 import io
@@ -21,8 +22,9 @@ from conftest import build_setup, ray_invariants
 from wallcross.algebra import BracketMode, PbwAlgebra, Spectrum
 from wallcross.cli import COMMANDS, _apply_overrides, _ratio, cmd_cone, main, run
 from wallcross.errors import ValidationError
-from wallcross.lattice import CentralCharge, TruncationSet, cone_enumerate
-from wallcross.scenario import parse_scenario
+from wallcross.lattice import CentralCharge, Sector, TruncationSet, cone_enumerate
+from wallcross.refinement import to_twisted
+from wallcross.scenario import format_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PRIMITIVE = str(SCENARIOS / "primitive.scn")
@@ -549,9 +551,9 @@ def _call_counts(monkeypatch, *targets) -> Counter:
 
 
 def _count_member_checks(monkeypatch, counts: Counter) -> None:
-    """Count under "member checks" each algebra built from explicit members:
+    """Count under "member checks" each cone built from explicit members:
     the one path that checks members it did not enumerate itself."""
-    original = PbwAlgebra.__init__
+    original = lattice._Cone.__init__
     signature = inspect.signature(original)
 
     def counted(*args, **kwargs):
@@ -559,12 +561,12 @@ def _count_member_checks(monkeypatch, counts: Counter) -> None:
             counts["member checks"] += 1
         original(*args, **kwargs)
 
-    monkeypatch.setattr(PbwAlgebra, "__init__", counted)
+    monkeypatch.setattr(lattice._Cone, "__init__", counted)
 
 
 def test_member_check_counter_sees_explicit_members(monkeypatch):
-    # the counter behind the two tests below: members given by keyword or
-    # by position are counted, an enumerated cone is not
+    # the counter behind the tests below: members given by keyword or by
+    # position are counted, an enumerated cone is not
     counts = Counter()
     _count_member_checks(monkeypatch, counts)
     s = build_setup()
@@ -576,33 +578,36 @@ def test_member_check_counter_sees_explicit_members(monkeypatch):
 
 def test_product_builds_one_chart_and_checks_the_covector_once(capsys, monkeypatch):
     # the fixed path of one product call: the parse checks the covector on
-    # the sector and ker Z, and the structure's enumeration builds a chart
-    # (which checks the covector on ints) and checks ker Z; its algebra
-    # orders the members on that chart
+    # the sector and ker Z, and the structure's cone (which checks the
+    # covector on ints) checks ker Z; its algebra orders the members on
+    # that cone
     counts = _call_counts(
         monkeypatch,
-        (lattice._Chart, "__init__", "charts"),
+        (lattice._Cone, "__init__", "cones"),
         (TruncationSet, "validate_for", "validate_for"),
         (lattice, "_kernel_rows", "kernel checks"),  # once per check of ker Z
     )
     code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", "product",
                              "--lambda", "2")
     assert (code, err) == (0, "") and out
-    assert counts == {"charts": 1, "validate_for": 1, "kernel checks": 2}
+    assert counts == {"cones": 1, "validate_for": 1, "kernel checks": 2}
 
 
 def test_cross_and_walls_build_one_chart_per_central_charge(capsys, monkeypatch):
-    # crossing.scn at lambda 8: the structure orders its algebra on the
-    # chart its enumeration built and checks none of the members it just
-    # enumerated; each of cross's 5 transports builds its target algebra
-    # on the chart of its own enumeration
+    # crossing.scn at lambda 8: the structure builds one cone, and each of
+    # cross's 5 transports the cone of its own central charge, checking
+    # none of the members it enumerated.  walls reads the members alone and
+    # builds no algebra; cross builds two, the structure's for its product
+    # and the target of the one transport that misses the memo
     counts = _call_counts(
         monkeypatch,
-        (lattice._Chart, "__init__", "charts"),
+        (lattice._Cone, "__init__", "cones"),
+        (PbwAlgebra, "_adopt", "algebras"),
         (engine, "transport_spectrum", "transports"),
     )
     _count_member_checks(monkeypatch, counts)
-    for command, expected in (("cross", {"charts": 6, "transports": 5}), ("walls", {"charts": 1})):
+    for command, expected in (("cross", {"cones": 6, "algebras": 2, "transports": 5}),
+                              ("walls", {"cones": 1})):
         counts.clear()
         code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", command,
                                  "--lambda", "8")
@@ -612,12 +617,12 @@ def test_cross_and_walls_build_one_chart_per_central_charge(capsys, monkeypatch)
 
 @pytest.mark.parametrize("scenario", [CROSSING, KRONECKER], ids=["crossing", "kronecker"])
 def test_cross_converts_and_factorizes_once_per_generator_order(capsys, monkeypatch, scenario):
-    # lambda 8: every transport still checks its own chart, but the 2
+    # lambda 8: every transport still checks its own cone, but the 2
     # samples before the wall read the seeded spectrum of the source order
     # and the 3 after it share one order, so 1 factorization serves all 5
     counts = _call_counts(
         monkeypatch,
-        (lattice._Chart, "__init__", "charts"),
+        (lattice._Cone, "__init__", "cones"),
         (engine, "transport_spectrum", "transports"),
         (PbwAlgebra, "convert", "converts"),
         (PbwAlgebra, "factorize", "factorizations"),
@@ -625,18 +630,97 @@ def test_cross_converts_and_factorizes_once_per_generator_order(capsys, monkeypa
     code, out, err = run_cli(capsys, "--scenario", scenario, "--command", "cross",
                              "--lambda", "8")
     assert (code, err) == (0, "") and out
-    assert counts == {"charts": 6, "transports": 5, "converts": 1, "factorizations": 1}
+    assert counts == {"cones": 6, "transports": 5, "converts": 1, "factorizations": 1}
 
 
 def test_selftest_builds_two_charts_and_checks_no_members(capsys, monkeypatch):
-    # the selftest's algebra enumerates the cone on its own chart and one
-    # more enumeration checks that the cone is repeatable; the members the
-    # algebra enumerated are not checked again
-    counts = _call_counts(monkeypatch, (lattice._Chart, "__init__", "charts"))
+    # the selftest's algebra enumerates the cone and one more enumeration
+    # checks that the cone is repeatable; the members the algebra
+    # enumerated are not checked again
+    counts = _call_counts(monkeypatch, (lattice._Cone, "__init__", "cones"))
     _count_member_checks(monkeypatch, counts)
     code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", "selftest")
     assert (code, err) == (0, "") and out.endswith("selftest passed\n")
-    assert counts == {"charts": 2}
+    assert counts == {"cones": 2}
+
+
+def test_with_mode_and_to_twisted_share_the_cone(monkeypatch):
+    # a twin in the other mode reads its source's cone: no cone is built and
+    # no member checked again, on an enumerated cone or on explicit members
+    sc = parse_scenario((SCENARIOS / "crossing.scn").read_text(encoding="utf-8"))
+    plain = PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc)
+    explicit = PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc, members=plain.members[:3])
+    element = plain.ray_product(sc.spectrum)
+    counts = _call_counts(monkeypatch, (lattice._Cone, "__init__", "cones"),
+                          (PbwAlgebra, "_adopt", "algebras"))
+    _count_member_checks(monkeypatch, counts)
+    twins = [alg.with_mode("twisted") for alg in (plain, explicit)]
+    twisted = to_twisted(sc.refinement, element)
+    assert counts == {"algebras": 3}
+    for alg, twin in zip((plain, explicit), twins):
+        assert twin._cone is alg._cone and twin.members == alg.members
+        assert twin.mode is BracketMode.TWISTED and twin.order is alg.order
+    assert twisted.algebra._cone is plain._cone
+
+
+def _plane_image(text: str, g) -> str:
+    """The scenario with every plane vector mapped by g: Z and each keyframe
+    to g Z and the sector rays to g start and g end, and the covector to
+    covector g^-1, so that every height stays what it was."""
+    (a, b), (c, d) = g
+    det = a * d - b * c
+
+    def image(v):
+        return a * v[0] + b * v[1], c * v[0] + d * v[1]
+
+    def mapped(z):
+        return CentralCharge(tuple(zip(*map(image, zip(*z.matrix)))))
+
+    sc = parse_scenario(text)
+    x, y = sc.trunc.covector
+    return format_scenario(dataclasses.replace(
+        sc, z=mapped(sc.z), keyframes=tuple(map(mapped, sc.keyframes)),
+        sector=Sector(image(sc.sector.start), image(sc.sector.end)),
+        trunc=dataclasses.replace(sc.trunc, covector=((x * d - y * c) / det, (y * a - x * b) / det))))
+
+
+def _command_outputs(text: str) -> tuple:
+    """(exit code, stdout, stderr) of every command at --lambda 2 and 4 in
+    both modes, run in process on the scenario text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.scn"
+        path.write_text(text, encoding="utf-8")
+        runs = []
+        for command in COMMANDS:
+            for lam in ("2", "4"):
+                for mode in ("plain", "twisted"):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = main(["--scenario", str(path), "--command", command,
+                                     "--lambda", lam, "--mode", mode])
+                    runs.append((command, lam, mode, code, out.getvalue(), err.getvalue()))
+    return tuple(runs)
+
+
+@functools.cache
+def _shipped_outputs(name: str) -> tuple:
+    return _command_outputs((SCENARIOS / f"{name}.scn").read_text(encoding="utf-8"))
+
+
+_PLANE_ENTRY = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@pytest.mark.parametrize("name", ["crossing", "kronecker", "pentagon", "primitive"])
+@settings(max_examples=4, deadline=None)
+@given(g=st.tuples(st.tuples(_PLANE_ENTRY, _PLANE_ENTRY), st.tuples(_PLANE_ENTRY, _PLANE_ENTRY)))
+def test_every_command_is_blind_to_an_orientation_preserving_change_of_plane(name, g):
+    # GL+(2, Q) keeps every cross-product sign and, with the covector moved
+    # by g^-1, every height: the clockwise order, the sector, the cutoff and
+    # every event time, so every command prints the same bytes
+    (a, b), (c, d) = g
+    assume(a * d - b * c > 0)
+    text = (SCENARIOS / f"{name}.scn").read_text(encoding="utf-8")
+    assert _command_outputs(_plane_image(text, g)) == _shipped_outputs(name)
 
 
 def test_console_entry_point_runs():

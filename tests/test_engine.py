@@ -767,11 +767,11 @@ def test_check_variation_builds_the_source_product_once(monkeypatch):
     struct = StabilityStructure(sc.lattice, sc.z, sc.q, sc.sector, trunc, sc.spectrum)
     products, transports, builds = [], [], []
     ray_product, transport = PbwAlgebra.ray_product, engine.transport_spectrum
-    init = PbwAlgebra.__init__
+    adopt = PbwAlgebra._adopt
 
-    def counted_init(alg, *args, **kwargs):
+    def counted_adopt(alg, *args):
         builds.append(alg)
-        init(alg, *args, **kwargs)
+        return adopt(alg, *args)
 
     def counted_product(alg, spectrum):
         products.append(alg)
@@ -781,15 +781,16 @@ def test_check_variation_builds_the_source_product_once(monkeypatch):
         transports.append(args)
         return transport(*args)
 
-    monkeypatch.setattr(PbwAlgebra, "__init__", counted_init)
+    monkeypatch.setattr(PbwAlgebra, "_adopt", counted_adopt)
     monkeypatch.setattr(PbwAlgebra, "ray_product", counted_product)
     monkeypatch.setattr(engine, "transport_spectrum", counted_transport)
     report = check_variation(VariationPath(sc.path_keyframes()), struct)
     assert len(transports) == 5
     assert sum(alg is struct.algebra() for alg in products) == 1
-    # the structure built its algebra before the walk; each transport
-    # builds its target algebra
-    assert len(builds) == len(transports)
+    # the 2 samples before the wall read the seeded source order and the 3
+    # after it share one target order: the first of those builds the target
+    # algebra, and the structure's algebra for the product it converts
+    assert builds == [builds[0], struct.algebra()] and builds[0].order is not struct.algebra().order
     digest = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
     assert digest == "fc0e5239340f8b901e31fc1b829e7069820cec6069eef1ec412a6e3a0d0e9f83"
 

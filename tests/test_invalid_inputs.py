@@ -34,6 +34,8 @@ from wallcross.lattice import (
     TruncationSet,
     charges_parallel,
     cone_enumerate,
+    cross,
+    phase_precedes,
     wall_first_type,
 )
 from wallcross.multidisk import (
@@ -461,6 +463,27 @@ CASES = {
     "walls-zero-tolerance": (
         _walls_at_zero_tolerance,
         ValidationError, "tolerance must be positive"),
+    "cross-none": (
+        lambda: cross(None, (1, 2)),
+        ValidationError, "u must be a pair of rationals, got None"),
+    "cross-one-tuple": (
+        lambda: cross((1, 2), (1,)),
+        ValidationError, "v must be a pair of rationals, got (1,)"),
+    "cross-float": (
+        lambda: cross((Fraction(1, 2), 1), (0.5, 2)),
+        ValidationError, "exact rational expected, got float 0.5"),
+    "cross-none-entry": (
+        lambda: cross((1, None), (1, 2)),
+        ValidationError, "exact rational expected, got None"),
+    "phase-precedes-none": (
+        lambda: phase_precedes((1, 2), None),
+        ValidationError, "v must be a pair of rationals, got None"),
+    "phase-precedes-triple": (
+        lambda: phase_precedes((1, 2, 3), (1, 2)),
+        ValidationError, "u must be a pair of rationals, got (1, 2, 3)"),
+    "phase-precedes-float": (
+        lambda: phase_precedes((1.0, 2), (1, 2)),
+        ValidationError, "exact rational expected, got float 1.0"),
     "cli-unknown-command": (
         lambda: cli.run("bogus", parse_scenario(CROSSING)),
         ValidationError, "unknown command 'bogus'"),

@@ -29,7 +29,7 @@ from wallcross.lattice import (
     Sector,
     SurfaceModel,
     TruncationSet,
-    _Chart,
+    _Cone,
     _dot,
     charges_parallel,
     check_kernel_definiteness,
@@ -118,6 +118,22 @@ def test_phase_precedes(setup):
     assert phase_precedes(zg2, zg1) is True
     assert phase_precedes(zg1, zg2) is False
     assert phase_precedes(zg1, (Fraction(2), Fraction(2))) is False  # same ray
+
+
+@pytest.mark.parametrize("u, v, expected", [
+    ((1, 2), (3, 4), -2),
+    ((True, 0), (0, 1), 1),
+    ((Fraction(1, 2), 1), (1, 2), Fraction(0)),
+    ((Fraction(1, 2), 1), (Fraction(1, 3), 2), Fraction(2, 3)),
+    ((Decimal("0.5"), "1/3"), (1, 2), Fraction(2, 3)),
+    ([1, 2], range(3, 5), -2),
+], ids=["ints", "bool", "mixed", "fractions", "other-rationals", "sequences"])
+def test_cross_keeps_the_value_and_type_of_int_and_fraction_entries(u, v, expected):
+    # ints and Fractions are multiplied as given: int pairs give an int;
+    # any other exact rational enters as its Fraction
+    got = cross(u, v)
+    assert got == expected and type(got) is type(expected)
+    assert phase_precedes(u, v) is (expected < 0)
 
 
 def test_phase_precedes_is_strict_order(setup):
@@ -759,7 +775,8 @@ def test_chart_is_the_rational_truncated_sector_scaled(data):
     # TruncationSet.height against the cutoff.  The sector rays run through
     # the Z values of the first two points and the cutoff is the height of
     # the third, so boundary rays and the cutoff itself are hit exactly;
-    # the zero point has height 0 but lies in no sector.
+    # the zero point has height 0 but lies in no sector.  The chart holds
+    # an explicit member exactly when the rational picture does.
     rank = data.draw(st.integers(2, 3))
     z = CentralCharge(tuple(tuple(data.draw(_RATIONALS) for _ in range(rank)) for _ in range(2)))
     points = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * rank), min_size=3, max_size=20))
@@ -776,14 +793,18 @@ def test_chart_is_the_rational_truncated_sector_scaled(data):
     trunc = TruncationSet(cov, cutoff, 1)
     assume(trunc.height(start) > 0 and trunc.height(end) > 0)
     sector, heights, values = Sector(start, end), set(), set()
-    chart = _Chart(z, sector, trunc)
+    lattice, q = ChargeLattice(rank, (), SurfaceModel(())), QuadraticForm(((0,) * rank,) * rank)
+    chart = _Cone(lattice, z, q, sector, trunc, ())  # explicit and empty: no enumeration
     for point in points + [tuple(2 * x for x in p) for p in points[:2]] + [(0,) * rank]:
         v = z.evaluate(point)
         outside = v == (0, 0) or not sector.contains(v) or trunc.height(v) > cutoff
-        h = chart.height(point)
-        assert (h is None) == outside
-        if h is not None:
-            heights.add(Fraction(h) / trunc.height(v))
+        try:
+            _Cone(lattice, z, q, sector, trunc, (Charge(point),))
+        except ValidationError as err:
+            assert outside and "is not a charge in the truncated sector" in str(err)
+        else:
+            assert not outside
+            heights.add(Fraction(_dot(chart.hrow, point)) / trunc.height(v))
         x, y = _dot(chart.zx, point), _dot(chart.zy, point)
         if v == (0, 0):
             assert (x, y) == (0, 0)
