@@ -80,6 +80,8 @@ class Spectrum:
         self._map = _mapping(mapping, "spectrum", Charge, "spectrum keys must be charges")
 
     def coefficient(self, charge: Charge) -> Fraction:
+        if not isinstance(charge, Charge):
+            raise ValidationError(f"charge must be a Charge, got {charge!r}")
         return self._map.get(charge, Fraction(0))
 
     def support(self) -> tuple[Charge, ...]:
@@ -157,7 +159,7 @@ class PbwAlgebra:
         return AlgebraElement(self, {(): Fraction(1)})
 
     def generator(self, charge: Charge) -> "AlgebraElement":
-        i = self.order.position(charge)
+        i = self.order.position(charge, "charge")
         return AlgebraElement(self, {(i,): Fraction(1)})
 
     def from_terms(
@@ -183,7 +185,7 @@ class PbwAlgebra:
         return AlgebraElement(self, out)
 
     def structure_constant(self, a: Charge, b: Charge) -> int:
-        i, j = self.order.position(a), self.order.position(b)
+        i, j = self.order.position(a, "a"), self.order.position(b, "b")
         return (self._brackets.get((i, j)) or self._bracket(i, j))[0]
 
     # -- rewriting core --------------------------------------------------

@@ -329,22 +329,6 @@ def detect_walls(
     )
 
 
-def _guard_second_type(cone: _Cone, members) -> None:
-    """Reject a member sum with a part on a sector boundary ray under cone's Z."""
-    rays, mset = cone.forms[1:], set(members)
-    for b1 in members:
-        if all(_dot(row, b1.coords) for row, _ in rays):  # members lie in the sector
-            continue
-        for b2 in members:
-            if (b1 + b2) in mset:
-                total = b1 + b2
-                raise SecondTypeWallError(
-                    f"second-type wall: charge {total.coords} splits as "
-                    f"{b1.coords} + {b2.coords} with a constituent on the "
-                    "sector boundary"
-                )
-
-
 def transport_spectrum(
     struct: StabilityStructure, z_new: CentralCharge
 ) -> Spectrum:
@@ -354,26 +338,32 @@ def transport_spectrum(
     on the same cone sorted by the new central charge, and read back off.
     The element itself never changes; only the ordered factorization does.
 
-    Every call checks the membership, the first-type wall and the
-    second-type guard on the cone under z_new.  The target algebra, the
-    conversion and the factorization come once per distinct target order."""
+    Every call checks the membership, the first-type wall, read off the
+    target order (a ray's members sit together under one ray key), and the
+    second-type rule `_Cone.boundary_split` on both cones.  The target algebra,
+    the conversion and the factorization come once per distinct target order."""
     _check_args(struct=struct)
     target = _Cone(struct.lattice, z_new, struct.q, struct.sector, struct.trunc)
-    members = target.members
-    if set(members) != set(struct.members):
+    members, mset = target.members, set(target.members)
+    if mset != set(struct.members):
         raise ValidationError(
             "transport requires the same truncated cone membership under "
             "both central charges"
         )
-    witness = wall_first_type(z_new, members)
-    if witness is not None:
+    order, runs = target.order, []  # per wall ray: its first member in coordinates, first partner
+    for _, run in itertools.groupby(zip(order.rays, order.charges), lambda rc: rc[0]):
+        b1, *rest = sorted((ch for _, ch in run), key=lambda ch: ch.coords)
+        if (b2 := next((ch for ch in rest if not charges_parallel(b1, ch)), None)) is not None:
+            runs.append((b1.coords, b1, b2))
+    if runs:  # the pair that wall_first_type's scan in coordinate order meets first
+        _, b1, b2 = min(runs)
         raise FirstTypeWallError(
-            "target central charge lies on a first-type wall: "
-            f"{witness[0].coords} ~ {witness[1].coords}"
-        )
-    for cone in (struct._cone, target):
-        _guard_second_type(cone, members)
-    key = target.order.charges
+            f"target central charge lies on a first-type wall: {b1.coords} ~ {b2.coords}")
+    if split := struct._cone.boundary_split(members, mset) or target.boundary_split(members, mset):
+        b1, b2 = split
+        raise SecondTypeWallError(f"second-type wall: charge {(b1 + b2).coords} splits as {b1.coords} + "
+                                  f"{b2.coords} with a constituent on the sector boundary")
+    key = order.charges
     spectrum = struct._transports.get(key)
     if spectrum is None:
         alg = PbwAlgebra._over(target, struct.mode)

@@ -512,10 +512,12 @@ class GeneratorOrder:
         self.charges, self.rays, self.heights = charges, rays, heights
         self.index = {ch: i for i, ch in enumerate(charges)}
 
-    def position(self, charge: Charge) -> int:
+    def position(self, charge: Charge, name: str = "a letter of word") -> int:
         try:
             return self.index[charge]
-        except KeyError:
+        except (KeyError, TypeError):
+            if not isinstance(charge, Charge):
+                raise ValidationError(f"{name} must be a Charge, got {charge!r}") from None
             raise ValidationError(f"letter outside the truncated cone: {charge!r}") from None
 
 
@@ -630,6 +632,18 @@ class _Cone:
         return GeneratorOrder(tuple(charges[i] for i in perm), [rays[i] for i in perm],
                               [Fraction(heights[i], self.scale) for i in perm])
 
+    @functools.cached_property
+    def boundary(self) -> frozenset:
+        """The members on a sector boundary ray: a 0 in either ray's row of forms."""
+        return frozenset(ch for ch in self.members
+                         if not all(_dot(row, ch.coords) for row, _ in self.forms[1:]))
+
+    def boundary_split(self, members, totals) -> Optional[tuple[Charge, Charge]]:
+        """The first (b1, b2) of members, taken in that order, with b1 in
+        boundary and b1 + b2 in totals, or None: the second-type wall rule."""
+        return next(((b1, b2) for b1 in members if b1 in self.boundary
+                     for b2 in members if b1 + b2 in totals), None)
+
 
 def cone_enumerate(
     lattice: ChargeLattice,
@@ -689,15 +703,11 @@ def wall_second_type(
     trunc: TruncationSet,
 ) -> Optional[tuple[Charge, Charge]]:
     """Witness split beta = b1 + b2 with both parts truncated cone members
-    and the phase of b1 on a sector boundary ray, or None.  Splits through
-    zero are not considered.  Downward closure of the truncated cone makes
-    the member-level scan complete for beta below the cutoff."""
-    members = cone_enumerate(lattice, z, q, sector, trunc)
-    mset = set(members)
-    for b1 in members:
-        b2 = beta - b1
-        if b2.is_zero() or b2 not in mset:
-            continue
-        if sector.boundary_ray(z.evaluate(b1)) is not None:
-            return (b1, b2)
-    return None
+    and the phase of b1 on a sector boundary ray, or None: the cone's
+    `boundary_split` with the one total beta.  Downward closure of the
+    truncated cone makes the member-level scan complete below the cutoff."""
+    _check_geometry(lattice=lattice)
+    if not isinstance(beta, Charge) or len(beta.coords) != lattice.rank:
+        raise ValidationError(f"beta must be a charge of lattice rank {lattice.rank}, got {beta!r}")
+    cone = _Cone(lattice, z, q, sector, trunc)
+    return cone.boundary_split(cone.members, {beta})

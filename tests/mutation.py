@@ -92,9 +92,9 @@ MUTANTS = [
      "if k & 1 and self.mode is BracketMode.TWISTED:\n            k = -k",
      "if False:\n            k = -k",
      "twisted mode brackets by the plain pairing"),
-    # -- the transport memo and the second-type guard
+    # -- the transport memo and its target cone
     ("transport-key", ENGINE,
-     "key = target.order.charges", "key = tuple(target.members)",
+     "key = order.charges", "key = tuple(target.members)",
      "every target reads the seeded spectrum of the source order"),
     ("transport-seed", ENGINE,
      "{self._cone.order.charges: self.spectrum}", "{}",
@@ -103,12 +103,24 @@ MUTANTS = [
      "target = _Cone(struct.lattice, z_new,", "target = _Cone(struct.lattice, struct.z,",
      "a transport builds its target cone under the source central charge"),
     ("transport-source-cone", ENGINE,
-     "members = target.members", "members = struct._cone.members",
-     "the membership, first-type and second-type checks read the source's cone"),
-    ("second-type-guard", ENGINE,
-     "if all(_dot(row, b1.coords) for row, _ in rays):",
-     "if any(_dot(row, b1.coords) for row, _ in rays):",
-     "the guard skips the members on a boundary ray and tests the others"),
+     "members, mset = target.members, set(target.members)",
+     "members, mset = struct._cone.members, set(struct._cone.members)",
+     "the membership check and both guards read the source's members"),
+    # -- the walls a transport reads off its cones: the runs of one ray key
+    # and the members on a boundary ray
+    ("first-type-run-key", ENGINE,
+     "lambda rc: rc[0]", "lambda rc: rc[1]",
+     "every member is a run of its own, so no two share a ray"),
+    ("first-type-run-witness", ENGINE,
+     "b1, *rest = sorted(", "*rest, b1 = sorted(",
+     "a ray's witness starts from its last member in coordinates, not its first"),
+    ("second-type-guard", LATTICE,
+     "if not all(_dot(row, ch.coords) for row, _ in self.forms[1:])",
+     "if all(_dot(row, ch.coords) for row, _ in self.forms[1:])",
+     "the boundary holds the members off the boundary rays, not those on them"),
+    ("boundary-start-ray", LATTICE,
+     "for row, _ in self.forms[1:]))", "for row, _ in self.forms[2:]))",
+     "the boundary reads the end ray alone and misses the members on the start ray"),
     # -- with_mode: a twin on the same cone
     ("with-mode-members", ALGEBRA,
      "return PbwAlgebra._over(self._cone, mode)",

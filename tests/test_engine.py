@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import wallcross.engine as engine
+import wallcross.lattice as lattice
 from conftest import build_setup, ray_invariants
 from wallcross.algebra import BracketMode, PbwAlgebra, Spectrum
 from wallcross.engine import (
@@ -40,12 +42,14 @@ from wallcross.lattice import (
     Sector,
     SurfaceModel,
     TruncationSet,
+    _Cone,
     _dot,
     _scaled,
     charges_parallel,
     cone_enumerate,
     cross,
     wall_first_type,
+    wall_second_type,
 )
 from wallcross.refinement import all_refinements, twist_spectrum
 from wallcross.scenario import parse_scenario
@@ -695,6 +699,162 @@ def test_transport_second_type_endpoint_rejected():
     struct = make_structure(s, {G1: Fraction(1)})
     with pytest.raises(SecondTypeWallError, match="splits as"):
         transport_spectrum(struct, zmat(((2, -1), (1, 1))))
+
+
+# -- the wall rules of a transport, against the double loops they replaced ------
+
+
+def _old_guard_second_type(cone, members):
+    """The transport's second-type guard before `_Cone.boundary_split`,
+    returning its witness where it raised."""
+    rays, mset = cone.forms[1:], set(members)
+    for b1 in members:
+        if all(_dot(row, b1.coords) for row, _ in rays):  # members lie in the sector
+            continue
+        for b2 in members:
+            if (b1 + b2) in mset:
+                return b1, b2
+    return None
+
+
+def _old_wall_second_type(lattice, z, q, sector, beta, trunc):
+    """wall_second_type before it read the cone's boundary."""
+    members = cone_enumerate(lattice, z, q, sector, trunc)
+    mset = set(members)
+    for b1 in members:
+        b2 = beta - b1
+        if b2.is_zero() or b2 not in mset:
+            continue
+        if sector.boundary_ray(z.evaluate(b1)) is not None:
+            return (b1, b2)
+    return None
+
+
+WALL_SECTORS = (((-5, 1), (5, 1)), ((-1, 1), (1, 1)), ((-2, 1), (2, 1)), ((-1, 2), (3, 1)))
+
+
+def _random_z_rows(rng):
+    """Small int rows; three in ten singular, which puts every value on one line."""
+    a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+    if rng.random() < 0.3:
+        k = Fraction(rng.randint(1, 4), rng.randint(1, 2))
+        return (a, b), (k * a, k * b)
+    return (a, b), (rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+def _transport_outcome(struct, z):
+    try:
+        return transport_spectrum(struct, z)
+    except WallcrossError as err:
+        return type(err), str(err)
+
+
+def test_transport_walls_match_the_pair_scan_and_the_old_guard():
+    # on random rank-2 geometry, singular Z included, the witness read off
+    # the target order is wall_first_type's, and the guard's is the double loop's
+    rng = random.Random(7)
+    first_type = second_type = clear = 0
+    for _ in range(1500):
+        try:
+            s = build_setup(z_rows=_random_z_rows(rng), sector_dirs=rng.choice(WALL_SECTORS),
+                            q_rows=rng.choice((((1, 2), (2, 1)), ((1, 0), (0, 1)))),
+                            cutoff=rng.choice((2, Fraction(5, 2), 3, 4)))
+            struct = make_structure(s, {})
+            z_new = s.z if rng.random() < 0.5 else zmat(_random_z_rows(rng))
+            target = _Cone(s.lattice, z_new, s.q, s.sector, s.trunc)
+        except WallcrossError:
+            continue
+        if set(target.members) != set(struct.members):
+            continue
+        outcome = _transport_outcome(struct, z_new)
+        witness = wall_first_type(z_new, target.members)
+        split = (_old_guard_second_type(struct._cone, target.members)
+                 or _old_guard_second_type(target, target.members))
+        if witness is not None:
+            first_type += 1
+            assert outcome == (FirstTypeWallError, "target central charge lies on a first-type "
+                               f"wall: {witness[0].coords} ~ {witness[1].coords}")
+        elif split is not None:
+            second_type += 1
+            b1, b2 = split
+            assert outcome == (SecondTypeWallError, f"second-type wall: charge {(b1 + b2).coords} "
+                               f"splits as {b1.coords} + {b2.coords} with a constituent on the "
+                               "sector boundary")
+        else:
+            clear += 1
+            assert isinstance(outcome, Spectrum)
+    assert first_type >= 30 and second_type >= 30 and clear >= 100
+
+
+def _boundary_geometries(rng, count):
+    """Cones whose Z sends each basis charge to a multiple of one sector ray,
+    up to a small shift: members on both boundary rays, or on one."""
+    while count:
+        sector = rng.choice(WALL_SECTORS)
+        (sx, sy), (ex, ey) = sector
+        a, b = rng.randint(0, 2), rng.randint(0, 2)
+        rows = ((sx * a, ex * b + rng.randint(-1, 1)), (sy * a, ey * b))
+        try:
+            s = build_setup(z_rows=rows, sector_dirs=sector, q_rows=((1, 2), (2, 1)),
+                            cutoff=rng.choice((2, 3, 4)))
+            cone = _Cone(s.lattice, s.z, s.q, s.sector, s.trunc)
+        except WallcrossError:
+            continue
+        count -= 1
+        yield s, cone
+
+
+def test_boundary_split_matches_the_old_guard_under_shuffled_orders():
+    rng = random.Random(5)
+    starts = ends = hits = 0
+    for _, cone in _boundary_geometries(rng, 250):
+        members = list(cone.members)
+        for _ in range(5):
+            rng.shuffle(members)
+            split = cone.boundary_split(members, set(members))
+            assert split == _old_guard_second_type(cone, members)
+            if split is not None:
+                hits += 1
+                starts += _dot(cone.forms[1][0], split[0].coords) == 0
+                ends += _dot(cone.forms[2][0], split[0].coords) == 0
+    assert starts >= 50 and ends >= 50 and hits >= 200
+
+
+def test_wall_second_type_matches_the_old_scan():
+    rng = random.Random(6)
+    hits = 0
+    for s, cone in _boundary_geometries(rng, 120):
+        for beta in (*cone.members, *(2 * ch for ch in cone.members[:3]), Charge((1, -1))):
+            witness = wall_second_type(s.lattice, s.z, s.q, s.sector, beta, s.trunc)
+            assert witness == _old_wall_second_type(s.lattice, s.z, s.q, s.sector, beta, s.trunc)
+            hits += witness is not None
+    assert hits >= 100
+
+
+def test_a_memo_hit_runs_no_pair_scan_and_finds_each_boundary_once(monkeypatch):
+    s = crossing_setup()
+    struct = make_structure(s, primitive_spectrum())
+    scans, boundaries = [], []
+    for module in (engine, lattice):
+        scan = module.wall_first_type
+        monkeypatch.setattr(module, "wall_first_type",
+                            lambda *args, scan=scan: scans.append(args) or scan(*args))
+    find = _Cone.boundary.func
+
+    def counted(cone):
+        boundaries.append(cone)
+        return find(cone)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(_Cone, "boundary")
+    monkeypatch.setattr(_Cone, "boundary", prop)
+    after = zmat(((1, -1), (1, 1)))
+    for z in (struct.z, struct.z, after, after):
+        transport_spectrum(struct, z)
+    # four targets and one source: the seeded order hits the memo twice,
+    # the order past the wall once, and no transport scans member pairs
+    assert scans == []
+    assert len(boundaries) == 5 and [c for c in boundaries if c is struct._cone] == [struct._cone]
 
 
 # -- variation walk --------------------------------------------------------------

@@ -37,6 +37,7 @@ from wallcross.lattice import (
     cross,
     phase_precedes,
     wall_first_type,
+    wall_second_type,
 )
 from wallcross.multidisk import (
     ChainCombination,
@@ -101,6 +102,11 @@ def _sigma():
 def _foreign_sigma():
     """A refinement of another genus-1 form than the lattice's surface."""
     return QuadraticRefinement(SurfaceModel(((0, 2), (-2, 0))), (1, 1))
+
+
+def _wall_second_type(beta, cutoff=2):
+    s = build_setup(cutoff=cutoff)
+    return wall_second_type(s.lattice, s.z, s.q, s.sector, beta, s.trunc)
 
 
 def _factorize_non_product():
@@ -218,6 +224,30 @@ CASES = {
     "ray-product-of-a-dict": (
         lambda: _algebra().ray_product({}),
         ValidationError, "spectrum must be a Spectrum, got {}"),
+    "generator-of-a-list": (
+        lambda: _algebra().generator([1, 0]),
+        ValidationError, "charge must be a Charge, got [1, 0]"),
+    "structure-constant-list-a": (
+        lambda: _algebra().structure_constant([1, 0], Charge((0, 1))),
+        ValidationError, "a must be a Charge, got [1, 0]"),
+    "structure-constant-tuple-b": (
+        lambda: _algebra().structure_constant(Charge((1, 0)), (0, 1)),
+        ValidationError, "b must be a Charge, got (0, 1)"),
+    "normal-form-list-letter": (
+        lambda: _algebra().normal_form([[1, 0]]),
+        ValidationError, "a letter of word must be a Charge, got [1, 0]"),
+    "from-terms-tuple-letter": (
+        lambda: _algebra().from_terms({((1, 0),): 1}),
+        ValidationError, "a letter of word must be a Charge, got (1, 0)"),
+    "spectrum-coefficient-list": (
+        lambda: Spectrum({Charge((1, 0)): 1}).coefficient([1, 0]),
+        ValidationError, "charge must be a Charge, got [1, 0]"),
+    "spectrum-coefficient-tuple": (
+        lambda: Spectrum({Charge((1, 0)): 1}).coefficient((1, 0)),
+        ValidationError, "charge must be a Charge, got (1, 0)"),
+    "spectrum-coefficient-none": (
+        lambda: Spectrum({}).coefficient(None),
+        ValidationError, "charge must be a Charge, got None"),
     "spectrum-restrict-int": (
         lambda: Spectrum({}).restrict(5),
         ValidationError, "keep must be a Callable, got 5"),
@@ -318,6 +348,18 @@ CASES = {
     "first-type-z-none": (
         lambda: wall_first_type(None, (Charge((1, 0)),)),
         ValidationError, "z must be a CentralCharge, got None"),
+    "second-type-beta-none": (
+        lambda: _wall_second_type(None),
+        ValidationError, "beta must be a charge of lattice rank 2, got None"),
+    "second-type-beta-none-on-an-empty-cone": (
+        lambda: _wall_second_type(None, cutoff=0),
+        ValidationError, "beta must be a charge of lattice rank 2, got None"),
+    "second-type-beta-tuple": (
+        lambda: _wall_second_type((1, 1)),
+        ValidationError, "beta must be a charge of lattice rank 2, got (1, 1)"),
+    "second-type-beta-rank-3": (
+        lambda: _wall_second_type(Charge((1, 1, 0))),
+        ValidationError, "beta must be a charge of lattice rank 2, got Charge(1, 1, 0)"),
     "integers-not-a-sequence": (
         lambda: Charge(5),
         ValidationError, "charge coordinates must be a sequence of integers, got 5"),
