@@ -22,9 +22,9 @@ which is what makes factorization of a sector product exact and unique:
 
 The central charge sets only the generator order.  Each order keeps one
 int ray key per member, equal exactly on the members of one ray, which
-`_ray_groups` reads; and it reads the bracket of a pair, c(a, b) and the
-position of a + b, from the lattice and the members on the pair's first
-rewrite, and memoizes it.
+`_Cone.runs` reads to group a support by ray for `_ray_groups`; and it
+reads the bracket of a pair, c(a, b) and the position of a + b, from the
+lattice and the members on the pair's first rewrite, and memoizes it.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .lattice import (
     TruncationSet,
     _Cone,
     _checker,
-    _dot,
     _exact,
     _mapping,
     _sequence,
@@ -134,7 +133,8 @@ class PbwAlgebra:
         self._cone, self.mode, self.order = cone, BracketMode.coerce(mode), cone.order
         self.lattice, self.z, self.q, self.sector, self.trunc, self.members = (
             cone.lattice, cone.z, cone.q, cone.sector, cone.trunc, cone.members)
-        self._rays, self._heights, self._cutoff = self.order.rays, self.order.heights, self.trunc.cutoff
+        self._heights = [Fraction(h, cone.scale) for h in self.order.heights]  # for _word_height
+        self._cutoff = cone.trunc.cutoff
         self._brackets: dict[tuple[int, int], tuple[int, int | None]] = {}
         self.signature = (self.lattice.boundary, self.lattice.surface.intersection,
                           self.mode, self.order.charges)
@@ -283,16 +283,11 @@ class PbwAlgebra:
         for ch in support:
             if ch not in self.order.index:
                 raise ValidationError(f"spectrum support outside the truncated cone: {ch!r}")
-        index, rays, groups = self.order.index, self._rays, []
-        for ch in sorted(support, key=index.__getitem__):
-            if groups and rays[index[groups[-1][-1]]] == rays[index[ch]]:
-                if not charges_parallel(groups[-1][-1], ch):
-                    raise FirstTypeWallError(
-                        f"first-type wall in spectrum support: {groups[-1][-1]!r} and {ch!r}"
-                    )
-                groups[-1].append(ch)
-            else:
-                groups.append([ch])
+        groups = self._cone.runs(support)
+        for group in groups:
+            for a, b in zip(group, group[1:]):
+                if not charges_parallel(a, b):
+                    raise FirstTypeWallError(f"first-type wall in spectrum support: {a!r} and {b!r}")
         return groups
 
     def ray_product(self, spectrum: Spectrum) -> "AlgebraElement":
@@ -342,11 +337,11 @@ class PbwAlgebra:
         grows as an int numerator and denominator, reduced once per word
         by its Fraction.
         """
-        hrow, cap = self._cone.hrow, self._cone.cut
+        index, heights, cap = self.order.index, self.order.heights, self._cone.cut
         words = [((), 1, 1, 0)]  # (word, numerator, denominator, height)
         for ch in (ch for group in self._ray_groups(spectrum) for ch in group):
-            i, a, h = self.order.index[ch], spectrum.coefficient(ch), _dot(hrow, ch.coords)
-            an, ad = a.numerator, a.denominator
+            i, a = index[ch], spectrum.coefficient(ch)
+            h, an, ad = heights[i], a.numerator, a.denominator
             grown = []
             for word, n, d, total in words:
                 k = 1

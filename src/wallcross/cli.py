@@ -24,7 +24,7 @@ from .engine import (
     detect_walls,
 )
 from .errors import ReconstructionError, ValidationError, WallcrossError
-from .lattice import _Cone, _dot, cone_enumerate
+from .lattice import _Cone, _dot, wall_first_type
 from .multidisk import enumerate_forests, multilink_total
 from .refinement import all_refinements, twist_spectrum
 from .scenario import Scenario, parse_scenario
@@ -117,7 +117,7 @@ def cmd_selftest(sc: Scenario) -> list[str]:
 
     alg = PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc, sc.mode)
     members = alg.members
-    _check(members == cone_enumerate(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc), "cone")
+    _check(alg._cone.first_type(members) == wall_first_type(sc.z, members), "first-type rule")
     for ch in members:
         _check(sc.sector.contains(sc.z.evaluate(ch)), f"member {ch.coords} phase")
         _check(sc.trunc.height(sc.z.evaluate(ch)) <= sc.trunc.cutoff, f"member {ch.coords} height")

@@ -36,7 +36,6 @@ from .lattice import (
     _scaled,
     _sequence,
     charges_parallel,
-    wall_first_type,
 )
 from .refinement import QuadraticRefinement, _check_surface
 
@@ -68,18 +67,13 @@ class StabilityStructure:
             object.__setattr__(self, "spectrum", Spectrum(self.spectrum))
         object.__setattr__(self, "_cone", _Cone(self.lattice, self.z, self.q, self.sector, self.trunc))
         object.__setattr__(self, "members", self._cone.members)
-        mset = set(self.members)
-        for ch in self.spectrum.support():
-            if ch not in mset:
-                raise ValidationError(
-                    f"spectrum weight outside the truncated cone: {ch.coords}"
-                )
-        witness = wall_first_type(self.z, self.spectrum.support())
-        if witness is not None:
-            raise FirstTypeWallError(
-                "central charge lies on a first-type wall for the spectrum "
-                f"support: {witness[0].coords} ~ {witness[1].coords}"
-            )
+        support = self.spectrum.support()
+        for ch in support:
+            if ch not in self._cone.order.index:
+                raise ValidationError(f"spectrum weight outside the truncated cone: {ch.coords}")
+        if witness := self._cone.first_type(support):
+            raise FirstTypeWallError("central charge lies on a first-type wall for the spectrum "
+                                     f"support: {witness[0].coords} ~ {witness[1].coords}")
         if self.refinement is not None:
             _check_args(refinement=self.refinement)
             _check_surface(self.refinement, self.lattice)
@@ -339,7 +333,7 @@ def transport_spectrum(
     The element itself never changes; only the ordered factorization does.
 
     Every call checks the membership, the first-type wall, read off the
-    target order (a ray's members sit together under one ray key), and the
+    target cone's runs of one ray key by `_Cone.first_type`, and the
     second-type rule `_Cone.boundary_split` on both cones.  The target algebra,
     the conversion and the factorization come once per distinct target order."""
     _check_args(struct=struct)
@@ -350,20 +344,15 @@ def transport_spectrum(
             "transport requires the same truncated cone membership under "
             "both central charges"
         )
-    order, runs = target.order, []  # per wall ray: its first member in coordinates, first partner
-    for _, run in itertools.groupby(zip(order.rays, order.charges), lambda rc: rc[0]):
-        b1, *rest = sorted((ch for _, ch in run), key=lambda ch: ch.coords)
-        if (b2 := next((ch for ch in rest if not charges_parallel(b1, ch)), None)) is not None:
-            runs.append((b1.coords, b1, b2))
-    if runs:  # the pair that wall_first_type's scan in coordinate order meets first
-        _, b1, b2 = min(runs)
+    if witness := target.first_type(members):
+        b1, b2 = witness
         raise FirstTypeWallError(
             f"target central charge lies on a first-type wall: {b1.coords} ~ {b2.coords}")
     if split := struct._cone.boundary_split(members, mset) or target.boundary_split(members, mset):
         b1, b2 = split
         raise SecondTypeWallError(f"second-type wall: charge {(b1 + b2).coords} splits as {b1.coords} + "
                                   f"{b2.coords} with a constituent on the sector boundary")
-    key = order.charges
+    key = target.order.charges
     spectrum = struct._transports.get(key)
     if spectrum is None:
         alg = PbwAlgebra._over(target, struct.mode)

@@ -502,13 +502,13 @@ class GeneratorOrder:
     """Total order on the truncated cone charges.
 
     Primary key: clockwise phase of the central charge.  Ties (parallel
-    phases) break by height, then by lexicographic coordinates, so
-    proportional charges sit next to each other.  rays and heights hold
-    each charge's int ray key, equal exactly on one ray, and height."""
+    phases) break by height, then lexicographically, so proportional
+    charges sit together.  rays and heights hold each charge's int ray
+    key, equal exactly on one ray, and int height on the cone's scale."""
 
     __slots__ = ("charges", "index", "rays", "heights")
 
-    def __init__(self, charges: tuple[Charge, ...], rays: list[int], heights: list[Fraction]):
+    def __init__(self, charges: tuple[Charge, ...], rays: list[int], heights: list[int]):
         self.charges, self.rays, self.heights = charges, rays, heights
         self.index = {ch: i for i, ch in enumerate(charges)}
 
@@ -630,7 +630,23 @@ class _Cone:
                 for ch, h in zip(charges, heights)]
         perm = sorted(range(len(charges)), key=lambda i: (rays[i], heights[i]))
         return GeneratorOrder(tuple(charges[i] for i in perm), [rays[i] for i in perm],
-                              [Fraction(heights[i], self.scale) for i in perm])
+                              [heights[i] for i in perm])
+
+    def runs(self, charges) -> list[list[Charge]]:
+        """The given members in generator order, one list per ray key."""
+        index, rays = self.order.index, self.order.rays
+        return [list(run) for _, run in itertools.groupby(
+            sorted(charges, key=index.__getitem__), lambda ch: rays[index[ch]])]
+
+    def first_type(self, charges) -> Optional[tuple[Charge, Charge]]:
+        """wall_first_type's pair on members (their Z, in the covector's open
+        half-plane, are parallel on one ray alone): per ray, its first member
+        in coordinates and first partner not parallel to it; the least wins."""
+        pairs = []
+        for b1, *rest in (sorted(run, key=lambda ch: ch.coords) for run in self.runs(charges)):
+            if (b2 := next((ch for ch in rest if not charges_parallel(b1, ch)), None)) is not None:
+                pairs.append((b1.coords, b1, b2))
+        return min(pairs)[1:] if pairs else None
 
     @functools.cached_property
     def boundary(self) -> frozenset:

@@ -15,6 +15,7 @@ from wallcross.lattice import (
     Sector,
     SurfaceModel,
     TruncationSet,
+    cross,
 )
 
 # Every property test runs the same examples on every run, writes no
@@ -77,3 +78,47 @@ def ray_invariants(spectrum: dict, cutoff: int) -> dict:
 @pytest.fixture
 def setup() -> LatticeSetup:
     return build_setup()
+
+
+def tied_geometry(rng):
+    """(lattice, Z, Q, sector, truncation, points) of rank 2 or 3, drawn
+    from rng, or None when a draw fails.  Rank 3 puts an integer kernel
+    vector under Z, so distinct charges share a value and non-parallel
+    ones share a ray; the sector runs through two values of the points,
+    so points sit on both of its rays.  The points are those of 60 drawn
+    from a small box with Z in the truncated sector and not 0, and the
+    lattice's pairing is 0."""
+    rank = rng.choice((2, 3))
+
+    def frac():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    rows = [[frac() for _ in range(rank)] for _ in range(2)]
+    if rank == 3:
+        k0, k1 = rng.randint(-1, 1), rng.randint(-1, 1)
+        for row in rows:
+            row[2] = -(k0 * row[0] + k1 * row[1])
+    z = CentralCharge(rows)
+    points = {Charge(rng.randint(-3, 3) for _ in range(rank)) for _ in range(60)}
+    values = [v for v in map(z.evaluate, points) if v != (0, 0)]
+    if len(values) < 2:
+        return None
+    start, end = rng.sample(values, 2)
+    if cross(start, end) == 0:
+        return None
+    if cross(start, end) > 0:
+        start, end = end, start
+    sector = Sector(start, end)
+    for _ in range(100):
+        trunc = TruncationSet((frac(), frac()), Fraction(20), 1)
+        if trunc.height(sector.start) > 0 and trunc.height(sector.end) > 0:
+            break
+    else:
+        return None
+    inside = tuple(
+        p for p in points
+        if z.evaluate(p) != (0, 0) and sector.contains(z.evaluate(p))
+        and trunc.height(z.evaluate(p)) <= trunc.cutoff
+    )
+    identity = QuadraticForm(tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
+    return ChargeLattice(rank, (), SurfaceModel(())), z, identity, sector, trunc, inside

@@ -43,11 +43,13 @@ MUTANTS = [
     ("closed-form-coefficient", ALGEBRA,
      "n, d = n * an, d * ad * k", "n, d = n * an, d * ad",
      "the closed form forgets the 1/k! of a repeated letter"),
-    # -- the rays of a generator order: one int key per member
-    ("ray-key-test", ALGEBRA,
-     "if groups and rays[index[groups[-1][-1]]] == rays[index[ch]]:",
-     "if groups and rays[index[groups[-1][-1]]] != rays[index[ch]]:",
-     "letters on one ray split into rays and letters on two rays join"),
+    # -- the rays of a generator order: one int key per member, grouped by _Cone.runs
+    ("ray-key-test", LATTICE,
+     "lambda ch: rays[index[ch]])]", "lambda ch: index[ch])]",
+     "letters on one ray split into runs of one, so no first-type wall is met"),
+    ("order-height-unit", ALGEBRA,
+     "Fraction(h, cone.scale)", "Fraction(h)",
+     "the word heights read the cone's int heights as exact ones"),
     # -- multiply: the right words by height, up to the first over the cutoff
     ("multiply-cutoff", ALGEBRA,
      "if hb > room:", "if hb >= room:",
@@ -94,7 +96,7 @@ MUTANTS = [
      "twisted mode brackets by the plain pairing"),
     # -- the transport memo and its target cone
     ("transport-key", ENGINE,
-     "key = order.charges", "key = tuple(target.members)",
+     "key = target.order.charges", "key = tuple(target.members)",
      "every target reads the seeded spectrum of the source order"),
     ("transport-seed", ENGINE,
      "{self._cone.order.charges: self.spectrum}", "{}",
@@ -106,14 +108,17 @@ MUTANTS = [
      "members, mset = target.members, set(target.members)",
      "members, mset = struct._cone.members, set(struct._cone.members)",
      "the membership check and both guards read the source's members"),
-    # -- the walls a transport reads off its cones: the runs of one ray key
-    # and the members on a boundary ray
-    ("first-type-run-key", ENGINE,
-     "lambda rc: rc[0]", "lambda rc: rc[1]",
-     "every member is a run of its own, so no two share a ray"),
-    ("first-type-run-witness", ENGINE,
-     "b1, *rest = sorted(", "*rest, b1 = sorted(",
+    # -- the walls read off a cone: the first-type pair of its runs of one ray
+    # key, and the members on a boundary ray
+    ("first-type-run-key", LATTICE,
+     "pairs.append((b1.coords, b1, b2))", "pairs.append((b2.coords, b1, b2))",
+     "of two walled rays the one with the least partner wins, not the least first member"),
+    ("first-type-run-witness", LATTICE,
+     "for b1, *rest in (sorted(", "for *rest, b1 in (sorted(",
      "a ray's witness starts from its last member in coordinates, not its first"),
+    ("structure-first-type-members", ENGINE,
+     "self._cone.first_type(support)", "self._cone.first_type(self.members)",
+     "the structure rejects a wall among its members that its support does not meet"),
     ("second-type-guard", LATTICE,
      "if not all(_dot(row, ch.coords) for row, _ in self.forms[1:])",
      "if all(_dot(row, ch.coords) for row, _ in self.forms[1:])",

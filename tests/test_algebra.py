@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import build_setup
+from conftest import build_setup, tied_geometry
 from wallcross.algebra import AlgebraElement, BracketMode, PbwAlgebra, Spectrum
 from wallcross.engine import VariationPath
 from wallcross.errors import (
@@ -852,47 +852,15 @@ def fraction_order(members, z: CentralCharge, trunc: TruncationSet) -> tuple[Cha
 
 
 def test_integer_phase_key_matches_fraction_comparator():
-    # rank 3 puts an integer kernel vector under Z, so distinct charges share
-    # a value; the sector runs through two member values, so members sit on
-    # both of its rays
+    # on tied_geometry, members share a value and sit on both sector rays
     rng = random.Random(59)
     ties = 0
     for _ in range(60):
-        rank = rng.choice((2, 3))
-
-        def frac():
-            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-
-        rows = [[frac() for _ in range(rank)] for _ in range(2)]
-        if rank == 3:
-            k0, k1 = rng.randint(-1, 1), rng.randint(-1, 1)
-            for row in rows:
-                row[2] = -(k0 * row[0] + k1 * row[1])
-        z = CentralCharge(rows)
-        points = {Charge(rng.randint(-3, 3) for _ in range(rank)) for _ in range(60)}
-        values = [v for v in map(z.evaluate, points) if v != (0, 0)]
-        if len(values) < 2:
+        geometry = tied_geometry(rng)
+        if geometry is None:
             continue
-        start, end = rng.sample(values, 2)
-        if cross(start, end) == 0:
-            continue
-        if cross(start, end) > 0:
-            start, end = end, start
-        sector = Sector(start, end)
-        for _ in range(100):
-            trunc = TruncationSet((frac(), frac()), Fraction(20), 1)
-            if trunc.height(sector.start) > 0 and trunc.height(sector.end) > 0:
-                break
-        else:
-            continue
-        members = tuple(
-            p for p in points
-            if z.evaluate(p) != (0, 0) and sector.contains(z.evaluate(p))
-            and trunc.height(z.evaluate(p)) <= trunc.cutoff
-        )
-        identity = QuadraticForm(tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
-        alg = PbwAlgebra(ChargeLattice(rank, (), SurfaceModel(())), z, identity, sector, trunc,
-                         members=members)
+        lattice, z, q, sector, trunc, members = geometry
+        alg = PbwAlgebra(lattice, z, q, sector, trunc, members=members)
         assert alg.order.charges == fraction_order(members, z, trunc)
         ties += sum(cross(*map(z.evaluate, pair)) == 0
                     for pair in zip(alg.order.charges, alg.order.charges[1:]))
@@ -948,7 +916,7 @@ def test_ray_keys_are_equal_exactly_on_one_ray(data):
     alg = PbwAlgebra(geometry.lattice, z, geometry.q, sector, trunc, mode, members=members)
     values = [z.evaluate(ch) for ch in alg.order.charges]
     for i, j in itertools.product(range(len(values)), repeat=2):
-        assert (alg._rays[i] == alg._rays[j]) == (cross(values[i], values[j]) == 0)
+        assert (alg.order.rays[i] == alg.order.rays[j]) == (cross(values[i], values[j]) == 0)
     spectrum = Spectrum({
         ch: data.draw(st.sampled_from((-2, -1, Fraction(1, 2), 1, 3)))
         for ch in data.draw(st.lists(st.sampled_from(members), unique=True))
@@ -958,6 +926,54 @@ def test_ray_keys_are_equal_exactly_on_one_ray(data):
     except FirstTypeWallError as err:
         got = str(err)
     assert got == fraction_ray_groups(alg, spectrum)
+
+
+def loop_ray_groups(alg: PbwAlgebra, spectrum: Spectrum):
+    """_ray_groups as its own loop over the order's ray keys, before it
+    read `_Cone.runs`: the groups, or the error's class and message."""
+    support = spectrum.support()
+    for ch in support:
+        if ch not in alg.order.index:
+            return ValidationError, f"spectrum support outside the truncated cone: {ch!r}"
+    index, rays, groups = alg.order.index, alg.order.rays, []
+    for ch in sorted(support, key=index.__getitem__):
+        if groups and rays[index[groups[-1][-1]]] == rays[index[ch]]:
+            if not charges_parallel(groups[-1][-1], ch):
+                return FirstTypeWallError, ("first-type wall in spectrum support: "
+                                            f"{groups[-1][-1]!r} and {ch!r}")
+            groups[-1].append(ch)
+        else:
+            groups.append([ch])
+    return groups
+
+
+def test_ray_groups_match_the_loop_they_replaced():
+    # tied_geometry's rank 3 puts non-parallel members on several rays; the
+    # algebra holds three in four of its points, and one support in five
+    # draws from them all, so it may leave the cone
+    rng = random.Random(67)
+    outcomes = Counter()
+    for _ in range(150):
+        geometry = tied_geometry(rng)
+        if geometry is None or not geometry[-1]:
+            continue
+        *rest, points = geometry
+        alg = PbwAlgebra(*rest, rng.choice(("plain", "twisted")), points[: (3 * len(points) + 3) // 4])
+        for _ in range(8):
+            pool = points if rng.random() < 0.2 else alg.members
+            support = rng.sample(pool, rng.randint(1, len(pool)))
+            spectrum = Spectrum({ch: Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))
+                                 for ch in support})
+            try:
+                got = alg._ray_groups(spectrum)
+            except WallcrossError as err:
+                got = type(err), str(err)
+            assert got == loop_ray_groups(alg, spectrum)
+            if isinstance(got, tuple):
+                outcomes[got[0].__name__] += 1
+            else:
+                outcomes["a shared ray" if any(len(g) > 1 for g in got) else "one per ray"] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 100
 
 
 @pytest.fixture

@@ -633,15 +633,15 @@ def test_cross_converts_and_factorizes_once_per_generator_order(capsys, monkeypa
     assert counts == {"cones": 6, "transports": 5, "converts": 1, "factorizations": 1}
 
 
-def test_selftest_builds_two_charts_and_checks_no_members(capsys, monkeypatch):
-    # the selftest's algebra enumerates the cone and one more enumeration
-    # checks that the cone is repeatable; the members the algebra
-    # enumerated are not checked again
+def test_selftest_builds_one_cone_and_checks_no_members(capsys, monkeypatch):
+    # the selftest's algebra enumerates the cone, and its first-type rule
+    # is checked against wall_first_type's pair scan on those members,
+    # which are not checked again
     counts = _call_counts(monkeypatch, (lattice._Cone, "__init__", "cones"))
     _count_member_checks(monkeypatch, counts)
     code, out, err = run_cli(capsys, "--scenario", CROSSING, "--command", "selftest")
     assert (code, err) == (0, "") and out.endswith("selftest passed\n")
-    assert counts == {"cones": 2}
+    assert counts == {"cones": 1}
 
 
 def test_with_mode_and_to_twisted_share_the_cone(monkeypatch):

@@ -7,15 +7,17 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import wallcross.cli as cli
 import wallcross.engine as engine
 import wallcross.lattice as lattice
-from conftest import build_setup, ray_invariants
+from conftest import build_setup, ray_invariants, tied_geometry
 from wallcross.algebra import BracketMode, PbwAlgebra, Spectrum
 from wallcross.engine import (
     StabilityStructure,
@@ -786,6 +788,43 @@ def test_transport_walls_match_the_pair_scan_and_the_old_guard():
     assert first_type >= 30 and second_type >= 30 and clear >= 100
 
 
+def _walled_rays(z, charges) -> int:
+    """The number of rays of Z that hold two non-parallel charges."""
+    def ray(x, y):
+        return ((x > 0) - (x < 0), y / x) if x else (0, (y > 0) - (y < 0))
+
+    rays = {ch: ray(*z.evaluate(ch)) for ch in charges}
+    return len({rays[b1] for b1, b2 in itertools.combinations(charges, 2)
+                if rays[b1] == rays[b2] and not charges_parallel(b1, b2)})
+
+
+def test_first_type_on_member_subsets_is_the_pair_scan():
+    # the structure's case, a support that is any subset of the members: on
+    # the random rank-2 geometry above, singular Z included, and on
+    # tied_geometry, whose rank 3 puts walls on several rays at once
+    rng = random.Random(8)
+    counts = Counter()
+    for _ in range(600):
+        if rng.random() < 0.5:
+            geometry = tied_geometry(rng)
+            if geometry is None:
+                continue
+            cone = _Cone(*geometry)
+        else:
+            try:
+                s = build_setup(z_rows=_random_z_rows(rng), sector_dirs=rng.choice(WALL_SECTORS),
+                                q_rows=rng.choice((((1, 2), (2, 1)), ((1, 0), (0, 1)))),
+                                cutoff=rng.choice((2, Fraction(5, 2), 3, 4)))
+                cone = _Cone(s.lattice, s.z, s.q, s.sector, s.trunc)
+            except WallcrossError:
+                continue
+        for _ in range(4):
+            subset = rng.sample(cone.members, rng.randint(0, len(cone.members)))
+            assert cone.first_type(subset) == wall_first_type(cone.z, subset)
+            counts[min(_walled_rays(cone.z, subset), 2)] += 1
+    assert min(counts[0], counts[1], counts[2]) >= 100
+
+
 def _boundary_geometries(rng, count):
     """Cones whose Z sends each basis charge to a multiple of one sector ray,
     up to a small shift: members on both boundary rays, or on one."""
@@ -835,7 +874,7 @@ def test_a_memo_hit_runs_no_pair_scan_and_finds_each_boundary_once(monkeypatch):
     s = crossing_setup()
     struct = make_structure(s, primitive_spectrum())
     scans, boundaries = [], []
-    for module in (engine, lattice):
+    for module in (lattice, cli):  # the pair scan's bindings in the library
         scan = module.wall_first_type
         monkeypatch.setattr(module, "wall_first_type",
                             lambda *args, scan=scan: scans.append(args) or scan(*args))
@@ -1335,6 +1374,51 @@ def omega_weights(omega: dict, cutoff: int) -> dict:
             kc = tuple(k * x for x in c)
             weights[kc] = weights.get(kc, Fraction(0)) - Fraction(v, k * k)
     return {c: a for c, a in weights.items() if a}
+
+
+def halo_series(m: int, mode: str, omega1: int, omegas: list, n: int) -> list:
+    """The semi-primitive series to q^(n-1): Omega(g1) times the product over
+    k of (1 - s_k q^k)^(k m Omega(k g2)), s_k = (-1)^(k m) twisted and 1
+    plain, with omegas[k - 1] = Omega(k g2); each power by the binomial
+    series, which holds for negative exponents too."""
+    series = [Fraction(omega1)] + [Fraction(0)] * (n - 1)
+    for k, omega in enumerate(omegas, start=1):
+        s, e = (-1) ** (k * m) if mode == "twisted" else 1, k * m * omega
+        factor, binom = [Fraction(0)] * n, Fraction(1)
+        for j in range((n - 1) // k + 1):
+            factor[j * k], binom = binom * (-s) ** j, binom * (e - j) / (j + 1)
+        series = [sum(series[i] * factor[d - i] for i in range(d + 1)) for d in range(n)]
+    return series
+
+
+@settings(max_examples=100)
+@given(m=st.integers(1, 4), cutoff=st.integers(1, 8), mode=st.sampled_from(("plain", "twisted")),
+       omega1=st.sampled_from((-1, 1, 2)), omegas=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+       mirror=st.booleans())
+def test_semi_primitive_wall_crossing(m, cutoff, mode, omega1, omegas, mirror):
+    # Denef-Moore (hep-th/0702146): with Omega(g1) and Omega(k g2), k <= 3,
+    # on one side of the wall, sum_N Omega(g1 + N g2) q^N on the other is
+    # halo_series; the mirror family N g1 + g2 swaps the roles of g1 and g2
+    def charge(a, b):
+        return (b, a) if mirror else (a, b)
+
+    omega = {charge(1, 0): omega1, **{charge(0, k): v for k, v in enumerate(omegas, start=1)
+                                      if v and k <= cutoff}}
+    _, after = crossing_transport(m, cutoff, omega_weights(omega, cutoff), mode)
+    got = ray_invariants(after, cutoff)
+    assert [got.get(charge(1, n), 0) for n in range(cutoff)] == halo_series(
+        m, mode, omega1, omegas, cutoff)
+
+
+@pytest.mark.parametrize("m, mode, series", [
+    (3, "twisted", [1, 3, 3, 1, 0, 0]), (2, "twisted", [1, -2, 1, 0, 0, 0]),
+    (2, "plain", [1, -2, 1, 0, 0, 0]), (3, "plain", [1, -3, 3, -1, 0, 0]),
+])
+def test_semi_primitive_pins(m, mode, series):
+    # Omega(g1) = Omega(g2) = 1: (1 + q)^3 for m = 3 twisted, (1 - q)^2 for m = 2
+    assert halo_series(m, mode, 1, [1, 0, 0], 6) == series
+    _, after = crossing_transport(m, 6, omega_weights({(1, 0): 1, (0, 1): 1}, 6), mode)
+    assert [ray_invariants(after, 6).get((1, n), 0) for n in range(6)] == series
 
 
 def _crossing_weights(data, cutoff: int, values) -> dict:
