@@ -338,12 +338,7 @@ def transport_spectrum(
     the conversion and the factorization come once per distinct target order."""
     _check_args(struct=struct)
     target = _Cone(struct.lattice, z_new, struct.q, struct.sector, struct.trunc)
-    members, mset = target.members, set(target.members)
-    if mset != set(struct.members):
-        raise ValidationError(
-            "transport requires the same truncated cone membership under "
-            "both central charges"
-        )
+    members, mset = target.members, _same_members(struct, target)
     if witness := target.first_type(members):
         b1, b2 = witness
         raise FirstTypeWallError(
@@ -358,6 +353,17 @@ def transport_spectrum(
         alg = PbwAlgebra._over(target, struct.mode)
         spectrum = struct._transports[key] = alg.factorize(alg.convert(struct._product))
     return spectrum
+
+
+def _same_members(struct: StabilityStructure, cone: _Cone) -> set:
+    """The cone's members as a set, rejected unless they are the structure's."""
+    mset = set(cone.members)
+    if mset != set(struct.members):
+        raise ValidationError(
+            "transport requires the same truncated cone membership under "
+            "both central charges"
+        )
+    return mset
 
 
 @dataclass(frozen=True)
@@ -443,7 +449,14 @@ def check_variation(
     structure: the sector product is one element along the whole path and
     only its ordered factorization changes, so no intermediate structure
     is needed, and samples that sort the members alike share one
-    factorization."""
+    factorization.
+
+    Before the first sample, the cone at each distinct interior keyframe
+    other than the start must hold the structure's members.  Each of the
+    cone's three half-plane tests is linear along a segment, so a charge
+    inside at both ends of a segment stays inside all along it; a charge
+    outside at both ends may still pass through inside one segment, which
+    no check here sees."""
     _check_args(path=path, struct=struct)
     if path.keyframes[0] != struct.z:
         raise ValidationError(
@@ -466,6 +479,9 @@ def check_variation(
         raise ValidationError(
             "wall events touch an end of the path; cannot sample around them"
         )
+    for frame in dict.fromkeys(path.keyframes[1:-1]):
+        if frame != struct.z:
+            _same_members(struct, _Cone(struct.lattice, frame, struct.q, struct.sector, struct.trunc))
 
     # a third of each wall-free stretch in from either end, then t = 1; the
     # first sample past a cluster carries it

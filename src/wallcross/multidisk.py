@@ -25,9 +25,11 @@ from .lattice import (
     _GEOMETRY,
     _checker,
     _cross,
+    _dot,
     _exact,
     _integers,
     _mapping,
+    _scaled,
     _sequence,
 )
 
@@ -289,6 +291,36 @@ _check_args = _checker({**_GEOMETRY, "chain": NiceChain, "forest": DecoratedFore
 # -- linking ---------------------------------------------------------------
 
 
+def _readings(vertices: Sequence[ChainVertex], z: CentralCharge, surface: SurfaceModel) -> list[tuple]:
+    """Each vertex's link data, in vertex order: its central charge on Z's
+    integer-scaled rows (a positive scale keeps every cross sign), its
+    boundary b, and I b for the surface's intersection matrix I.  Each
+    vertex is checked against Z's rank and the surface's dimension first."""
+    _, (zx, zy) = _scaled(z.matrix)
+    out = []
+    for v in vertices:
+        c, b = v.charge.coords, v.boundary
+        if len(c) != z.rank:
+            raise ValidationError("charge length does not match central charge rank")
+        if len(b) != surface.dim:
+            raise ValidationError("homology vector length does not match surface")
+        out.append(((_dot(zx, c), _dot(zy, c)), b, [_dot(row, b) for row in surface.intersection]))
+    return out
+
+
+def _link(lower: tuple, higher: tuple) -> int:
+    """The link rule on two vertices' readings, the lower curve first: zero
+    when its phase precedes the higher one's, else the pairing of the lower
+    boundary with the higher, which parallel charges must make zero."""
+    cross = _cross(lower[0], higher[0])
+    if cross < 0:
+        return 0
+    pairing = _dot(lower[1], higher[2])
+    if cross == 0 and pairing:
+        raise FirstTypeWallError("first-type wall: parallel central charges with nonzero pairing")
+    return pairing
+
+
 def link(
     v1: ChainVertex, v2: ChainVertex, z: CentralCharge, surface: SurfaceModel
 ) -> int:
@@ -297,23 +329,14 @@ def link(
     Zero when the height order agrees with the clockwise phase order of the
     central charge values; otherwise the full intersection number of the
     lower curve with the higher one.  Parallel central charges are only
-    legal when the intersection number vanishes."""
+    legal when the intersection number vanishes.  Both vertices are checked
+    against z and the surface, in argument order, before either is read;
+    the rule is the one `multilink_total` reads its integer table with."""
     _check_args(v1=v1, v2=v2, z=z, surface=surface)
     if v1.theta == v2.theta:
         raise ValidationError("linking needs distinct heights")
-    z1 = z.evaluate(v1.charge)
-    z2 = z.evaluate(v2.charge)
-    if _cross(z1, z2) == 0:
-        if surface.pairing_h1(v1.boundary, v2.boundary) != 0:
-            raise FirstTypeWallError(
-                "first-type wall: parallel central charges with nonzero pairing"
-            )
-        return 0
-    if v1.theta > v2.theta:  # make v1 the lower curve
-        v1, v2, z1, z2 = v2, v1, z2, z1
-    if _cross(z1, z2) < 0:  # z1 precedes z2
-        return 0
-    return surface.pairing_h1(v1.boundary, v2.boundary)
+    r1, r2 = _readings((v1, v2), z, surface)
+    return _link(r1, r2) if v1.theta < v2.theta else _link(r2, r1)
 
 
 def multilink_forest(
@@ -342,14 +365,16 @@ def multilink_total(
 ) -> Fraction:
     """Sum of the forest values over every forest on the chain's vertices.
 
-    Each pair's link is read once, as the one-edge forest on that pair would
-    read it.  The integer link products are summed per edge count over the
-    acyclic edge sets, with no forest built, and each sum is divided by the
-    factorial of its count at the end."""
+    z and the surface are checked against every vertex, in height order, and
+    each vertex's central charge and boundary are read once.  The links come
+    from one integer table per chain, a pair's link read by `link`'s rule as
+    one cross sign and at most one dot product.  The integer link products
+    are summed per edge count over the acyclic edge sets, with no forest
+    built, and each sum is divided by the factorial of its count at the end."""
     _check_args(chain=chain, z=z, surface=surface)
-    verts = chain.vertices
+    verts = _readings(chain.vertices, z, surface)
     pairs = itertools.combinations(range(len(verts)), 2)
-    links = {(i, j): link(verts[i], verts[j], z, surface) for i, j in pairs}
+    links = {(i, j): _link(verts[i], verts[j]) for i, j in pairs}  # i is the lower vertex
     by_count = [0] * (len(verts) + 1)
     for subset in _forest_edge_sets(len(verts)):
         by_count[len(subset)] += prod(links[e] for e in subset)

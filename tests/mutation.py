@@ -105,8 +105,8 @@ MUTANTS = [
      "target = _Cone(struct.lattice, z_new,", "target = _Cone(struct.lattice, struct.z,",
      "a transport builds its target cone under the source central charge"),
     ("transport-source-cone", ENGINE,
-     "members, mset = target.members, set(target.members)",
-     "members, mset = struct._cone.members, set(struct._cone.members)",
+     "members, mset = target.members, _same_members(struct, target)",
+     "members, mset = struct._cone.members, _same_members(struct, struct._cone)",
      "the membership check and both guards read the source's members"),
     # -- the walls read off a cone: the first-type pair of its runs of one ray
     # key, and the members on a boundary ray
@@ -145,7 +145,16 @@ MUTANTS = [
     ("kernel-skip", LATTICE,
      "if _kernel_rows(self.zx, self.zy):", "if False:",
      "the cone no longer checks Q on ker Z"),
-    # -- multilink
+    # -- multilink: the link rule on per-vertex readings, shared by link and multilink_total
+    ("link-lower-higher", MULTIDISK,
+     "cross = _cross(lower[0], higher[0])", "cross = _cross(higher[0], lower[0])",
+     "the rule reads the higher curve's phase as the lower one's"),
+    ("link-first-type", MULTIDISK,
+     "if cross == 0 and pairing:", "if False:",
+     "parallel charges with a nonzero pairing give the pairing, not a first-type wall"),
+    ("readings-surface-check", MULTIDISK,
+     "if len(b) != surface.dim:", "if False:",
+     "a surface of the wrong genus passes wherever no pairing is read"),
     ("multilink-factorial", MULTIDISK,
      "return sum(Fraction(s, factorial(k)) for k, s in enumerate(by_count))",
      "return sum(Fraction(s, factorial(k + 1)) for k, s in enumerate(by_count))",
@@ -160,6 +169,10 @@ MUTANTS = [
     ("forest-cycle-filter", MULTIDISK,
      "if _acyclic(n, subset):", "if True:",
      "every edge subset passes as a forest, cycles included"),
+    # -- the variation walk: the cone at every interior keyframe
+    ("keyframe-membership", ENGINE,
+     "if frame != struct.z:", "if False:",
+     "a keyframe whose cone differs passes when no sample lands near it"),
     # -- root isolation and clustering
     ("roots-double-root", ENGINE,
      "if disc <= 0:\n        return []", "if disc < 0:\n        return []",

@@ -361,6 +361,23 @@ def test_parse_error_reports_line_number(tmp_path, capsys):
     assert "line 3: unknown key 'range'" in err
 
 
+@pytest.mark.parametrize("frames", [
+    ("-6 -2 ; 2 2", "-3 -1 ; 1 1"),
+    ("-3 -1 ; 1 1", "-3 -1 ; 1 1", "-6 -2 ; 2 2", "-3 -1 ; 1 1", "-3 -1 ; 1 1", "-3 -1 ; 1 1"),
+], ids=["A", "B"])
+def test_cross_checks_the_cone_at_every_keyframe(tmp_path, capsys, frames):
+    # crossing.scn from z0 = (-3 -1 ; 1 1) through 2 z0, where the top
+    # members have left the truncation: path B pauses at z0 on either side,
+    # so no sample reads 2 z0, and it exits 2 with path A's message
+    text = (SCENARIOS / "crossing.scn").read_text(encoding="utf-8")
+    scn = tmp_path / "doubled.scn"
+    scn.write_text(text.replace("keyframe = 1 -1 ; 1 1", "\n".join(f"keyframe = {f}" for f in frames)),
+                   encoding="utf-8")
+    code, out, err = run_cli(capsys, "--scenario", str(scn), "--command", "cross")
+    assert (code, out, err) == (2, "", "error: validation: transport requires the same truncated "
+                                "cone membership under both central charges\n")
+
+
 @pytest.mark.parametrize("rank, message", [
     ("2", "line 7: boundary matrix must have one row per homology basis vector"),
     ("0", "line 7: lattice rank must be positive"),

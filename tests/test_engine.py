@@ -1200,6 +1200,25 @@ def test_check_variation_path_mismatch():
         check_variation(path, struct)
 
 
+@pytest.mark.parametrize("scales", [(1, 2, 1), (1, 1, 1, 2, 1, 1, 1)], ids=["A", "B"])
+def test_check_variation_checks_the_cone_at_every_keyframe(monkeypatch, scales):
+    # crossing.scn's structure at its own cutoff, on keyframes k z0: doubling
+    # Z doubles every height, so the top members leave the truncation at
+    # 2 z0.  Path A samples inside that stretch; path B pauses at z0 around
+    # it, so each of its samples reads z0, and only the keyframe check sees
+    # 2 z0.  Both fail before any transport.
+    sc = CROSSING_SCN
+    struct = StabilityStructure(sc.lattice, sc.z, sc.q, sc.sector, sc.trunc, sc.spectrum, sc.mode)
+    path = VariationPath(tuple(
+        CentralCharge(tuple(tuple(k * x for x in row) for row in sc.z.matrix)) for k in scales))
+    transports = []
+    monkeypatch.setattr(engine, "transport_spectrum", lambda *args: transports.append(args))
+    with pytest.raises(ValidationError, match="^transport requires the same truncated cone "
+                       "membership under both central charges$"):
+        check_variation(path, struct)
+    assert transports == []
+
+
 def test_path_independence_through_detour():
     s = crossing_setup()
     struct = make_structure(s, primitive_spectrum())

@@ -390,6 +390,39 @@ def test_link_errors():
         link(lo, hi, degenerate, surface)
 
 
+WRONG_RANK_Z = CentralCharge(tuple(tuple(Fraction(x) for x in row) for row in ((1, 0, 0), (0, 1, 0))))
+SURFACE_MESSAGE = "^homology vector length does not match surface$"
+RANK_MESSAGE = "^charge length does not match central charge rank$"
+
+
+@pytest.mark.parametrize("genus", [0, 2])
+def test_link_checks_the_surface_against_both_vertices(genus):
+    # the matched pair reads no pairing, yet a surface of the wrong genus is
+    # rejected before either vertex is read
+    s = build_setup()
+    lo, hi = chain_pair(s, Fraction(3, 10), G2, Fraction(7, 10), G1)
+    for a, b in ((lo, hi), (hi, lo)):
+        with pytest.raises(ValidationError, match=SURFACE_MESSAGE):
+            link(a, b, s.z, SurfaceModel.standard(genus))
+    # distinct heights come first
+    with pytest.raises(ValidationError, match="^linking needs distinct heights$"):
+        link(lo, ChainVertex(lo.theta, G1, (1, 0)), s.z, SurfaceModel.standard(genus))
+
+
+def test_link_checks_each_vertex_in_argument_order():
+    s = build_setup()
+    surface = s.lattice.surface
+    short = ChainVertex(Fraction(1, 4), G1, (1,))  # boundary of the wrong length
+    wide = ChainVertex(Fraction(3, 4), Charge((1, 0, 0)), (1, 0))  # charge of the wrong rank
+    with pytest.raises(ValidationError, match=SURFACE_MESSAGE):
+        link(short, wide, s.z, surface)
+    with pytest.raises(ValidationError, match=RANK_MESSAGE):
+        link(wide, short, s.z, surface)
+    lo, hi = chain_pair(s, Fraction(3, 10), G2, Fraction(7, 10), G1)
+    with pytest.raises(ValidationError, match=RANK_MESSAGE):
+        link(lo, hi, WRONG_RANK_Z, surface)
+
+
 def test_link_ignores_height_perturbation():
     s = build_setup()
     surface = s.lattice.surface
@@ -454,6 +487,35 @@ def test_multilink_total_examples():
     assert multilink_total(reversed_, s.z, surface) == 2
 
 
+@pytest.mark.parametrize("genus", [0, 2])
+def test_multilink_total_checks_the_surface_against_every_vertex(genus):
+    # primitive.scn's phase-ordered chain reads no pairing, and its reversed
+    # chain reads one; both reject a surface of the wrong genus alike
+    s = build_setup()
+    for items in ([(Fraction(3, 10), G2), (Fraction(7, 10), G1)],
+                  [(Fraction(3, 10), G1), (Fraction(7, 10), G2)]):
+        chain = make_chain(s.lattice, items)
+        with pytest.raises(ValidationError, match=SURFACE_MESSAGE):
+            multilink_total(chain, s.z, SurfaceModel.standard(genus))
+
+
+def test_multilink_total_checks_z_against_every_vertex():
+    # a one-vertex chain has no pair, yet a central charge of the wrong rank
+    # is rejected
+    s = build_setup()
+    single = make_chain(s.lattice, [(Fraction(1, 2), G1)])
+    with pytest.raises(ValidationError, match=RANK_MESSAGE):
+        multilink_total(single, WRONG_RANK_Z, s.lattice.surface)
+    # each vertex is checked in height order, its charge before its boundary
+    short = ChainVertex(Fraction(1, 4), G1, (1,))
+    wide = ChainVertex(Fraction(3, 4), Charge((1, 0, 0)), (1, 0))
+    with pytest.raises(ValidationError, match=SURFACE_MESSAGE):
+        multilink_total(NiceChain((wide, short)), s.z, s.lattice.surface)
+    both = ChainVertex(Fraction(1, 4), Charge((1, 0, 0)), (1,))
+    with pytest.raises(ValidationError, match=RANK_MESSAGE):
+        multilink_total(NiceChain((both,)), s.z, s.lattice.surface)
+
+
 def test_multilink_total_phase_ordered_chain():
     # heights matching the clockwise phase order kill every edge
     s = build_setup()
@@ -470,13 +532,27 @@ PHASE_ORDERED_LETTERS = (G2, 2 * G2, G1 + G2, G1, 2 * G1)
 DEGENERATE_Z = CentralCharge(((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))))
 
 
+def _oracle_geometry(kind: str, s) -> tuple[CentralCharge, SurfaceModel]:
+    """The central charge and surface an oracle spec names: the setup's own,
+    Z on one line (every pair parallel), Z of the wrong rank, or a surface
+    of the wrong genus."""
+    return {
+        "setup": (s.z, s.lattice.surface),
+        "degenerate": (DEGENERATE_Z, s.lattice.surface),
+        "wrong-rank z": (WRONG_RANK_Z, s.lattice.surface),
+        "wrong-genus surface": (s.z, SurfaceModel.standard(2)),
+    }[kind]
+
+
 @st.composite
 def _chain_specs(draw):
-    """(letter indices, Lehmer code, heights, degenerate Z?): vertex i in
-    height order carries the letter at position perm[i] of the sorted
-    letters, and sum(lehmer) is the number of inverted vertex pairs.  Six
-    vertices come only from an explicit example: the oracle takes about
-    0.5 s there."""
+    """(letter indices, Lehmer code, heights, geometry): vertex i in height
+    order carries the letter at position perm[i] of the sorted letters, and
+    sum(lehmer) is the number of inverted vertex pairs.  Six vertices come
+    only from an explicit example: the oracle takes about 0.5 s there.  The
+    wrong geometries come only from explicit examples with two or more
+    vertices: a one-vertex chain's oracle sums the empty forest alone and
+    reads no vertex."""
     n = draw(st.integers(1, 5))
     letters = sorted(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
     lehmer = [draw(st.integers(0, n - 1 - i)) for i in range(n)]
@@ -486,7 +562,7 @@ def _chain_specs(draw):
             min_size=n, max_size=n, unique=True,
         )
     )
-    return letters, lehmer, heights, draw(st.booleans())
+    return letters, lehmer, heights, draw(st.sampled_from(("setup", "degenerate")))
 
 
 def _outcome(fn, *args):
@@ -498,23 +574,32 @@ def _outcome(fn, *args):
 
 @settings(max_examples=30)
 @given(_chain_specs())
-@example(([0, 1, 2, 2, 3, 4], [5, 4, 3, 2, 1, 0], [Fraction(k, 7) for k in range(1, 7)], False))
-@example(([0, 3], [0, 0], [Fraction(1, 3), Fraction(2, 3)], True))
+@example(([0, 1, 2, 2, 3, 4], [5, 4, 3, 2, 1, 0], [Fraction(k, 7) for k in range(1, 7)], "setup"))
+@example(([0, 3], [0, 0], [Fraction(1, 3), Fraction(2, 3)], "degenerate"))
+@example(([0, 3], [0, 0], [Fraction(1, 3), Fraction(2, 3)], "wrong-genus surface"))
+@example(([0, 1, 2, 3, 4], [0, 0, 0, 0, 0], [Fraction(k, 6) for k in range(1, 6)], "wrong-genus surface"))
+@example(([0, 3], [1, 0], [Fraction(1, 3), Fraction(2, 3)], "wrong-rank z"))
+@example(([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [Fraction(k, 6) for k in range(1, 6)], "wrong-rank z"))
 def test_multilink_total_matches_forest_oracle(spec):
-    letters, lehmer, heights, degenerate = spec
+    letters, lehmer, heights, kind = spec
     s = build_setup()
-    z = DEGENERATE_Z if degenerate else s.z
-    surface = s.lattice.surface
+    z, surface = _oracle_geometry(kind, s)
     pool = list(letters)
     word = [PHASE_ORDERED_LETTERS[pool.pop(c)] for c in lehmer]
     chain = make_chain(s.lattice, zip(sorted(heights), word))
-    n = len(chain)
-    with mock.patch.object(multidisk, "link", wraps=multidisk.link) as counted, \
+    # one reading of the chain's vertices, each vertex's Z once, and no link
+    # call: the table is read straight off the readings
+    with mock.patch.object(multidisk, "link", wraps=multidisk.link) as linked, \
+            mock.patch.object(multidisk, "_readings", wraps=multidisk._readings) as read, \
+            mock.patch.object(CentralCharge, "evaluate") as evaluated, \
             mock.patch.object(multidisk, "multilink_forest") as per_forest, \
             mock.patch.object(multidisk, "enumerate_forests") as forests, \
             mock.patch.object(DecoratedForest, "__post_init__") as built:
         fast = _outcome(multilink_total, chain, z, surface)
-    assert counted.call_count <= n * (n - 1) // 2
+    linked.assert_not_called()
+    read.assert_called_once()
+    assert read.call_args.args[0] == chain.vertices
+    evaluated.assert_not_called()
     per_forest.assert_not_called()
     forests.assert_not_called()
     built.assert_not_called()
@@ -526,6 +611,8 @@ def test_multilink_total_matches_forest_oracle(spec):
         )
 
     assert fast == _outcome(oracle)
+    if kind.startswith("wrong"):
+        assert fast[0] is ValidationError
 
 
 @pytest.mark.parametrize(
