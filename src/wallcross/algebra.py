@@ -16,9 +16,12 @@ that does not fit), and, behind the cutoff drop of
 `_normalize_into` is the oracle for `convert`, which inserts each word's
 letters right to left into a normal word u, memoizing e_a u.
 
-Clockwise-ordered ray products concatenate words that are already sorted,
-which is what makes factorization of a sector product exact and unique:
-`factorize` certifies an element by equality with its closed form.
+A ray's letters are proportional charges, so they commute, and its
+exponential is the closed form `_grow`.  `ray_product` multiplies these
+factors in clockwise order; their words concatenate already sorted, so the
+whole product is the same closed form on every support letter, which makes
+factorization exact and unique: `factorize` certifies an element by
+equality with it.  `exponential` is the series the tests check it by.
 
 The central charge sets only the generator order.  Each order keeps one
 int ray key per member, equal exactly on the members of one ray, which
@@ -262,7 +265,8 @@ class PbwAlgebra:
         return AlgebraElement(self, out)
 
     def exponential(self, x: "AlgebraElement") -> "AlgebraElement":
-        """Finite exponential series; requires zero constant term."""
+        """Truncated series, one `multiply` per power; requires zero constant
+        term.  The tests check the closed form `_grow` of ray_product by it."""
         self._require_same(x, "x")
         if x.coefficient(()) != 0:
             raise ValidationError("exponential requires zero constant term")
@@ -293,15 +297,16 @@ class PbwAlgebra:
     def ray_product(self, spectrum: Spectrum) -> "AlgebraElement":
         """Clockwise-ordered product of ray exponentials.
 
-        Support charges are grouped by parallel central charge; groups are
-        multiplied first ray first.  Non-proportional charges sharing a ray
-        are a first-type wall and rejected.
+        Support charges are grouped by parallel central charge; a ray's
+        letters commute, so its factor is their closed form `_grow`, and the
+        factors are multiplied first ray first.  Non-proportional charges
+        sharing a ray are a first-type wall and rejected.
         """
         _check_args(spectrum=spectrum)
         result, index = self.one(), self.order.index
         for group in self._ray_groups(spectrum):
-            x = AlgebraElement(self, {(index[ch],): spectrum.coefficient(ch) for ch in group})
-            result = self.multiply(result, self.exponential(x))
+            factor = self._grow([(index[ch], spectrum.coefficient(ch)) for ch in group], math.inf)
+            result = self.multiply(result, AlgebraElement(self, factor))
         return result
 
     def factorize(self, element: "AlgebraElement") -> Spectrum:
@@ -326,21 +331,23 @@ class PbwAlgebra:
         return spectrum
 
     def _sector_terms(self, spectrum: Spectrum, limit: float) -> dict | None:
-        """The terms of ray_product(spectrum), with its support and wall checks.
+        """The terms of ray_product(spectrum), with its support and wall
+        checks: `_grow` on every support letter, rays in generator order."""
+        index = self.order.index
+        return self._grow([(index[ch], spectrum.coefficient(ch))
+                           for group in self._ray_groups(spectrum) for ch in group], limit)
 
-        Letters on one ray commute and the rays come in generator order, so
-        the product has one weakly increasing word per multiset of support
-        letters within the cutoff, with coefficient the product of a^k / k!
-        over its letters (a the letter's weight, k its multiplicity).  The
-        words grow letter by letter in generator order, on integer heights;
-        None as soon as a letter grows them past limit.  Each coefficient
-        grows as an int numerator and denominator, reduced once per word
-        by its Fraction.
-        """
-        index, heights, cap = self.order.index, self.order.heights, self._cone.cut
+    def _grow(self, letters, limit: float) -> dict | None:
+        """The product of exp(a e_i) over (i, a) in letters, positions
+        increasing in generator order: one weakly increasing (so normal) word
+        per multiset of letters within the cutoff, with coefficient the
+        product of a^k / k! (k a letter's multiplicity).  The words grow
+        letter by letter on int heights, each coefficient as an int numerator
+        and denominator reduced once by its Fraction; None as soon as a
+        letter grows them past limit."""
+        heights, cap = self.order.heights, self._cone.cut
         words = [((), 1, 1, 0)]  # (word, numerator, denominator, height)
-        for ch in (ch for group in self._ray_groups(spectrum) for ch in group):
-            i, a = index[ch], spectrum.coefficient(ch)
+        for i, a in letters:
             h, an, ad = heights[i], a.numerator, a.denominator
             grown = []
             for word, n, d, total in words:

@@ -67,9 +67,9 @@ class StabilityStructure:
             object.__setattr__(self, "spectrum", Spectrum(self.spectrum))
         object.__setattr__(self, "_cone", _Cone(self.lattice, self.z, self.q, self.sector, self.trunc))
         object.__setattr__(self, "members", self._cone.members)
-        support = self.spectrum.support()
+        support, members = self.spectrum.support(), set(self.members)
         for ch in support:
-            if ch not in self._cone.order.index:
+            if ch not in members:
                 raise ValidationError(f"spectrum weight outside the truncated cone: {ch.coords}")
         if witness := self._cone.first_type(support):
             raise FirstTypeWallError("central charge lies on a first-type wall for the spectrum "
@@ -333,7 +333,7 @@ def transport_spectrum(
     The element itself never changes; only the ordered factorization does.
 
     Every call checks the membership, the first-type wall, read off the
-    target cone's runs of one ray key by `_Cone.first_type`, and the
+    members' own ray keys by `_Cone.first_type`, and the
     second-type rule `_Cone.boundary_split` on both cones.  The target algebra,
     the conversion and the factorization come once per distinct target order."""
     _check_args(struct=struct)

@@ -617,17 +617,19 @@ class _Cone:
             frontier = fresh
         return tuple(Charge(c) for _, c in sorted(members.values()))
 
+    def _keys(self, charges) -> tuple[list[int], list[int]]:
+        """The charges' int heights and ray keys: cross(Z, covector) / height (> 0
+        on the sector) grows clockwise, an int times the lcm of the heights."""
+        (c0, c1), heights = self.cov, [_dot(self.hrow, ch.coords) for ch in charges]
+        lcm = math.lcm(*heights)
+        return heights, [(_dot(self.zx, ch.coords) * c1 - _dot(self.zy, ch.coords) * c0) * (lcm // h)
+                         for ch, h in zip(charges, heights)]
+
     @functools.cached_property
     def order(self) -> GeneratorOrder:
-        """The members in generator order.  cross(Z, covector) / height
-        (> 0 on the sector) grows clockwise; times the lcm of the heights it
-        is an int ray key, equal exactly on one ray's members, which follow
-        by height, then by coordinates (a stable sort)."""
-        charges, (c0, c1) = sorted(self.members, key=lambda ch: ch.coords), self.cov
-        heights = [_dot(self.hrow, ch.coords) for ch in charges]
-        lcm = math.lcm(*heights)
-        rays = [(_dot(self.zx, ch.coords) * c1 - _dot(self.zy, ch.coords) * c0) * (lcm // h)
-                for ch, h in zip(charges, heights)]
+        """The members by ray key, then height, then coordinates (a stable sort)."""
+        charges = sorted(self.members, key=lambda ch: ch.coords)
+        heights, rays = self._keys(charges)
         perm = sorted(range(len(charges)), key=lambda i: (rays[i], heights[i]))
         return GeneratorOrder(tuple(charges[i] for i in perm), [rays[i] for i in perm],
                               [heights[i] for i in perm])
@@ -640,13 +642,14 @@ class _Cone:
 
     def first_type(self, charges) -> Optional[tuple[Charge, Charge]]:
         """wall_first_type's pair on members (their Z, in the covector's open
-        half-plane, are parallel on one ray alone): per ray, its first member
-        in coordinates and first partner not parallel to it; the least wins."""
-        pairs = []
-        for b1, *rest in (sorted(run, key=lambda ch: ch.coords) for run in self.runs(charges)):
-            if (b2 := next((ch for ch in rest if not charges_parallel(b1, ch)), None)) is not None:
-                pairs.append((b1.coords, b1, b2))
-        return min(pairs)[1:] if pairs else None
+        half-plane, are parallel on one ray alone), off their own ray keys:
+        per ray, by its first member in coordinates, that member and its
+        first partner not parallel to it; the first ray with one wins."""
+        charges, rays = sorted(charges, key=lambda ch: ch.coords), {}
+        for ch, key in zip(charges, self._keys(charges)[1]):
+            rays.setdefault(key, []).append(ch)
+        return next(((b1, b2) for b1, *rest in rays.values() for b2 in rest
+                     if not charges_parallel(b1, b2)), None)
 
     @functools.cached_property
     def boundary(self) -> frozenset:

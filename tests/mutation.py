@@ -43,10 +43,20 @@ MUTANTS = [
     ("closed-form-coefficient", ALGEBRA,
      "n, d = n * an, d * ad * k", "n, d = n * an, d * ad",
      "the closed form forgets the 1/k! of a repeated letter"),
+    ("closed-form-first-power", ALGEBRA,
+     "grown.append((word + (i,) * k, n, d, total + k * h))\n                    k += 1",
+     "grown.append((word + (i,) * k, n, d, total + k * h))\n                    break",
+     "the closed form keeps only the first power of each letter, in a ray's factor too"),
+    ("ray-factor-first-letter", ALGEBRA,
+     "for ch in group], math.inf)", "for ch in group[:1]], math.inf)",
+     "a ray's factor is the closed form of its first letter alone"),
     # -- the rays of a generator order: one int key per member, grouped by _Cone.runs
     ("ray-key-test", LATTICE,
      "lambda ch: rays[index[ch]])]", "lambda ch: index[ch])]",
      "letters on one ray split into runs of one, so no first-type wall is met"),
+    ("first-type-by-height", LATTICE,
+     "zip(charges, self._keys(charges)[1])", "zip(charges, self._keys(charges)[0])",
+     "the first-type rule groups the support by height, not by ray"),
     ("order-height-unit", ALGEBRA,
      "Fraction(h, cone.scale)", "Fraction(h)",
      "the word heights read the cone's int heights as exact ones"),
@@ -108,13 +118,13 @@ MUTANTS = [
      "members, mset = target.members, _same_members(struct, target)",
      "members, mset = struct._cone.members, _same_members(struct, struct._cone)",
      "the membership check and both guards read the source's members"),
-    # -- the walls read off a cone: the first-type pair of its runs of one ray
-    # key, and the members on a boundary ray
-    ("first-type-run-key", LATTICE,
-     "pairs.append((b1.coords, b1, b2))", "pairs.append((b2.coords, b1, b2))",
-     "of two walled rays the one with the least partner wins, not the least first member"),
-    ("first-type-run-witness", LATTICE,
-     "for b1, *rest in (sorted(", "for *rest, b1 in (sorted(",
+    # -- the walls read off a cone: the first-type pair of the support's own
+    # ray keys, and the members on a boundary ray
+    ("first-type-ray-order", LATTICE,
+     "for b1, *rest in rays.values()", "for b1, *rest in reversed(rays.values())",
+     "of two walled rays the one with the greatest first member wins, not the least"),
+    ("first-type-ray-witness", LATTICE,
+     "for b1, *rest in rays.values()", "for *rest, b1 in rays.values()",
      "a ray's witness starts from its last member in coordinates, not its first"),
     ("structure-first-type-members", ENGINE,
      "self._cone.first_type(support)", "self._cone.first_type(self.members)",

@@ -480,9 +480,19 @@ def certificate_algebra(cone: str, mode: str) -> PbwAlgebra:
     return PbwAlgebra(sc.lattice, sc.z, sc.q, sc.sector, trunc, mode)
 
 
+def series_ray_product(alg: PbwAlgebra, spectrum: Spectrum) -> AlgebraElement:
+    """The ray product as a series: one truncated exponential per ray of
+    `_ray_groups`, multiplied first ray first."""
+    result, index = alg.one(), alg.order.index
+    for group in alg._ray_groups(spectrum):
+        x = AlgebraElement(alg, {(index[ch],): spectrum.coefficient(ch) for ch in group})
+        result = alg.multiply(result, alg.exponential(x))
+    return result
+
+
 def remultiplied_factorize(alg: PbwAlgebra, element: AlgebraElement) -> Spectrum:
     """Reference rule: read the weights off the single-letter words,
-    rebuild their ray product and compare."""
+    rebuild their ray product as a series and compare."""
     alg._require_same(element)
     if element.coefficient(()) != 1:
         raise ValidationError("factorization requires constant term 1")
@@ -491,7 +501,7 @@ def remultiplied_factorize(alg: PbwAlgebra, element: AlgebraElement) -> Spectrum
         for i, ch in enumerate(alg.order.charges)
         if element._terms.get((i,))
     })
-    if alg.ray_product(spectrum) != element:
+    if series_ray_product(alg, spectrum) != element:
         raise ReconstructionError(
             "element is not a clockwise sector product over the truncated cone"
         )
@@ -581,12 +591,67 @@ def test_sector_terms_match_ray_product(data):
         ch: Fraction(data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3))), data.draw(st.integers(1, 3)))
         for ch in letters
     })
-    expected = alg.ray_product(spectrum)._terms
+    # the series, not ray_product, whose factors come from the same growth loop
+    expected = series_ray_product(alg, spectrum)._terms
     assert alg._sector_terms(spectrum, math.inf) == expected
     # the same terms up to the limit, and None once a letter grows them past it
     assert alg._sector_terms(spectrum, len(expected)) == expected
     if spectrum:
         assert alg._sector_terms(spectrum, len(expected) - 1) is None
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_ray_product_matches_the_series(data):
+    alg = certificate_algebra(
+        data.draw(st.sampled_from(("small", "crossing", "halves"))),
+        data.draw(st.sampled_from(("plain", "twisted"))),
+    )
+    kind = data.draw(st.sampled_from(("random", "multiples", "full")))
+    if kind == "full":
+        letters = list(alg.members)
+    else:
+        letters = data.draw(st.lists(st.sampled_from(alg.members), unique=True, max_size=4))
+    if kind == "multiples":
+        # a charge with its double, and its triple where that is a member:
+        # several letters on one ray
+        doubled = [ch for ch in alg.members if 2 * ch in alg.order.index]
+        base = data.draw(st.sampled_from(doubled))
+        letters += [base, 2 * base] + [3 * base] * (3 * base in alg.order.index)
+    spectrum = Spectrum({
+        ch: Fraction(data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3))), data.draw(st.integers(1, 4)))
+        for ch in letters
+    })
+    got = alg.ray_product(spectrum)
+    assert got == series_ray_product(alg, spectrum)
+    assert all(type(c) is Fraction for c in got._terms.values())
+
+
+@pytest.mark.parametrize("mode", ["plain", "twisted"])
+def test_ray_product_builds_no_series(monkeypatch, mode):
+    alg = certificate_algebra("crossing", mode)
+    rng = random.Random(43)
+    spectra = [random_spectrum(rng, rng.sample(alg.members, k)) for k in (0, 1, 6, 18, len(alg.members))]
+    expected = [series_ray_product(alg, spectrum) for spectrum in spectra]
+
+    def no_series(*args):
+        raise AssertionError("ray_product built an exponential series")
+
+    calls = []
+    original = PbwAlgebra.multiply
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(PbwAlgebra, "exponential", no_series)
+    monkeypatch.setattr(PbwAlgebra, "multiply", counted)
+    for spectrum, want in zip(spectra, expected):
+        calls.clear()
+        assert alg.ray_product(spectrum) == want
+        # one multiply per ray: the factors only, never a power of a ray
+        assert len(calls) == len(alg._ray_groups(spectrum))
+    assert len(alg._ray_groups(spectra[-1])) < len(alg.members)  # some ray holds several letters
 
 
 def fraction_sector_terms(alg: PbwAlgebra, spectrum: Spectrum, limit) -> dict | None:
